@@ -11,7 +11,8 @@ succeeds.
 
 The first line on stdout is `PORT <n>`. Besides POST /v1/chat/completions
 it serves POST /reset (new epoch: counters, one-shot failures and service
-times cleared) and GET /stats (JSON counters since the last reset).
+times cleared) and GET /stats (JSON counters since the last reset, and the
+process's CPU time so far).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class State:
                 "retries": self.retries,
                 "inflight_max": self.inflight_max,
                 "service_ms_p50": statistics.median(service) if service else 0.0,
+                "cpu_s": time.process_time(),
             }
 
     def complete(self, prompt: str) -> tuple[int, dict]:

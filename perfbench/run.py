@@ -1,14 +1,16 @@
 """toolstream benchmark: one workload, one seed, one result line.
 
-    python3 perfbench/run.py --workload replay-stages --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload replay-stages --seed 1 --seconds 40 --trace 0
 
 Set-up writes the workload's inputs from the seed, times fresh launches
 of `import toolstream.cli`, and starts the mock endpoint for
 live-generate. A child process (worker.py) then runs `run_report` for
-`--seconds`; afterwards the outputs are checked against the planted
-categories. The last stdout line is one JSON object with `correct`,
-`attempted`, `failed` and `metrics`: the end-to-end metrics with
-`--trace 0`, the per-layer metrics with `--trace 1`. See README.md.
+`--seconds`, with a calibration between timed calls that scales their
+times to a reference host speed; afterwards the outputs are checked
+against the planted categories. The last stdout line is one JSON object
+with `correct`, `attempted`, `failed` and `metrics`: the end-to-end
+metrics with `--trace 0`, the per-layer metrics with `--trace 1`. See
+README.md.
 """
 
 from __future__ import annotations
@@ -153,19 +155,23 @@ def evaluate(result: dict, n: int, bad: int, mock: bool) -> tuple[int, int, list
     return n * len(calls), min(failed, n * len(calls)), sorted(set(problems))
 
 
-def end_to_end(inputs, result: dict) -> dict:
-    """Metric name -> (median, sample count)."""
-    cold = [c["seconds"] for cy in result["cycles"] for c in cy["calls"] if c["phase"] == "cold"]
-    warm = [c["seconds"] for cy in result["cycles"] for c in cy["calls"] if c["phase"] == "warm"]
-    setup = result["setup_s"]
-    n = len(inputs.planted)
-    return {
-        "setup_s": (statistics.median(setup), len(setup)),
-        "report_s": (statistics.median(cold), len(cold)),
-        "rerun_s": (statistics.median(warm), len(warm)),
-        "completions_per_s": (statistics.median(n / t for t in cold), len(cold)),
-        "peak_rss_mib": (result["peak_rss_mib"], 1),
+def end_to_end(inputs, result: dict) -> tuple[dict, dict]:
+    """Metric name -> (median, sample count), from times scaled to the
+    reference host speed; and the unscaled medians, for the table."""
+    calls = [c for cy in result["cycles"] for c in cy["calls"]]
+    timings = {
+        "setup_s": result["setup"],
+        "report_s": [c for c in calls if c["phase"] == "cold"],
+        "rerun_s": [c for c in calls if c["phase"] == "warm"],
     }
+    n = len(inputs.planted)
+    metrics = {name: (statistics.median(t["scaled_s"] for t in ts), len(ts)) for name, ts in timings.items()}
+    cold = timings["report_s"]
+    metrics["completions_per_s"] = (statistics.median(n / t["scaled_s"] for t in cold), len(cold))
+    metrics["peak_rss_mib"] = (result["peak_rss_mib"], 1)
+    unscaled = {name: statistics.median(t["seconds"] for t in ts) for name, ts in timings.items()}
+    unscaled["calibration"] = result["calibration_s"]
+    return metrics, unscaled
 
 
 def per_layer(workload, result: dict, problems: list[str], names: list[str], trace_dir: Path,
@@ -176,11 +182,11 @@ def per_layer(workload, result: dict, problems: list[str], names: list[str], tra
     counts = {tuple(c["metrics"][k] for k in REPEATABLE) for c in traced}
     if len(counts) > 1:
         problems.append("per-layer counts differ between traced cycles")
-    untraced_s = statistics.median(sum(call["seconds"] for call in calls) for calls in plain)
+    untraced_s = statistics.median(sum(call["scaled_s"] for call in calls) for calls in plain)
     chosen = sorted(traced, key=lambda c: c["metrics"]["trace.report_s"])[(len(traced) - 1) // 2]
     m = dict(chosen["metrics"])
     m["trace.overhead_frac"] = statistics.median(
-        c["metrics"]["trace.report_s"] for c in traced
+        sum(call["scaled_s"] for call in c["calls"]) for c in traced
     ) / untraced_s - 1
     if workload.mode == "import":
         # Without concurrency the layer self times partition the root span.
@@ -239,8 +245,9 @@ def main() -> int:
             tag = f"{workload.name}-seed{args.seed}"
             names = listed + [name for name, _ in PER_LAYER_EXTRA]
             metrics = per_layer(workload, result, problems, names, BENCH / ".work" / "traces", tag)
+            unscaled = {}
         else:
-            metrics = end_to_end(inputs, result)
+            metrics, unscaled = end_to_end(inputs, result)
     except (RuntimeError, OSError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -252,6 +259,9 @@ def main() -> int:
     print(f"workload {workload.name}  seed {args.seed}  trace {args.trace}")
     for name, (value, samples) in metrics.items():
         print(f"  {name:32s} {value:14.6g} {units[name]:6s} (n={samples})")
+    for name, value in unscaled.items():
+        label = "calibration (median)" if name == "calibration" else f"{name} unscaled"
+        print(f"  {label:32s} {value:14.6g} s")
     print(f"  {'failed_frac':32s} {failed / attempted:14.6g} ratio  ({failed}/{attempted})")
     for problem in problems:
         print(f"  CHECK FAILED: {problem}")

@@ -9,6 +9,10 @@ traced calls.
 
     python3 perfbench/worker.py <config.json>
 
+A fixed calibration runs between timed calls and launches; every timing
+is also stored scaled to the reference host speed (see README.md,
+"Host-speed scaling").
+
 The config is written by run.py; the result JSON goes to config["result"].
 """
 
@@ -18,10 +22,12 @@ import hashlib
 import json
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import time
 import urllib.request
+from array import array
 from pathlib import Path
 
 from toolstream import report
@@ -30,6 +36,18 @@ from toolstream.genclient import EndpointConfig
 from toolstream.transform import Condition
 
 from spans import Tracer, layer_metrics, write_spans
+
+CALIBRATION_ITERS = 300_000
+CHASE_SLOTS = 1 << 20  # 4 MiB of 32-bit slots: past the per-core caches
+CHASE_STEPS = 150_000
+# Wall time of the calibration at the reference host speed. A scaled time
+# is what the measured time would have been had the calibration taken this.
+CALIBRATION_REF_S = 0.050
+
+# One cycle through every slot, in the order of a full-period linear
+# congruential generator, so each step is a dependent load from an address
+# the hardware prefetchers cannot predict.
+_CHASE = array("i", ((5 * i + 1) & (CHASE_SLOTS - 1) for i in range(CHASE_SLOTS)))
 
 
 def _digest(out_dir: Path) -> str:
@@ -41,6 +59,50 @@ def _digest(out_dir: Path) -> str:
                 h.update(chunk)
         h.update(b"\0")
     return h.hexdigest()
+
+
+def _calibrate() -> float:
+    """Wall time of a fixed pure-Python integer loop and a pointer chase
+    through memory: the host's current speed for interpreter-bound and for
+    cache-missing work."""
+    t0 = time.perf_counter()
+    s = 0
+    for i in range(CALIBRATION_ITERS):
+        s += i * i % 7
+    j = 0
+    for _ in range(CHASE_STEPS):
+        j = _CHASE[j]
+    return time.perf_counter() - t0
+
+
+def _cpu() -> float:
+    """CPU time of this process and of its waited-for children so far."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
+def _timing(seconds: float, busy: float, calibration_s: list[float]) -> dict:
+    """A timed operation, given the calibrations taken so far, the last of
+    them just after it. Its time at the reference host speed is its CPU time
+    (of all the run's processes), scaled by the calibrations just before and
+    just after it, plus the rest of its wall time (waiting on the mock's
+    fixed delay) as it was."""
+    busy = min(busy, seconds)
+    calibration = (calibration_s[-2] + calibration_s[-1]) / 2
+    return {
+        "seconds": seconds,
+        "busy_s": busy,
+        "calibration_s": calibration,
+        "scaled_s": busy * CALIBRATION_REF_S / calibration + (seconds - busy),
+    }
+
+
+def _timed_launch(calibration_s: list[float]) -> dict:
+    c0 = _cpu()
+    seconds = _launch()
+    busy = _cpu() - c0
+    calibration_s.append(_calibrate())
+    return _timing(seconds, busy, calibration_s)
 
 
 def _launch() -> float:
@@ -80,9 +142,13 @@ def main() -> None:
         kwargs["import_paths"] = cfg["import_paths"]
 
     launches = cfg["setup_launches"]
-    setup_s: list[float] = []
+    setup: list[dict] = []
     if launches:
         _launch()  # unrecorded: writes the bytecode cache, as installation would
+    _calibrate()  # unrecorded warm-up
+    # A calibration follows every timed call and launch, and serves both the
+    # operation before it and the one after it.
+    calibration_s = [_calibrate()]
     tracer = Tracer() if cfg["trace"] else None
     # Replay reruns repeat the first call's work exactly, so a traced cycle
     # keeps only the warm rerun that endpoint mode serves from the cache.
@@ -101,6 +167,7 @@ def main() -> None:
             if traced:
                 tracer.install()
             error = None
+            c0 = time.process_time()
             t0 = time.perf_counter()
             try:
                 if traced:
@@ -110,13 +177,21 @@ def main() -> None:
             except Exception as exc:  # a failed call is counted, not fatal
                 error = f"{type(exc).__name__}: {exc}"
             seconds = time.perf_counter() - t0
+            busy = time.process_time() - c0
+            calibration_s.append(_calibrate())
             if traced:
                 tracer.uninstall()
-            call = {"phase": "cold" if j == 0 else "warm", "seconds": seconds, "error": error}
+            if mock_base:
+                after = _mock(mock_base, "/stats")
+                busy += after["cpu_s"] - before["cpu_s"]
+            call = {
+                "phase": "cold" if j == 0 else "warm",
+                "error": error,
+                **_timing(seconds, busy, calibration_s),
+            }
             if error is None:
                 call["digest"] = _digest(out_dir)
             if mock_base:
-                after = _mock(mock_base, "/stats")
                 call["requests"] = after["requests"] - before["requests"]
                 call["retries"] = after["retries"] - before["retries"]
                 if j == 0:
@@ -141,19 +216,20 @@ def main() -> None:
 
         # Fresh-interpreter launches are spread over the run, between cycles,
         # so that their median is not taken from a single moment of the host.
-        while len(setup_s) < min(launches, launches * (time.perf_counter() - start) / cfg["seconds"]):
-            setup_s.append(_launch())
+        while len(setup) < min(launches, launches * (time.perf_counter() - start) / cfg["seconds"]):
+            setup.append(_timed_launch(calibration_s))
 
         elapsed = time.perf_counter() - start
         n_plain = sum(1 for c in cycles if not c["traced"])
         enough = n_plain >= 3 if tracer is None else len(cycles) >= 4
         if (elapsed >= cfg["seconds"] and enough) or elapsed >= cfg["max_seconds"]:
             break
-    while len(setup_s) < launches:
-        setup_s.append(_launch())
+    while len(setup) < launches:
+        setup.append(_timed_launch(calibration_s))
 
     result = {
-        "setup_s": setup_s,
+        "calibration_s": statistics.median(calibration_s),
+        "setup": setup,
         "cycles": cycles,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

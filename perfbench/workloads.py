@@ -46,7 +46,7 @@ WORKLOADS = {
         Workload("replay-long-trace", "import", 13, 60, (4,), reruns=1),
         # Live generation against the out-of-process mock, stages 0 and T.
         # Cold calls write the completion cache, warm reruns read it.
-        Workload("live-generate", "endpoint", 20, 5, (0, 4), reruns=5),
+        Workload("live-generate", "endpoint", 10, 5, (0, 4), reruns=3),
     )
 }
 
