@@ -51,7 +51,6 @@ from .scoring import (
     aggregate_macro,
     aggregate_micro,
     classify_error,
-    score_example,
 )
 from .clmetrics import (
     BaselineVector,

@@ -39,15 +39,15 @@ from .clmetrics import (
 )
 from .corpus import (
     CorpusError,
-    DomainBlock,
     IngestionError,
     PartitionError,
     StreamSpec,
-    examples_by_id,
+    assign_blocks,
+    extract_examples,
     load_corpus,
     partition_blocks,
     read_blocks_json,
-    sample_eval_subset,
+    select_examples,
     write_blocks_json,
 )
 from .fixtures import write_reference_fixture
@@ -147,7 +147,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", help="prompts JSONL output path")
     p.add_argument("--template", help="JSON template config")
     p.add_argument("--blocks-file", help="blocks.json (needed with --sample)")
-    p.add_argument("--sample", type=int, help="per-block eval sample size")
+    p.add_argument("--sample", type=int, help="per-block eval sample size (>= 1)")
     p.add_argument("--sample-seed", type=int, default=42)
     p.set_defaults(func=cmd_render, required=("corpus", "condition", "out"))
 
@@ -183,7 +183,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--metric", default="exact", choices=["exact", "name", "name_any", "malformed"])
     p.add_argument("--blocks", type=int, help="block count T (default: max block id seen)")
     p.add_argument("--block-order", type=_int_list, help="comma-separated block ids")
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="matrix CSV output path")
     p.set_defaults(func=cmd_matrix, required=("scores", "out"))
 
@@ -272,35 +271,18 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _selected_examples(args: argparse.Namespace):
-    episodes = load_corpus(args.corpus)
-    index = examples_by_id(episodes)
-    if getattr(args, "sample", None):
-        if not args.blocks_file:
-            raise ValueError("--sample requires --blocks-file")
-        _, assignment = read_blocks_json(args.blocks_file)
-        for ex_id, block_id in assignment.items():
-            if ex_id in index:
-                index[ex_id].block_id = block_id
-        blocks: dict[int, list] = {}
-        for ex in index.values():
-            if ex.block_id is not None:
-                blocks.setdefault(ex.block_id, []).append(ex)
-        selected = []
-        for block_id in sorted(blocks):
-            block = DomainBlock(
-                block_id=block_id,
-                api_names=frozenset(ex.expected.name for ex in blocks[block_id]),
-                examples=blocks[block_id],
-            )
-            selected.extend(sample_eval_subset(block, args.sample, args.sample_seed))
-        return {ex.id: ex for ex in selected}
-    return index
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     template = _load_template(args.template)
-    examples = _selected_examples(args)
+    episodes = load_corpus(args.corpus)
+    if args.blocks_file:
+        _, assignment = read_blocks_json(args.blocks_file)
+    elif args.sample is not None:
+        raise ValueError("--sample requires --blocks-file")
+    else:
+        # Without a blocks file every example renders, as one block.
+        assignment = {ex.id: 1 for ep in episodes for ex in extract_examples(ep)}
+    blocks = assign_blocks(episodes, assignment)
+    examples = select_examples(blocks, args.sample, args.sample_seed)
     ordered = sorted(examples)
     prompts = [render_prompt(examples[ex_id], args.condition, template) for ex_id in ordered]
     targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered}
@@ -330,12 +312,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    episodes = load_corpus(args.corpus)
-    index = examples_by_id(episodes)
     _, assignment = read_blocks_json(args.blocks_file)
-    for ex_id, block_id in assignment.items():
-        if ex_id in index:
-            index[ex_id].block_id = block_id
+    blocks = assign_blocks(load_corpus(args.corpus), assignment)
+    examples = select_examples(blocks, sample_size=None, seed=0)
     prompts = None
     if args.prompts:
         prompts, _ = read_rendered_jsonl(args.prompts)
@@ -344,7 +323,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         completions.extend(import_completions(path, prompts=prompts, strict=args.strict))
     if args.condition:
         completions = [c for c in completions if c.condition == args.condition.value]
-    records = score_completions(completions, index)
+    records = score_completions(completions, examples)
     records.sort(key=lambda r: (r.stage, r.block_id, r.example_id))
     write_scores_jsonl(args.out, records)
     if args.categories:
@@ -360,7 +339,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     if not records:
         raise AggregationError("no score records found")
     T = args.blocks or max(r.block_id for r in records)
-    stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()), seed=args.seed)
+    stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()))
     scores = block_scores_by_stage(records)
     rows = stage_rows(scores, stream, args.metric)
     if not rows:

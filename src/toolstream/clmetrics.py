@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 __all__ = [
     "EvalMatrix",
     "BaselineVector",
@@ -38,7 +36,6 @@ class MetricsError(Exception):
 @dataclass(frozen=True)
 class EvalMatrix:
     values: tuple[tuple[float, ...], ...]
-    metric_tag: str = "exact"
 
     def __post_init__(self):
         rows = tuple(tuple(float(v) for v in row) for row in self.values)
@@ -52,9 +49,6 @@ class EvalMatrix:
     @property
     def T(self) -> int:
         return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -89,6 +83,12 @@ class CLSummary:
         }
 
 
+def _mean(values: Sequence[float]) -> float:
+    # sum() adds left to right (CPython <= 3.11), which equals NumPy's mean
+    # below 8 values and the brute-force oracles in the tests at any size.
+    return sum(values) / len(values)
+
+
 def _require_multistage(matrix: EvalMatrix) -> None:
     if matrix.T < 2:
         raise MetricsError("transfer statistics are undefined for fewer than 2 stages")
@@ -96,15 +96,14 @@ def _require_multistage(matrix: EvalMatrix) -> None:
 
 def average_accuracy(matrix: EvalMatrix) -> float:
     """Mean accuracy over all blocks at the final stage."""
-    return float(np.mean(matrix.as_array()[-1, :]))
+    return _mean(matrix.values[-1])
 
 
 def bwt(matrix: EvalMatrix) -> float:
     """Mean final-minus-diagonal accuracy change on earlier blocks."""
     _require_multistage(matrix)
-    R = matrix.as_array()
-    T = matrix.T
-    return float(np.mean([R[-1, j] - R[j, j] for j in range(T - 1)]))
+    R = matrix.values
+    return _mean([R[-1][j] - R[j][j] for j in range(matrix.T - 1)])
 
 
 def fwt(matrix: EvalMatrix, baseline: BaselineVector) -> float:
@@ -114,33 +113,27 @@ def fwt(matrix: EvalMatrix, baseline: BaselineVector) -> float:
         raise MetricsError(
             f"baseline length {len(baseline)} does not match T={matrix.T}"
         )
-    R = matrix.as_array()
-    b = np.asarray(baseline.values, dtype=float)
-    T = matrix.T
-    return float(np.mean([R[j - 1, j] - b[j] for j in range(1, T)]))
+    R, b = matrix.values, baseline.values
+    return _mean([R[j - 1][j] - b[j] for j in range(1, matrix.T)])
 
 
 def avg_forgetting(matrix: EvalMatrix) -> float:
     """Mean drop from each earlier block's peak (diagonal onward, before the
     final stage) to its final-stage accuracy."""
     _require_multistage(matrix)
-    R = matrix.as_array()
-    T = matrix.T
-    drops = [np.max(R[j : T - 1, j]) - R[-1, j] for j in range(T - 1)]
-    return float(np.mean(drops))
+    R, T = matrix.values, matrix.T
+    drops = [max(R[i][j] for i in range(j, T - 1)) - R[-1][j] for j in range(T - 1)]
+    return _mean(drops)
 
 
 def aulc(matrix: EvalMatrix, seen_only: bool = True) -> float:
     """Area under the learning curve: mean over stages of the stage's
     average accuracy. The default averages only blocks seen so far;
     seen_only=False averages every block at every stage."""
-    R = matrix.as_array()
-    T = matrix.T
+    R = matrix.values
     if seen_only:
-        stage_means = [float(np.mean(R[i, : i + 1])) for i in range(T)]
-    else:
-        stage_means = [float(np.mean(R[i, :])) for i in range(T)]
-    return float(np.mean(stage_means))
+        return _mean([_mean(R[i][: i + 1]) for i in range(matrix.T)])
+    return _mean([_mean(row) for row in R])
 
 
 def summarize(matrix: EvalMatrix, baseline: BaselineVector) -> CLSummary:
@@ -210,16 +203,13 @@ def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]], list
 
 
 def matrix_from_rows(
-    rows: Mapping[int, Sequence[float]], T: int, metric_tag: str = "exact"
+    rows: Mapping[int, Sequence[float]], T: int
 ) -> tuple[EvalMatrix, BaselineVector | None]:
     """Assemble an EvalMatrix (stages 1..T required) and the optional
     stage-0 baseline from stage-indexed rows."""
     missing = [s for s in range(1, T + 1) if s not in rows]
     if missing:
         raise MetricsError(f"matrix is missing stage rows: {missing}")
-    matrix = EvalMatrix(
-        values=tuple(tuple(rows[s]) for s in range(1, T + 1)),
-        metric_tag=metric_tag,
-    )
+    matrix = EvalMatrix(values=tuple(tuple(rows[s]) for s in range(1, T + 1)))
     baseline = BaselineVector(tuple(rows[0])) if 0 in rows else None
     return matrix, baseline

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
 
@@ -36,9 +36,10 @@ __all__ = [
     "extract_examples",
     "partition_blocks",
     "sample_eval_subset",
+    "select_examples",
+    "assign_blocks",
     "write_blocks_json",
     "read_blocks_json",
-    "examples_by_id",
 ]
 
 
@@ -74,7 +75,6 @@ class Turn:
     role: Role
     text: str
     call: ApiCall | None = None
-    response_payload: str | None = None
 
 
 @dataclass
@@ -128,10 +128,8 @@ class StreamSpec:
             raise ValueError("sample_size must be >= 1")
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> list[Episode]:
+def load_corpus(path: str | Path) -> list[Episode]:
     """Load all episodes from a JSONL corpus file, preserving order."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported corpus format: {format!r}")
     path = Path(path)
     episodes: list[Episode] = []
     seen_ids: set[str] = set()
@@ -208,8 +206,6 @@ def _build_turn(role: Role, text: str, ep_id: str, idx: int, line_no: int) -> Tu
         # Store the canonical rendering so the turn text and the parsed
         # call can never drift apart.
         return Turn(role=role, text=render_call(parsed.call), call=parsed.call)
-    if role is Role.API_RESPONSE:
-        return Turn(role=role, text=text, response_payload=text)
     return Turn(role=role, text=text)
 
 
@@ -291,6 +287,43 @@ def sample_eval_subset(block: DomainBlock, n: int, seed: int) -> list[ScoredExam
     return [block.examples[i] for i in picked]
 
 
+def select_examples(
+    blocks: Sequence[DomainBlock], sample_size: int | None, seed: int
+) -> dict[str, ScoredExample]:
+    """The evaluation examples by id: every block example, or a seeded
+    per-block sample of sample_size (see sample_eval_subset)."""
+    if sample_size is None:
+        selected = [ex for block in blocks for ex in block.examples]
+    else:
+        selected = [
+            ex for block in blocks for ex in sample_eval_subset(block, sample_size, seed)
+        ]
+    return {ex.id: ex for ex in selected}
+
+
+def assign_blocks(
+    episodes: Sequence[Episode], assignment: Mapping[str, int]
+) -> list[DomainBlock]:
+    """Rebuild domain blocks from an example_id -> block_id assignment (as
+    read from blocks.json). Examples keep corpus order within a block, as
+    partition_blocks gives them; examples the assignment omits are left out."""
+    members: dict[int, list[ScoredExample]] = {}
+    for episode in episodes:
+        for example in extract_examples(episode):
+            block_id = assignment.get(example.id)
+            if block_id is not None:
+                example.block_id = block_id
+                members.setdefault(block_id, []).append(example)
+    return [
+        DomainBlock(
+            block_id=block_id,
+            api_names=frozenset(ex.expected.name for ex in examples),
+            examples=examples,
+        )
+        for block_id, examples in sorted(members.items())
+    ]
+
+
 def write_blocks_json(path: str | Path, blocks: Sequence[DomainBlock]) -> None:
     payload = {
         "T": len(blocks),
@@ -319,11 +352,3 @@ def read_blocks_json(path: str | Path) -> tuple[int, dict[str, int]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(f"malformed blocks file {path}: {exc}") from exc
     return T, assignment
-
-
-def examples_by_id(episodes: Iterable[Episode]) -> dict[str, ScoredExample]:
-    index: dict[str, ScoredExample] = {}
-    for episode in episodes:
-        for example in extract_examples(episode):
-            index[example.id] = example
-    return index

@@ -20,7 +20,7 @@ import random
 from pathlib import Path
 
 from .calls import ApiCall, render_call
-from .corpus import DomainBlock, Episode, load_corpus, partition_blocks
+from .corpus import DomainBlock, load_corpus, partition_blocks
 from .genclient import CompletionRecord, write_completions_jsonl
 from .scoring import CATEGORY_ORDER, ErrorCategory
 from .transform import DEFAULT_TEMPLATE, Condition, render_prompt
@@ -239,10 +239,3 @@ def trace_heavy_corpus_records(
                 turns.append({"role": "user", "text": f"Great, continue with step {c + 1}."})
         records.append({"id": f"trace_{ep:04d}", "turns": turns})
     return records
-
-
-def load_episodes_from_records(records: list[dict], tmp_path: str | Path) -> list[Episode]:
-    """Round-trip records through the JSONL loader (validates the schema)."""
-    path = Path(tmp_path) / "synthetic_corpus.jsonl"
-    write_jsonl_records(path, records)
-    return load_corpus(path)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,7 +63,6 @@ class EndpointConfig:
     base_url: str
     model_id: str
     max_new_tokens: int = 128
-    temperature: float = 0.0
     stop_sequences: tuple[str, ...] = ("\n",)
     timeout: float = 60.0
     max_parallel: int = 4
@@ -71,8 +70,6 @@ class EndpointConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self):
-        if self.temperature != 0.0:
-            raise ValueError("decoding is pinned greedy; temperature must be 0")
         self.stop_sequences = tuple(self.stop_sequences)
 
 
@@ -98,39 +95,37 @@ class CompletionRecord:
 class CompletionCache:
     """One file per completion, keyed by (stage, condition, prompt hash).
 
-    Writes go through a temp file plus rename under a lock, so parallel
-    generation workers never interleave partial records.
+    Each write goes to its own temp file beside the entry and is renamed
+    into place, so concurrent writers, in this process or in others sharing
+    the directory, never expose or clobber a partial record.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._lock = threading.Lock()
 
     def _path(self, stage: int, condition: str, prompt_hash: str) -> Path:
         return self.root / f"stage_{stage}" / condition / f"{prompt_hash}.json"
 
-    def get(self, stage: int, condition: str, prompt_hash: str) -> CompletionRecord | None:
+    def get(self, stage: int, condition: str, prompt_hash: str) -> str | None:
+        """The cached completion text. Its example is the caller's: examples
+        whose prompts render alike share one entry."""
         path = self._path(stage, condition, prompt_hash)
         if not path.exists():
             return None
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        return CompletionRecord(
-            example_id=raw["example_id"],
-            condition=raw["condition"],
-            stage=int(raw["stage"]),
-            prompt_hash=raw["prompt_hash"],
-            text=raw["text"],
-            source=raw.get("source", "http"),
-        )
+        return json.loads(path.read_text(encoding="utf-8"))["text"]
 
     def put(self, record: CompletionRecord) -> None:
         path = self._path(record.stage, record.condition, record.prompt_hash)
-        with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            payload = dict(record.to_json_obj(), source=record.source)
-            tmp.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-            tmp.replace(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = dict(record.to_json_obj(), source=record.source)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _request_once(cfg: EndpointConfig, prompt_text: str) -> str:
@@ -190,11 +185,10 @@ def generate_completion(
     """One greedy chat-completion request; cache hits skip the network."""
     condition = prompt.condition.value
     prompt_hash = prompt.prompt_hash
-    if cache is not None:
-        hit = cache.get(stage, condition, prompt_hash)
-        if hit is not None:
-            return hit
-    text = _request_with_retries(cfg, prompt.text)
+    text = cache.get(stage, condition, prompt_hash) if cache is not None else None
+    hit = text is not None
+    if not hit:
+        text = _request_with_retries(cfg, prompt.text)
     record = CompletionRecord(
         example_id=prompt.example_id,
         condition=condition,
@@ -203,7 +197,7 @@ def generate_completion(
         text=text,
         source="http",
     )
-    if cache is not None:
+    if cache is not None and not hit:
         cache.put(record)
     return record
 

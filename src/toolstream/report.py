@@ -18,11 +18,10 @@ from typing import Mapping, Sequence
 from . import __version__
 from .clmetrics import matrix_from_rows, summarize, write_matrix_csv
 from .corpus import (
-    DomainBlock,
     StreamSpec,
     load_corpus,
     partition_blocks,
-    sample_eval_subset,
+    select_examples,
     write_blocks_json,
 )
 from .genclient import (
@@ -94,12 +93,11 @@ class RunManifest:
     conditions: tuple[str, ...]
     stages: tuple[int, ...]
     source: Mapping[str, object]
-    tool_version: str = __version__
 
     def to_dict(self) -> dict:
         return {
             "tool": "toolstream",
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "corpus": self.corpus,
             "stream": {
                 "T": self.stream.T,
@@ -183,18 +181,6 @@ def _final_table_rows(
     return rows
 
 
-def _eval_examples(blocks: Sequence[DomainBlock], stream: StreamSpec):
-    if stream.sample_size is None:
-        selected = [ex for block in blocks for ex in block.examples]
-    else:
-        selected = [
-            ex
-            for block in blocks
-            for ex in sample_eval_subset(block, stream.sample_size, stream.seed)
-        ]
-    return {ex.id: ex for ex in selected}
-
-
 def run_report(
     corpus_path: str | Path,
     out_dir: str | Path,
@@ -221,7 +207,7 @@ def run_report(
     episodes = load_corpus(corpus_path)
     blocks = partition_blocks(episodes, stream.T, stream.seed)
     write_blocks_json(out / "blocks.json", blocks)
-    examples = _eval_examples(blocks, stream)
+    examples = select_examples(blocks, stream.sample_size, stream.seed)
     ordered_ids = sorted(examples)
     targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered_ids}
 

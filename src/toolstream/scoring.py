@@ -24,7 +24,6 @@ __all__ = [
     "AggregationError",
     "CATEGORY_ORDER",
     "CATEGORY_LABELS",
-    "score_example",
     "classify_error",
     "evaluate_completion",
     "score_completions",
@@ -88,7 +87,6 @@ class ScoreRecord:
     block_id: int
     flags: MetricFlags
     category: ErrorCategory
-    predicted: ApiCall | None = None
 
 
 @dataclass(frozen=True)
@@ -121,18 +119,7 @@ def _flags_for(predicted: ApiCall | None, expected: ApiCall) -> MetricFlags:
     )
 
 
-def score_example(completion: str, expected: ApiCall) -> MetricFlags:
-    """Score one raw completion against its expected call."""
-    parsed = parse_first_call(completion)
-    predicted = parsed.call if isinstance(parsed, ParsedCall) else None
-    return _flags_for(predicted, expected)
-
-
-def classify_error(
-    flags: MetricFlags,
-    expected: ApiCall | None = None,
-    predicted: ApiCall | None = None,
-) -> ErrorCategory:
+def classify_error(flags: MetricFlags) -> ErrorCategory:
     """Map metric flags onto the five-way error taxonomy."""
     if not flags.parsed:
         return ErrorCategory.MALFORMED_NO_CALL
@@ -148,11 +135,12 @@ def classify_error(
 def evaluate_completion(
     completion: str, expected: ApiCall
 ) -> tuple[MetricFlags, ErrorCategory, ApiCall | None]:
-    """Single-parse convenience: flags, category, and the predicted call."""
+    """Score one raw completion against its expected call: flags,
+    category, and the predicted call (None when nothing parses)."""
     parsed = parse_first_call(completion)
     predicted = parsed.call if isinstance(parsed, ParsedCall) else None
     flags = _flags_for(predicted, expected)
-    return flags, classify_error(flags, expected, predicted), predicted
+    return flags, classify_error(flags), predicted
 
 
 def score_completions(completions, examples) -> list[ScoreRecord]:
@@ -174,7 +162,7 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
             raise AggregationError(
                 f"example {example.id!r} has no block assignment"
             )
-        flags, category, predicted = evaluate_completion(completion.text, example.expected)
+        flags, category, _ = evaluate_completion(completion.text, example.expected)
         records.append(
             ScoreRecord(
                 example_id=example.id,
@@ -182,7 +170,6 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
                 block_id=example.block_id,
                 flags=flags,
                 category=category,
-                predicted=predicted,
             )
         )
     return records

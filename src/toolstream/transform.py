@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -91,7 +90,7 @@ def _turn_line(turn: Turn, template: PromptTemplate) -> str:
     if turn.role is Role.API_REQUEST:
         text = render_call(turn.call) if turn.call is not None else turn.text
         return template.api_request_prefix + text
-    return template.api_response_prefix + (turn.response_payload or turn.text)
+    return template.api_response_prefix + turn.text
 
 
 def render_prompt(
@@ -134,23 +133,15 @@ def _run_tokenizer(command: Sequence[str], text: str) -> int:
 def context_stats(
     prompts: Iterable[RenderedPrompt],
     tokenizer_cmd: Sequence[str] | None = None,
-    workers: int = 1,
 ) -> dict[str, dict[str, int]]:
     """Per-condition totals of char, whitespace-token, and optional
     external-tokenizer counts. External counts appear only when a
     tokenizer command is configured."""
     prompts = list(prompts)
     if tokenizer_cmd is not None:
-        pending = [p for p in prompts if p.ext_token_len is None]
-        if workers > 1 and pending:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(
-                    pool.map(lambda p: _run_tokenizer(tokenizer_cmd, p.text), pending)
-                )
-        else:
-            counts = [_run_tokenizer(tokenizer_cmd, p.text) for p in pending]
-        for prompt, count in zip(pending, counts):
-            prompt.ext_token_len = count
+        for prompt in prompts:
+            if prompt.ext_token_len is None:
+                prompt.ext_token_len = _run_tokenizer(tokenizer_cmd, prompt.text)
 
     totals: dict[str, dict[str, int]] = {}
     for prompt in prompts:

@@ -1,5 +1,5 @@
 """Shared test helpers: independent metric oracles, random-call generation,
-and a small mock chat-completions endpoint.
+corpus loading from records, and a small mock chat-completions endpoint.
 
 The metric oracles are written as naive loops on purpose: they are the
 independent side of the dual-route checks and must not share code with
@@ -14,8 +14,11 @@ import string
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 from toolstream.calls import ApiCall, FailureReason
+from toolstream.corpus import Episode, load_corpus
+from toolstream.fixtures import write_jsonl_records
 
 # Fixed malformed-completion corpus with the reason each case must produce.
 MALFORMED_CASES = [
@@ -124,6 +127,13 @@ _FUZZ_ALPHABET = (
 
 def random_text(rng: random.Random, max_len: int = 80) -> str:
     return "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randrange(0, max_len)))
+
+
+def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:
+    """Round-trip records through the JSONL loader (validates the schema)."""
+    path = Path(tmp_path) / "synthetic_corpus.jsonl"
+    write_jsonl_records(path, records)
+    return load_corpus(path)
 
 
 # ---------------------------------------------------------------------------

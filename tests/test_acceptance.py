@@ -15,6 +15,7 @@ from collections import Counter
 from _support import (
     MALFORMED_CASES,
     MockEndpoint,
+    load_episodes_from_records,
     oracle_aulc,
     oracle_average_accuracy,
     oracle_bwt,
@@ -42,10 +43,7 @@ from toolstream.clmetrics import (
     fwt,
 )
 from toolstream.corpus import Role, extract_examples
-from toolstream.fixtures import (
-    load_episodes_from_records,
-    trace_heavy_corpus_records,
-)
+from toolstream.fixtures import trace_heavy_corpus_records
 from toolstream.genclient import (
     CompletionCache,
     EndpointConfig,
@@ -308,7 +306,7 @@ def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
     for i in range(2000):
         expected = expected_pool[i % len(expected_pool)]
         completion = random_text(rng) if i % 2 else render_call(random_call(rng))
-        flags, category, predicted = evaluate_completion(completion, expected)
+        flags, category, _ = evaluate_completion(completion, expected)
         fuzz_records.append(
             ScoreRecord(
                 example_id=f"fuzz:{i}",
@@ -316,7 +314,6 @@ def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
                 block_id=1,
                 flags=flags,
                 category=category,
-                predicted=predicted,
             )
         )
     check("fuzz", fuzz_records)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toolstream
 from toolstream.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -136,6 +141,32 @@ class TestRenderScorePipeline:
             == EXIT_OK
         )
         assert len(prompts_path.read_text().strip().splitlines()) == 4 * 32
+
+    def test_sample_zero_rejected_by_render_and_report(self, split_paths, tmp_path):
+        reference_paths, blocks_path = split_paths
+        corpus = str(reference_paths["corpus"])
+        render = ["render", "--corpus", corpus, "--condition", "A",
+                  "--blocks-file", str(blocks_path), "--sample", "0",
+                  "--out", str(tmp_path / "prompts.jsonl")]
+        report = ["report", "--corpus", corpus, "--conditions", "A",
+                  "--import", str(reference_paths["completions_A"]), "--sample", "0",
+                  "--out", str(tmp_path / "report")]
+        assert main(render) == EXIT_VALIDATION
+        assert main(report) == EXIT_VALIDATION
+
+    def test_render_sample_matches_report_prompts(self, split_paths, tmp_path):
+        reference_paths, blocks_path = split_paths
+        corpus = str(reference_paths["corpus"])
+        rendered = tmp_path / "prompts_A.jsonl"
+        render = ["render", "--corpus", corpus, "--condition", "A",
+                  "--blocks-file", str(blocks_path), "--sample", "32",
+                  "--sample-seed", "42", "--out", str(rendered)]
+        report = ["report", "--corpus", corpus, "--blocks", "4", "--seed", "42",
+                  "--conditions", "A", "--import", str(reference_paths["completions_A"]),
+                  "--sample", "32", "--out", str(tmp_path / "report")]
+        assert main(render) == EXIT_OK
+        assert main(report) == EXIT_OK
+        assert rendered.read_bytes() == (tmp_path / "report" / "prompts_A.jsonl").read_bytes()
 
     def test_matrix_from_scores(self, split_paths, tmp_path):
         reference_paths, blocks_path = split_paths
@@ -306,3 +337,10 @@ class TestReportSubcommand:
             ]
         )
         assert code == EXIT_VALIDATION
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(toolstream.__file__).resolve().parents[1]
+    code = "import sys, toolstream.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from _support import load_episodes_from_records
 from toolstream.corpus import extract_examples
 from toolstream.fixtures import (
     REFERENCE_APIS,
     REFERENCE_CATEGORY_MIX,
-    load_episodes_from_records,
     trace_heavy_corpus_records,
     write_reference_fixture,
 )

@@ -99,7 +99,7 @@ class TestGenerateCompletion:
             assert mock.requests == 2
 
     def test_temperature_pinned(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             EndpointConfig(base_url="http://x", model_id="m", temperature=0.7)
 
     def test_greedy_payload_shape(self):
@@ -122,6 +122,19 @@ class TestGenerateCompletion:
             monkeypatch.setenv("TOOLSTREAM_API_KEY", "sekrit")
             generate_completion(_prompt(8), cfg, stage=1)
             assert mock.last_headers.get("Authorization") == "Bearer sekrit"
+
+
+class TestCompletionCache:
+    def test_put_ignores_a_squatted_temp_name(self, tmp_path):
+        # A directory at <hash>.tmp (another writer's fixed temp name) must not
+        # block the write, and the write leaves no temp file behind.
+        cache = CompletionCache(tmp_path / "cache")
+        h = _prompt(9).prompt_hash
+        entry_dir = tmp_path / "cache" / "stage_1" / "A"
+        (entry_dir / f"{h}.tmp").mkdir(parents=True)
+        cache.put(CompletionRecord("e:9", "A", 1, h, "[Ping()]"))
+        assert cache.get(1, "A", h) == "[Ping()]"
+        assert sorted(p.name for p in entry_dir.iterdir()) == [f"{h}.json", f"{h}.tmp"]
 
 
 class TestBatchGenerate:

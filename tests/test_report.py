@@ -5,17 +5,21 @@ from __future__ import annotations
 import csv
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from _support import MockEndpoint
 from toolstream.corpus import StreamSpec
+from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
+from toolstream.genclient import EndpointConfig
 from toolstream.report import (
     ReportError,
     emit_heatmap_data,
     format_pct,
     run_report,
 )
-from toolstream.transform import Condition
+from toolstream.transform import Condition, RenderedPrompt
 
 
 class TestFormatPct:
@@ -168,13 +172,6 @@ class TestRunReport:
         assert len(scores) == 4 * 32
 
     def test_endpoint_mode_with_full_stage_coverage(self, tmp_path):
-        from _support import MockEndpoint
-        from toolstream.fixtures import (
-            trace_heavy_corpus_records,
-            write_jsonl_records,
-        )
-        from toolstream.genclient import EndpointConfig
-
         corpus_path = tmp_path / "corpus.jsonl"
         write_jsonl_records(
             corpus_path, trace_heavy_corpus_records(n_episodes=6, calls_per_episode=2)
@@ -205,3 +202,49 @@ class TestRunReport:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["source"]["mode"] == "http"
         assert manifest["stages"] == [0, 1, 2]
+
+    def test_cache_hit_scores_the_requesting_example(self, tmp_path):
+        # Under condition A, cuts 1 and 3 of `user, api_request, api_response,
+        # api_request` render to one prompt, so cut 3 is a cache hit.
+        records = [
+            {
+                "id": f"e{i}",
+                "turns": [
+                    {"role": "user", "text": f"request {i}"},
+                    {"role": "api_request", "text": f"[Tool{i % 2}(step='a{i}')]"},
+                    {"role": "api_response", "text": "ok"},
+                    {"role": "api_request", "text": f"[Tool{i % 2}(step='b{i}')]"},
+                ],
+            }
+            for i in range(4)
+        ]
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_jsonl_records(corpus_path, records)
+        with MockEndpoint() as mock:
+            endpoint = EndpointConfig(
+                base_url=mock.base_url, model_id="mock", max_parallel=1, timeout=10.0
+            )
+            out = run_report(
+                corpus_path=corpus_path,
+                out_dir=tmp_path / "out",
+                stream=StreamSpec(T=2, seed=42),
+                conditions=[Condition.A_STRIPPED],
+                endpoint=endpoint,
+                stages=[2],
+                cache_dir=tmp_path / "cache",
+            )
+        assert mock.requests == 4
+        lines = (out / "scores_A.jsonl").read_text().splitlines()
+        scored = sorted(json.loads(line)["example_id"] for line in lines)
+        assert scored == [f"e{i}:{cut}" for i in range(4) for cut in (1, 3)]
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # perfbench's `--trace 1` replaces each (owner, attr) in spans.TARGETS and
+    # the prompt_hash property; a name missing here breaks trace mode.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    for owner, attr, _, _ in spans.TARGETS:
+        assert callable(getattr(owner, attr)), f"{owner!r}.{attr}"
+    assert isinstance(RenderedPrompt.__dict__["prompt_hash"], property)

@@ -24,7 +24,6 @@ from toolstream.scoring import (
     classify_error,
     evaluate_completion,
     read_scores_jsonl,
-    score_example,
     write_category_csv,
     write_scores_jsonl,
 )
@@ -34,33 +33,33 @@ WEATHER = ApiCall("GetWeather", (("city", "Paris"),))
 
 class TestScoreExample:
     def test_exact_match(self):
-        flags = score_example("[GetWeather(city='Paris')]", WEATHER)
+        flags = evaluate_completion("[GetWeather(city='Paris')]", WEATHER)[0]
         assert flags == MetricFlags(parsed=True, name_ok=True, name_any_ok=True, exact_ok=True)
 
     def test_wrong_value(self):
-        flags = score_example("[GetWeather(city='Lyon')]", WEATHER)
+        flags = evaluate_completion("[GetWeather(city='Lyon')]", WEATHER)[0]
         assert flags.parsed and flags.name_ok
         assert not flags.name_any_ok and not flags.exact_ok
 
     def test_no_call(self):
-        flags = score_example("I will check the weather.", WEATHER)
+        flags = evaluate_completion("I will check the weather.", WEATHER)[0]
         assert flags == MetricFlags(parsed=False, name_ok=False, name_any_ok=False, exact_ok=False)
 
     def test_quote_style_does_not_matter(self):
-        assert score_example('[GetWeather(city="Paris")]', WEATHER).exact_ok
+        assert evaluate_completion('[GetWeather(city="Paris")]', WEATHER)[0].exact_ok
 
     def test_extra_param_breaks_exact_not_name_any(self):
-        flags = score_example("[GetWeather(city='Paris', units='C')]", WEATHER)
+        flags = evaluate_completion("[GetWeather(city='Paris', units='C')]", WEATHER)[0]
         assert flags.name_any_ok and not flags.exact_ok
 
     def test_partial_params(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
-        flags = score_example("[Book(origin='LHR', dest='AMS')]", expected)
+        flags = evaluate_completion("[Book(origin='LHR', dest='AMS')]", expected)[0]
         assert flags.name_any_ok and not flags.exact_ok
 
     def test_param_order_ignored(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
-        assert score_example("[Book(dest='CDG', origin='LHR')]", expected).exact_ok
+        assert evaluate_completion("[Book(dest='CDG', origin='LHR')]", expected)[0].exact_ok
 
 
 class TestClassifyError:
@@ -209,7 +208,7 @@ class TestCategoryProperties:
                     tuple((k, v + "_x") for k, v in expected.params),
                 )
                 completion = render_call(mutated)
-            flags, category, predicted = evaluate_completion(completion, expected)
+            flags, category, _ = evaluate_completion(completion, expected)
             records.append(
                 ScoreRecord(
                     example_id=f"f:{i}",
@@ -217,7 +216,6 @@ class TestCategoryProperties:
                     block_id=1,
                     flags=flags,
                     category=category,
-                    predicted=predicted,
                 )
             )
         counts = category_counts(records)

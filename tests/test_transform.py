@@ -10,7 +10,8 @@ import pytest
 
 from toolstream.calls import ApiCall
 from toolstream.corpus import Role, ScoredExample, Turn, extract_examples
-from toolstream.fixtures import load_episodes_from_records, trace_heavy_corpus_records
+from _support import load_episodes_from_records
+from toolstream.fixtures import trace_heavy_corpus_records
 from toolstream.transform import (
     DEFAULT_TEMPLATE,
     Condition,
@@ -30,8 +31,6 @@ CALL = ApiCall("F", (("x", "1"),))
 def _turn(role: Role, text: str = "t") -> Turn:
     if role is Role.API_REQUEST:
         return Turn(role=role, text="[F(x='1')]", call=CALL)
-    if role is Role.API_RESPONSE:
-        return Turn(role=role, text=text, response_payload=text)
     return Turn(role=role, text=text)
 
 
