@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .calls import (
     ApiCall,
     FailureReason,
-    NormalizationError,
     ParsedCall,
     ParseFailure,
     normalize_params,

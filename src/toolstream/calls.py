@@ -22,7 +22,6 @@ __all__ = [
     "ParsedCall",
     "ParseFailure",
     "FailureReason",
-    "NormalizationError",
     "parse_first_call",
     "normalize_params",
     "render_call",
@@ -37,10 +36,6 @@ _UNQUOTED_STOP = set(",)']\"")
 _QUOTES = ("'", '"')
 
 
-class NormalizationError(ValueError):
-    """Raised when a call's parameters cannot be canonicalized."""
-
-
 @dataclass(frozen=True)
 class ApiCall:
     """An API name plus an ordered sequence of (key, value) string pairs."""
@@ -53,10 +48,9 @@ class ApiCall:
             raise ValueError("API name must be nonempty")
         if any(ch in "[]()" for ch in self.name):
             raise ValueError(f"API name contains bracket characters: {self.name!r}")
-        # Accept any iterable of pairs at construction time.
-        object.__setattr__(
-            self, "params", tuple((str(k), str(v)) for k, v in self.params)
-        )
+        keys = [key for key, _ in self.params]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"duplicate parameter key in call {self.name}: {keys}")
 
 
 class FailureReason(Enum):
@@ -213,37 +207,15 @@ def _scan_quoted(text: str, quote_idx: int) -> tuple[str, int] | None:
     return None
 
 
-def _resolve_escapes(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    n = len(value)
-    while i < n:
-        ch = value[i]
-        if ch == "\\" and i + 1 < n and value[i + 1] in "'\"\\":
-            out.append(value[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def normalize_params(call: ApiCall) -> dict[str, str]:
     """Canonical parameter map used for exact matching.
 
     Keys are sorted lexicographically and compared case-sensitively.
-    Values are whitespace-trimmed, stripped of one layer of matching
-    surrounding quotes, and have their quote/backslash escapes resolved.
+    Values are whitespace-trimmed and otherwise compared as scanned:
+    quotes and escapes are resolved by the scanner alone, so a value that
+    still holds a quote or backslash is never re-read.
     """
-    cleaned: dict[str, str] = {}
-    for key, value in call.params:
-        if key in cleaned:
-            raise NormalizationError(f"duplicate parameter key {key!r} in call {call.name}")
-        v = value.strip()
-        if len(v) >= 2 and v[0] == v[-1] and v[0] in _QUOTES:
-            v = v[1:-1]
-        cleaned[key] = _resolve_escapes(v)
-    return {k: cleaned[k] for k in sorted(cleaned)}
+    return {k: v.strip() for k, v in sorted(call.params)}
 
 
 def _escape_value(value: str) -> str:

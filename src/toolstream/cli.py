@@ -22,13 +22,7 @@ import shlex
 import sys
 from pathlib import Path
 
-from .calls import (
-    NormalizationError,
-    ParsedCall,
-    normalize_params,
-    parse_first_call,
-    render_call,
-)
+from .calls import ParsedCall, normalize_params, parse_first_call, render_call
 from .clmetrics import (
     BaselineVector,
     MetricsError,
@@ -276,13 +270,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     episodes = load_corpus(args.corpus)
     if args.blocks_file:
         _, assignment = read_blocks_json(args.blocks_file)
+        blocks = assign_blocks(episodes, assignment)
+        examples = select_examples(blocks, args.sample, args.sample_seed)
     elif args.sample is not None:
         raise ValueError("--sample requires --blocks-file")
     else:
-        # Without a blocks file every example renders, as one block.
-        assignment = {ex.id: 1 for ep in episodes for ex in extract_examples(ep)}
-    blocks = assign_blocks(episodes, assignment)
-    examples = select_examples(blocks, args.sample, args.sample_seed)
+        examples = {ex.id: ex for ep in episodes for ex in extract_examples(ep)}
     ordered = sorted(examples)
     prompts = [render_prompt(examples[ex_id], args.condition, template) for ex_id in ordered]
     targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered}
@@ -455,7 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         CorpusError,
         MetricsError,
         AggregationError,
-        NormalizationError,
         ReportError,
         ValueError,
     ) as exc:

@@ -2,12 +2,14 @@
 or recorded completion files, with a deterministic on-disk cache.
 
 The wire shape is the widely served chat-completions POST; decoding is
-pinned greedy (temperature 0). Completions are cached by prompt content
-hash so template changes invalidate stale entries automatically.
+pinned greedy (temperature 0). Completions are cached by the request they
+answer (endpoint URL, model, prompt and decoding settings), so a change
+to any of these misses the cache instead of serving a stale entry.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -93,7 +95,8 @@ class CompletionRecord:
 
 
 class CompletionCache:
-    """One file per completion, keyed by (stage, condition, prompt hash).
+    """One file per completion under stage_<s>/<condition>/, named by the
+    sha256 of the endpoint URL and the exact request body.
 
     Each write goes to its own temp file beside the entry and is renamed
     into place, so concurrent writers, in this process or in others sharing
@@ -103,19 +106,24 @@ class CompletionCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
 
-    def _path(self, stage: int, condition: str, prompt_hash: str) -> Path:
-        return self.root / f"stage_{stage}" / condition / f"{prompt_hash}.json"
+    def _path(self, stage: int, condition: str, key: str) -> Path:
+        return self.root / f"stage_{stage}" / condition / f"{key}.json"
 
-    def get(self, stage: int, condition: str, prompt_hash: str) -> str | None:
-        """The cached completion text. Its example is the caller's: examples
-        whose prompts render alike share one entry."""
-        path = self._path(stage, condition, prompt_hash)
+    def get(self, stage: int, condition: str, key: str) -> str | None:
+        """The cached completion text, or None on a miss. Its example is
+        the caller's: examples whose requests match share one entry. An
+        unreadable entry is a miss; the next put replaces it."""
+        path = self._path(stage, condition, key)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))["text"]
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))["text"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            logger.warning("unreadable cache entry %s treated as a miss: %s", path, exc)
+            return None
 
-    def put(self, record: CompletionRecord) -> None:
-        path = self._path(record.stage, record.condition, record.prompt_hash)
+    def put(self, key: str, record: CompletionRecord) -> None:
+        path = self._path(record.stage, record.condition, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(record.to_json_obj(), source=record.source)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -128,18 +136,22 @@ class CompletionCache:
             raise
 
 
-def _request_once(cfg: EndpointConfig, prompt_text: str) -> str:
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    payload = {
+def _payload(cfg: EndpointConfig, prompt_text: str) -> dict:
+    """The exact chat-completions request body sent for one prompt."""
+    return {
         "model": cfg.model_id,
         "messages": [{"role": "user", "content": prompt_text}],
         "temperature": 0,
         "max_tokens": cfg.max_new_tokens,
         "stop": list(cfg.stop_sequences),
     }
+
+
+def _request_once(cfg: EndpointConfig, payload: dict) -> str:
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(API_KEY_ENV)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
     try:
         response = requests.post(
             cfg.base_url.rstrip("/") + "/chat/completions",
@@ -157,12 +169,12 @@ def _request_once(cfg: EndpointConfig, prompt_text: str) -> str:
         raise EndpointError(response.status_code, f"malformed response body: {exc}")
 
 
-def _request_with_retries(cfg: EndpointConfig, prompt_text: str) -> str:
+def _request_with_retries(cfg: EndpointConfig, payload: dict) -> str:
     attempts = cfg.retries + 1
     last_error: Exception | None = None
     for attempt in range(attempts):
         try:
-            return _request_once(cfg, prompt_text)
+            return _request_once(cfg, payload)
         except TransportError as exc:
             last_error = exc
         except EndpointError as exc:
@@ -184,21 +196,24 @@ def generate_completion(
 ) -> CompletionRecord:
     """One greedy chat-completion request; cache hits skip the network."""
     condition = prompt.condition.value
-    prompt_hash = prompt.prompt_hash
-    text = cache.get(stage, condition, prompt_hash) if cache is not None else None
+    payload = _payload(cfg, prompt.text)
+    key = hashlib.sha256(
+        json.dumps([cfg.base_url, payload], sort_keys=True).encode("utf-8")
+    ).hexdigest()
+    text = cache.get(stage, condition, key) if cache is not None else None
     hit = text is not None
     if not hit:
-        text = _request_with_retries(cfg, prompt.text)
+        text = _request_with_retries(cfg, payload)
     record = CompletionRecord(
         example_id=prompt.example_id,
         condition=condition,
         stage=stage,
-        prompt_hash=prompt_hash,
+        prompt_hash=prompt.prompt_hash,
         text=text,
         source="http",
     )
     if cache is not None and not hit:
-        cache.put(record)
+        cache.put(key, record)
     return record
 
 

@@ -28,6 +28,7 @@ from .genclient import (
     CompletionCache,
     CompletionRecord,
     EndpointConfig,
+    TransportError,
     batch_generate,
     import_completions,
 )
@@ -234,7 +235,7 @@ def run_report(
                 )
                 if batch.failures:
                     failed = ", ".join(f.example_id for f in batch.failures[:5])
-                    raise ReportError(
+                    raise TransportError(
                         f"{len(batch.failures)} completions failed at stage {stage} "
                         f"(condition {condition.value}): {failed}"
                     )

@@ -148,10 +148,18 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
 
     `completions` is an iterable with example_id/stage/text attributes
     (genclient.CompletionRecord); `examples` maps example_id to a
-    ScoredExample whose block_id is assigned.
+    ScoredExample whose block_id is assigned. Each (stage, example) may be
+    scored once; a second completion for it is an error.
     """
     records: list[ScoreRecord] = []
+    seen: set[tuple[int, str]] = set()
     for completion in completions:
+        key = (int(completion.stage), completion.example_id)
+        if key in seen:
+            raise AggregationError(
+                f"more than one completion for example {key[1]!r} at stage {key[0]}"
+            )
+        seen.add(key)
         try:
             example = examples[completion.example_id]
         except KeyError:
@@ -166,7 +174,7 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
         records.append(
             ScoreRecord(
                 example_id=example.id,
-                stage=int(completion.stage),
+                stage=key[0],
                 block_id=example.block_id,
                 flags=flags,
                 category=category,

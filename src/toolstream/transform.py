@@ -15,7 +15,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .calls import render_call
 from .corpus import Role, ScoredExample, Turn
 
 __all__ = [
@@ -88,8 +87,7 @@ def _turn_line(turn: Turn, template: PromptTemplate) -> str:
     if turn.role is Role.ASSISTANT_TEXT:
         return template.assistant_prefix + turn.text
     if turn.role is Role.API_REQUEST:
-        text = render_call(turn.call) if turn.call is not None else turn.text
-        return template.api_request_prefix + text
+        return template.api_request_prefix + turn.text
     return template.api_response_prefix + turn.text
 
 

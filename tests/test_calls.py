@@ -13,7 +13,6 @@ from _support import MALFORMED_CASES, random_call, random_text
 from toolstream.calls import (
     ApiCall,
     FailureReason,
-    NormalizationError,
     ParsedCall,
     ParseFailure,
     normalize_params,
@@ -103,22 +102,20 @@ class TestNormalize:
         assert list(normalize_params(call)) == ["a", "b"]
 
     def test_quote_style_invariance(self):
-        single = ApiCall("F", (("city", "'Paris'"),))
-        double = ApiCall("F", (("city", '"Paris"'),))
+        single = _parsed("[F(city='Paris')]").call
+        double = _parsed('[F(city="Paris")]').call
         assert normalize_params(single) == normalize_params(double) == {"city": "Paris"}
 
     def test_escape_resolution(self):
-        call = ApiCall("F", (("x", r"'a\'b'"),))
-        assert normalize_params(call) == {"x": "a'b"}
+        assert _parsed(r"[F(x='a\'b')]").call.params == (("x", "a'b"),)
 
     def test_unknown_escape_kept(self):
         call = ApiCall("F", (("x", r"a\nb"),))
         assert normalize_params(call) == {"x": r"a\nb"}
 
     def test_duplicate_keys_rejected(self):
-        call = ApiCall("F", (("a", "1"), ("a", "2")))
-        with pytest.raises(NormalizationError):
-            normalize_params(call)
+        with pytest.raises(ValueError):
+            ApiCall("F", (("a", "1"), ("a", "2")))
 
     def test_case_sensitive(self):
         assert normalize_params(ApiCall("F", (("A", "x"),))) != normalize_params(

@@ -13,6 +13,7 @@ import pytest
 
 import toolstream
 from toolstream.cli import (
+    EXIT_ENDPOINT,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -118,6 +119,28 @@ class TestRenderScorePipeline:
             for line in categories_path.read_text().strip().splitlines()[1:]
         ]
         assert counts == [251, 54, 22, 12, 101]
+
+    def test_score_rejects_a_second_completion_per_example(self, split_paths, tmp_path):
+        # Both fixture files hold stage-4 completions for the same 440
+        # examples; without --condition they would be scored twice.
+        reference_paths, blocks_path = split_paths
+        scores_path = tmp_path / "scores.jsonl"
+        argv = [
+            "score",
+            "--corpus",
+            str(reference_paths["corpus"]),
+            "--blocks-file",
+            str(blocks_path),
+            "--completions",
+            str(reference_paths["completions_A"]),
+            "--completions",
+            str(reference_paths["completions_B"]),
+            "--out",
+            str(scores_path),
+        ]
+        assert main(argv) == EXIT_VALIDATION
+        assert main(argv + ["--condition", "A"]) == EXIT_OK
+        assert len(scores_path.read_text().strip().splitlines()) == 440
 
     def test_render_with_sampling(self, split_paths, tmp_path):
         reference_paths, blocks_path = split_paths
@@ -337,6 +360,28 @@ class TestReportSubcommand:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    def test_endpoint_failure_exits_endpoint(self, reference_paths, tmp_path):
+        code = main(
+            [
+                "report",
+                "--corpus",
+                str(reference_paths["corpus"]),
+                "--base-url",
+                "http://127.0.0.1:9",
+                "--model",
+                "m",
+                "--retries",
+                "0",
+                "--timeout",
+                "2",
+                "--sample",
+                "1",
+                "--out",
+                str(tmp_path / "r"),
+            ]
+        )
+        assert code == EXIT_ENDPOINT
 
 
 def test_cli_import_leaves_numpy_out():

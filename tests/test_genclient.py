@@ -132,9 +132,34 @@ class TestCompletionCache:
         h = _prompt(9).prompt_hash
         entry_dir = tmp_path / "cache" / "stage_1" / "A"
         (entry_dir / f"{h}.tmp").mkdir(parents=True)
-        cache.put(CompletionRecord("e:9", "A", 1, h, "[Ping()]"))
+        cache.put(h, CompletionRecord("e:9", "A", 1, h, "[Ping()]"))
         assert cache.get(1, "A", h) == "[Ping()]"
         assert sorted(p.name for p in entry_dir.iterdir()) == [f"{h}.json", f"{h}.tmp"]
+
+    def test_keyed_by_model(self, tmp_path):
+        cache = CompletionCache(tmp_path / "cache")
+        with MockEndpoint() as mock:
+            batch_generate([_prompt(1)], _config(mock.base_url, model_id="m1"), 1, cache)
+            result = batch_generate(
+                [_prompt(1)], _config(mock.base_url, model_id="other-model"), 1, cache
+            )
+            assert mock.requests == 2
+            assert result.records[0].prompt_hash == _prompt(1).prompt_hash
+
+    def test_corrupt_entry_is_a_miss(self, tmp_path, caplog):
+        cache = CompletionCache(tmp_path / "cache")
+        with MockEndpoint() as mock:
+            cfg = _config(mock.base_url)
+            batch_generate([_prompt(1)], cfg, 1, cache)
+            (entry,) = (tmp_path / "cache").rglob("*.json")
+            entry.write_text("{trunc", encoding="utf-8")
+            with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
+                result = batch_generate([_prompt(1)], cfg, 1, cache)
+            assert mock.requests == 2
+            assert not result.failures
+            assert result.records[0].text == "[Ping()]"
+            assert entry.name in caplog.text
+            assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "[Ping()]"
 
 
 class TestBatchGenerate:

@@ -19,6 +19,7 @@ from toolstream.report import (
     format_pct,
     run_report,
 )
+from toolstream.scoring import AggregationError
 from toolstream.transform import Condition, RenderedPrompt
 
 
@@ -126,6 +127,16 @@ class TestRunReport:
 
         stats = json.loads((out / "context_stats.json").read_text())
         assert stats["ws_token_ratio_b_over_a"] > 1
+
+    def test_import_given_twice_is_rejected(self, reference_paths, tmp_path):
+        with pytest.raises(AggregationError, match="more than one completion"):
+            run_report(
+                corpus_path=reference_paths["corpus"],
+                out_dir=tmp_path / "out",
+                stream=StreamSpec(T=4, seed=42),
+                conditions=[Condition.A_STRIPPED],
+                import_paths=[reference_paths["completions_A"]] * 2,
+            )
 
     def test_final_table_contents(self, reference_paths, tmp_path):
         out = run_report(

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from _support import random_call, random_text
-from toolstream.calls import ApiCall, render_call
+from toolstream.calls import ApiCall, parse_first_call, render_call
 from toolstream.report import format_pct
 from toolstream.scoring import (
     CATEGORY_LABELS,
@@ -60,6 +60,29 @@ class TestScoreExample:
     def test_param_order_ignored(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
         assert evaluate_completion("[Book(dest='CDG', origin='LHR')]", expected)[0].exact_ok
+
+
+# The scanner alone resolves quotes and escapes; normalization only trims
+# and sorts. So a value that still holds a quote or backslash after
+# scanning is compared as it stands.
+@pytest.mark.parametrize(
+    "completion,expected_text,exact",
+    [
+        ("""[F(x="'Paris'")]""", "[F(x='Paris')]", False),
+        (r"[F(x='a\\\'b')]", r"[F(x='a\'b')]", False),
+        ('[F(x="Paris")]', "[F(x='Paris')]", True),
+        ("[F(x=' Paris ')]", "[F(x='Paris')]", True),
+        ("[F(x=Paris )]", "[F(x='Paris')]", True),
+    ],
+)
+def test_value_equality_golden(completion, expected_text, exact):
+    expected = parse_first_call(expected_text).call
+    flags, category, _ = evaluate_completion(completion, expected)
+    assert flags.parsed and flags.name_ok
+    assert flags.exact_ok is exact
+    assert category is (
+        ErrorCategory.EXACT_FULL_CALL if exact else ErrorCategory.CORRECT_API_WRONG_PARAMS
+    )
 
 
 class TestClassifyError:
