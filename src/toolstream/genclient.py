@@ -9,18 +9,20 @@ to any of these misses the cache instead of serving a stale entry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
 import logging
 import os
+import ssl
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import requests
+from urllib.parse import quote, urlsplit
 
 from .transform import RenderedPrompt
 
@@ -73,6 +75,12 @@ class EndpointConfig:
 
     def __post_init__(self):
         self.stop_sequences = tuple(self.stop_sequences)
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"base_url must be an http:// or https:// URL with a host: {self.base_url!r}"
+            )
+        url.port  # raises ValueError unless the port is a number in 0-65535
 
 
 @dataclass
@@ -147,26 +155,53 @@ def _payload(cfg: EndpointConfig, prompt_text: str) -> dict:
     }
 
 
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """One verifying context (system CA store) per process: building it
+    reads the CA bundle, which costs tens of milliseconds."""
+    return ssl.create_default_context()
+
+
 def _request_once(cfg: EndpointConfig, payload: dict) -> str:
+    """POST one request over a fresh connection, closed once the body is read.
+
+    Connections are deliberately not kept alive: against a server that
+    writes headers and body in two sends, a reused socket waits on Nagle's
+    algorithm for the client's delayed ACK on every response.
+    """
+    url = urlsplit(cfg.base_url)
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    try:
-        response = requests.post(
-            cfg.base_url.rstrip("/") + "/chat/completions",
-            json=payload,
-            headers=headers,
-            timeout=cfg.timeout,
+    if url.scheme == "https":
+        conn = http.client.HTTPSConnection(
+            url.hostname, url.port or 443, timeout=cfg.timeout, context=_tls_context()
         )
-    except requests.RequestException as exc:
-        raise TransportError(f"request to {cfg.base_url} failed: {exc}") from exc
-    if not 200 <= response.status_code < 300:
-        raise EndpointError(response.status_code, response.text[:200])
+    else:
+        conn = http.client.HTTPConnection(url.hostname, url.port or 80, timeout=cfg.timeout)
     try:
-        return response.json()["choices"][0]["message"]["content"]
+        conn.request(
+            "POST",
+            quote(url.path.rstrip("/") + "/chat/completions", safe="/%:@!$&'()*+,;="),
+            body=json.dumps(payload).encode("utf-8"),
+            headers=headers,
+        )
+        response = conn.getresponse()
+        body = response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(f"request to {cfg.base_url} failed: {exc!r}") from exc
+    finally:
+        conn.close()
+    if not 200 <= response.status < 300:
+        raise EndpointError(response.status, body.decode("utf-8", "replace")[:200])
+    try:
+        text = json.loads(body)["choices"][0]["message"]["content"]
+        if not isinstance(text, str):
+            raise TypeError(f"content is {type(text).__name__}, not a string")
     except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise EndpointError(response.status_code, f"malformed response body: {exc}")
+        raise EndpointError(response.status, f"malformed response body: {exc}")
+    return text
 
 
 def _request_with_retries(cfg: EndpointConfig, payload: dict) -> str:
@@ -213,7 +248,11 @@ def generate_completion(
         source="http",
     )
     if cache is not None and not hit:
-        cache.put(key, record)
+        try:
+            cache.put(key, record)
+        except OSError as exc:
+            logger.warning("could not write cache entry %s; keeping the completion: %s",
+                           cache._path(stage, condition, key), exc)
     return record
 
 

@@ -137,10 +137,35 @@ def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:
 
 
 # ---------------------------------------------------------------------------
-# Mock OpenAI-compatible endpoint
+# Mock OpenAI-compatible endpoints
 
 
-class MockEndpoint:
+class _LocalServer:
+    """A ThreadingHTTPServer on an ephemeral loopback port, served from a
+    daemon thread for the length of a `with` block."""
+
+    def _serve(self, handler) -> None:
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+    @property
+    def port(self) -> int:
+        return self._server.server_port
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self.port}/v1"
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+
+
+class MockEndpoint(_LocalServer):
     """Threaded chat-completions stub with failure injection and an
     in-flight gauge for concurrency assertions."""
 
@@ -186,8 +211,7 @@ class MockEndpoint:
                 self.end_headers()
                 self.wfile.write(raw)
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._serve(Handler)
 
     def _respond(self, prompt: str):
         for marker in self.fail_always:
@@ -201,14 +225,35 @@ class MockEndpoint:
                         return 500, {"error": "transient failure"}
         return 200, {"choices": [{"message": {"content": self.reply(prompt)}}]}
 
+
+class RawEndpoint(_LocalServer):
+    """Answers every POST with the same raw bytes, for transport tests.
+
+    `declared_length` overrides the Content-Length header, so a value
+    longer than `body` sends a truncated response; the server then closes
+    the connection (HTTP/1.0). Request paths are recorded in `paths`.
+    """
+
+    def __init__(self, body: bytes, status: int = 200, declared_length: int | None = None):
+        self.paths: list[str] = []
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                endpoint.paths.append(self.path)
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                length = len(body) if declared_length is None else declared_length
+                self.send_header("Content-Length", str(length))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self._serve(Handler)
+
     @property
-    def base_url(self) -> str:
-        return f"http://127.0.0.1:{self._server.server_port}/v1"
-
-    def __enter__(self) -> "MockEndpoint":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+    def requests(self) -> int:
+        return len(self.paths)

@@ -384,8 +384,29 @@ class TestReportSubcommand:
         assert code == EXIT_ENDPOINT
 
 
+class TestGenerate:
+    def test_base_url_without_scheme_is_validation_error(self, tmp_path):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(
+            json.dumps({"example_id": "e:0", "condition": "A", "prompt": "p", "target": "[F()]"})
+            + "\n",
+            encoding="utf-8",
+        )
+        args = ["generate", "--prompts", str(prompts), "--model", "m", "--stage", "1",
+                "--out", str(tmp_path / "out.jsonl")]
+        assert main(args + ["--base-url", "localhost:8000"]) == EXIT_VALIDATION
+        assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_cli_import_leaves_numpy_out():
     src = Path(toolstream.__file__).resolve().parents[1]
     code = "import sys, toolstream.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_leaves_http_libraries_out():
+    src = Path(toolstream.__file__).resolve().parents[1]
+    code = "import sys, toolstream.cli; sys.exit(bool({'requests', 'urllib3'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -8,7 +8,7 @@ import logging
 
 import pytest
 
-from _support import MockEndpoint
+from _support import MockEndpoint, RawEndpoint
 from toolstream.genclient import (
     CompletionCache,
     CompletionRecord,
@@ -81,7 +81,7 @@ class TestGenerateCompletion:
         cfg = _config("http://127.0.0.1:9", retries=0, timeout=0.5)
         with pytest.raises(TransportError):
             generate_completion(_prompt(2), cfg, stage=1, cache=cache)
-        assert cache.get(1, "A", _prompt(2).prompt_hash) is None
+        assert not list((tmp_path / "cache").rglob("*.json"))
 
     def test_non_retryable_status_raises_endpoint_error(self):
         with MockEndpoint() as mock:
@@ -97,6 +97,22 @@ class TestGenerateCompletion:
             record = generate_completion(_prompt(4), _config(mock.base_url), stage=1)
             assert record.text == "[Ping()]"
             assert mock.requests == 2
+
+    def test_cache_write_error_keeps_the_batch(self, tmp_path, caplog):
+        # A file where the stage directory belongs makes every put fail; the
+        # received completions are still returned and the failure is logged.
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "stage_1").write_text("", encoding="utf-8")
+        cache = CompletionCache(tmp_path / "cache")
+        prompts = [_prompt(i) for i in range(3)]
+        with MockEndpoint() as mock:
+            with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
+                result = batch_generate(prompts, _config(mock.base_url), 1, cache)
+            assert mock.requests == 3
+        assert not result.failures
+        assert [r.text for r in result.records] == ["[Ping()]"] * 3
+        assert len(caplog.records) == 3
+        assert str(tmp_path / "cache" / "stage_1" / "A") in caplog.text
 
     def test_temperature_pinned(self):
         with pytest.raises(TypeError):
@@ -122,6 +138,69 @@ class TestGenerateCompletion:
             monkeypatch.setenv("TOOLSTREAM_API_KEY", "sekrit")
             generate_completion(_prompt(8), cfg, stage=1)
             assert mock.last_headers.get("Authorization") == "Bearer sekrit"
+
+
+class TestEndpointConfig:
+    @pytest.mark.parametrize(
+        "base_url", ["localhost:8000", "ftp://h/v1", "http:///v1", "http://h:port/v1", ""]
+    )
+    def test_invalid_base_url_rejected(self, base_url):
+        with pytest.raises(ValueError):
+            EndpointConfig(base_url=base_url, model_id="m")
+
+    @pytest.mark.parametrize("base_url", ["http://h", "https://h:8443/v1/", "http://[::1]:8000/v1"])
+    def test_valid_base_url_accepted(self, base_url):
+        assert EndpointConfig(base_url=base_url, model_id="m").base_url == base_url
+
+
+class TestTransport:
+    OK_BODY = json.dumps({"choices": [{"message": {"content": "[Ping()]"}}]}).encode("utf-8")
+
+    def test_truncated_body_is_a_retried_transport_error(self):
+        with RawEndpoint(self.OK_BODY, declared_length=len(self.OK_BODY) + 10) as server:
+            with pytest.raises(TransportError):
+                generate_completion(_prompt(0), _config(server.base_url, retries=1), stage=1)
+            assert server.requests == 2
+
+    @pytest.mark.parametrize(
+        "body", [b"not json", b'{"choices": []}', b'{"choices": [{"message": {"content": null}}]}']
+    )
+    def test_malformed_body_is_an_endpoint_error_without_retry(self, body):
+        with RawEndpoint(body) as server:
+            with pytest.raises(EndpointError) as excinfo:
+                generate_completion(_prompt(0), _config(server.base_url), stage=1)
+            assert excinfo.value.status == 200
+            assert server.requests == 1
+
+    def test_retryable_status_keeps_a_body_snippet(self):
+        with RawEndpoint(b"x" * 500, status=503) as server:
+            with pytest.raises(EndpointError) as excinfo:
+                generate_completion(_prompt(0), _config(server.base_url, retries=1), stage=1)
+            assert excinfo.value.status == 503
+            assert excinfo.value.body_snippet == "x" * 200
+            assert server.requests == 2
+
+    def test_tls_handshake_failure_is_a_transport_error(self):
+        # The server speaks plain HTTP, so the client's TLS handshake fails.
+        with RawEndpoint(self.OK_BODY) as server:
+            cfg = _config(f"https://127.0.0.1:{server.port}/v1", retries=0)
+            with pytest.raises(TransportError):
+                generate_completion(_prompt(0), cfg, stage=1)
+            assert server.requests == 0
+
+    @pytest.mark.parametrize(
+        "prefix, path",
+        [
+            ("/api/v1/", "/api/v1/chat/completions"),
+            ("/my%20v1", "/my%20v1/chat/completions"),
+            ("/my v1é", "/my%20v1%C3%A9/chat/completions"),
+        ],
+    )
+    def test_path_prefix_and_port(self, prefix, path):
+        with RawEndpoint(self.OK_BODY) as server:
+            cfg = _config(f"http://127.0.0.1:{server.port}{prefix}")
+            assert generate_completion(_prompt(0), cfg, stage=1).text == "[Ping()]"
+            assert server.paths == [path]
 
 
 class TestCompletionCache:
