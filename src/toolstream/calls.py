@@ -6,13 +6,14 @@ A call is a single bracketed expression of the shape
 
 Values may be single- or double-quoted strings with backslash escapes,
 or bare unquoted runs. Parsing is total: every input maps to either a
-ParsedCall or a ParseFailure, never an exception. A small recursive
-scanner is used instead of a regular expression because quoted commas
-and escape sequences make a single pattern fragile.
+ParsedCall or a ParseFailure, never an exception. A small scanner over
+token patterns reads a call, because quoted commas and escape sequences
+make a single pattern for the whole call fragile.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -27,11 +28,13 @@ __all__ = [
     "render_call",
 ]
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789")
-
-# Characters that terminate an unquoted value run.
-_UNQUOTED_STOP = set(",)']\"")
+# Scanner tokens (API names and keys, blank runs, and an unquoted value run,
+# which stops at a comma, a closing paren or bracket, or a quote), and the
+# brackets an API name may not contain.
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_WS = re.compile(r"[ \t]*")
+_UNQUOTED = re.compile(r"[^,)'\"\]]*")
+_BRACKETS = re.compile(r"[\[\]()]")
 
 _QUOTES = ("'", '"')
 
@@ -46,10 +49,10 @@ class ApiCall:
     def __post_init__(self):
         if not self.name:
             raise ValueError("API name must be nonempty")
-        if any(ch in "[]()" for ch in self.name):
+        if _BRACKETS.search(self.name):
             raise ValueError(f"API name contains bracket characters: {self.name!r}")
-        keys = [key for key, _ in self.params]
-        if len(set(keys)) != len(keys):
+        if len({key for key, _ in self.params}) != len(self.params):
+            keys = [key for key, _ in self.params]
             raise ValueError(f"duplicate parameter key in call {self.name}: {keys}")
 
 
@@ -103,36 +106,32 @@ def parse_first_call(text: str) -> ParseResult:
 
 def _parse_candidate(text: str, open_idx: int) -> ParseResult:
     """Attempt to parse one call whose '[' sits at open_idx."""
+    ident, ws = _IDENT.match, _WS.match
     n = len(text)
     i = open_idx + 1
-    if i >= n or text[i] not in _NAME_START:
+    m = ident(text, i)
+    if m is None:
         return ParseFailure(FailureReason.BAD_NAME, i)
-    j = i + 1
-    while j < n and text[j] in _NAME_CHARS:
-        j += 1
-    name = text[i:j]
+    name, j = m.group(), m.end()
     if j >= n or text[j] != "(":
         # Bracketed text that is not name-then-parens is not a call at all.
         return ParseFailure(FailureReason.BAD_NAME, j)
 
-    k = _skip_ws(text, j + 1)
+    k = ws(text, j + 1).end()
     params: list[tuple[str, str]] = []
     seen_keys: set[str] = set()
     if k < n and text[k] == ")":
         k += 1
     else:
         while True:
-            if k >= n or text[k] not in _NAME_START:
-                return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, min(k, n))
-            key_start = k
-            k += 1
-            while k < n and text[k] in _NAME_CHARS:
-                k += 1
-            key = text[key_start:k]
-            k = _skip_ws(text, k)
+            m = ident(text, k)
+            if m is None:
+                return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, k)
+            key_start, key = k, m.group()
+            k = ws(text, m.end()).end()
             if k >= n or text[k] != "=":
-                return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, min(k, n))
-            k = _skip_ws(text, k + 1)
+                return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, k)
+            k = ws(text, k + 1).end()
             if k >= n:
                 return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, n)
             if text[k] in _QUOTES:
@@ -142,8 +141,7 @@ def _parse_candidate(text: str, open_idx: int) -> ParseResult:
                 value, k = scanned
             else:
                 val_start = k
-                while k < n and text[k] not in _UNQUOTED_STOP:
-                    k += 1
+                k = _UNQUOTED.match(text, k).end()
                 value = text[val_start:k]
                 if not value.strip():
                     return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, val_start)
@@ -151,26 +149,19 @@ def _parse_candidate(text: str, open_idx: int) -> ParseResult:
                 return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, key_start)
             seen_keys.add(key)
             params.append((key, value))
-            k = _skip_ws(text, k)
+            k = ws(text, k).end()
             if k < n and text[k] == ",":
-                k = _skip_ws(text, k + 1)
+                k = ws(text, k + 1).end()
                 continue
             if k < n and text[k] == ")":
                 k += 1
                 break
-            return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, min(k, n))
+            return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, k)
 
-    k = _skip_ws(text, k)
+    k = ws(text, k).end()
     if k >= n or text[k] != "]":
-        return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, min(k, n))
+        return ParseFailure(FailureReason.BAD_PARAM_SYNTAX, k)
     return ParsedCall(ApiCall(name, tuple(params)), (open_idx, k + 1))
-
-
-def _skip_ws(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i] in " \t":
-        i += 1
-    return i
 
 
 def _scan_quoted(text: str, quote_idx: int) -> tuple[str, int] | None:
@@ -182,9 +173,15 @@ def _scan_quoted(text: str, quote_idx: int) -> tuple[str, int] | None:
     the string never closes.
     """
     quote = text[quote_idx]
+    k = quote_idx + 1
+    close = text.find(quote, k)
+    if close < 0:
+        return None
+    if text.find("\\", k, close) < 0:
+        # No backslash before the first matching quote: it closes the value.
+        return text[k:close], close + 1
     n = len(text)
     buf: list[str] = []
-    k = quote_idx + 1
     while k < n:
         ch = text[k]
         if ch == "\\":

@@ -41,7 +41,10 @@ class AggregationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+@dataclass(frozen=True, slots=True)
 class MetricFlags:
     parsed: bool
     name_ok: bool
@@ -80,7 +83,7 @@ CATEGORY_LABELS: dict[ErrorCategory, str] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoreRecord:
     example_id: str
     stage: int
@@ -100,11 +103,14 @@ class BlockScore:
     rate_malformed: float
 
 
-def _flags_for(predicted: ApiCall | None, expected: ApiCall) -> MetricFlags:
+def _flags_for(
+    predicted: tuple[str, dict[str, str]] | None, expected: tuple[str, dict[str, str]]
+) -> MetricFlags:
+    """Flags for (name, normalized params) pairs; predicted is None when nothing parsed."""
     parsed = predicted is not None
-    name_ok = parsed and predicted.name == expected.name
-    expected_map = normalize_params(expected)
-    predicted_map = normalize_params(predicted) if parsed else {}
+    expected_name, expected_map = expected
+    name_ok = parsed and predicted[0] == expected_name
+    predicted_map = predicted[1] if parsed else {}
     exact_ok = name_ok and predicted_map == expected_map
     if expected_map:
         name_any_ok = name_ok and any(
@@ -137,9 +143,16 @@ def evaluate_completion(
 ) -> tuple[MetricFlags, ErrorCategory, ApiCall | None]:
     """Score one raw completion against its expected call: flags,
     category, and the predicted call (None when nothing parses)."""
+    return _evaluate(completion, (expected.name, normalize_params(expected)))
+
+
+def _evaluate(
+    completion: str, expected: tuple[str, dict[str, str]]
+) -> tuple[MetricFlags, ErrorCategory, ApiCall | None]:
     parsed = parse_first_call(completion)
     predicted = parsed.call if isinstance(parsed, ParsedCall) else None
-    flags = _flags_for(predicted, expected)
+    pair = None if predicted is None else (predicted.name, normalize_params(predicted))
+    flags = _flags_for(pair, expected)
     return flags, classify_error(flags), predicted
 
 
@@ -149,10 +162,12 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
     `completions` is an iterable with example_id/stage/text attributes
     (genclient.CompletionRecord); `examples` maps example_id to a
     ScoredExample whose block_id is assigned. Each (stage, example) may be
-    scored once; a second completion for it is an error.
+    scored once; a second completion for it is an error. Each expected
+    call is normalized once, however many stages score its example.
     """
     records: list[ScoreRecord] = []
     seen: set[tuple[int, str]] = set()
+    expected_by_id: dict[str, tuple[str, dict[str, str]]] = {}
     for completion in completions:
         key = (int(completion.stage), completion.example_id)
         if key in seen:
@@ -170,7 +185,12 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
             raise AggregationError(
                 f"example {example.id!r} has no block assignment"
             )
-        flags, category, _ = evaluate_completion(completion.text, example.expected)
+        expected = expected_by_id.get(example.id)
+        if expected is None:
+            expected = expected_by_id[example.id] = (
+                example.expected.name, normalize_params(example.expected)
+            )
+        flags, category, _ = _evaluate(completion.text, expected)
         records.append(
             ScoreRecord(
                 example_id=example.id,
@@ -236,24 +256,17 @@ def category_counts(records: Iterable[ScoreRecord]) -> dict[ErrorCategory, int]:
 
 
 def write_scores_jsonl(path: str | Path, records: Sequence[ScoreRecord]) -> None:
+    """One JSON object per line, byte-equal to json.dumps of the record's
+    dict in the key order below."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for r in records:
+            f = r.flags
             fh.write(
-                json.dumps(
-                    {
-                        "example_id": r.example_id,
-                        "stage": r.stage,
-                        "block": r.block_id,
-                        "flags": {
-                            "parsed": r.flags.parsed,
-                            "name_ok": r.flags.name_ok,
-                            "name_any_ok": r.flags.name_any_ok,
-                            "exact_ok": r.flags.exact_ok,
-                        },
-                        "category": r.category.value,
-                    }
-                )
-                + "\n"
+                f'{{"example_id": {json.dumps(r.example_id)}, "stage": {r.stage:d}, '
+                f'"block": {r.block_id:d}, "flags": {{"parsed": {_JSON_BOOL[f.parsed]}, '
+                f'"name_ok": {_JSON_BOOL[f.name_ok]}, '
+                f'"name_any_ok": {_JSON_BOOL[f.name_any_ok]}, '
+                f'"exact_ok": {_JSON_BOOL[f.exact_ok]}}}, "category": "{r.category.value}"}}\n'
             )
 
 

@@ -20,33 +20,34 @@ from toolstream.calls import ApiCall, FailureReason
 from toolstream.corpus import Episode, load_corpus
 from toolstream.fixtures import write_jsonl_records
 
-# Fixed malformed-completion corpus with the reason each case must produce.
+# Fixed malformed-completion corpus: each case's text, the reason it must
+# produce, and the offset the failure must point at.
 MALFORMED_CASES = [
-    ("", FailureReason.EMPTY_OUTPUT),
-    ("   \n ", FailureReason.EMPTY_OUTPUT),
-    ("no call here", FailureReason.NO_BRACKET),
-    ("I will check the weather.", FailureReason.NO_BRACKET),
-    ("[]", FailureReason.BAD_NAME),
-    ("[123(x='1')]", FailureReason.BAD_NAME),
-    ("[ GetWeather(city='P')]", FailureReason.BAD_NAME),
-    ("[GetWeather]", FailureReason.BAD_NAME),
-    ("[GetWeather city='P']", FailureReason.BAD_NAME),
-    ("[", FailureReason.BAD_NAME),
-    ("x[", FailureReason.BAD_NAME),
-    ("[GetWeather(city]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city=']", FailureReason.UNTERMINATED_STRING),
-    ("[GetWeather(city='Paris']", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city='Paris)]", FailureReason.UNTERMINATED_STRING),
-    ("[GetWeather(city='Paris'", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city='Paris')", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city='Paris') extra", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(='x')]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city='a', city='b')]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city=)]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[GetWeather(city=,x='1')]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[F(x='a'y='b')]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[F(x='1'))]", FailureReason.BAD_PARAM_SYNTAX),
-    ("[F(x=  )]", FailureReason.BAD_PARAM_SYNTAX),
+    ("", FailureReason.EMPTY_OUTPUT, 0),
+    ("   \n ", FailureReason.EMPTY_OUTPUT, 0),
+    ("no call here", FailureReason.NO_BRACKET, 0),
+    ("I will check the weather.", FailureReason.NO_BRACKET, 0),
+    ("[]", FailureReason.BAD_NAME, 1),
+    ("[123(x='1')]", FailureReason.BAD_NAME, 1),
+    ("[ GetWeather(city='P')]", FailureReason.BAD_NAME, 1),
+    ("[GetWeather]", FailureReason.BAD_NAME, 11),
+    ("[GetWeather city='P']", FailureReason.BAD_NAME, 11),
+    ("[", FailureReason.BAD_NAME, 1),
+    ("x[", FailureReason.BAD_NAME, 2),
+    ("[GetWeather(city]", FailureReason.BAD_PARAM_SYNTAX, 16),
+    ("[GetWeather(city=']", FailureReason.UNTERMINATED_STRING, 17),
+    ("[GetWeather(city='Paris']", FailureReason.BAD_PARAM_SYNTAX, 24),
+    ("[GetWeather(city='Paris)]", FailureReason.UNTERMINATED_STRING, 17),
+    ("[GetWeather(city='Paris'", FailureReason.BAD_PARAM_SYNTAX, 24),
+    ("[GetWeather(city='Paris')", FailureReason.BAD_PARAM_SYNTAX, 25),
+    ("[GetWeather(city='Paris') extra", FailureReason.BAD_PARAM_SYNTAX, 26),
+    ("[GetWeather(='x')]", FailureReason.BAD_PARAM_SYNTAX, 12),
+    ("[GetWeather(city='a', city='b')]", FailureReason.BAD_PARAM_SYNTAX, 22),
+    ("[GetWeather(city=)]", FailureReason.BAD_PARAM_SYNTAX, 17),
+    ("[GetWeather(city=,x='1')]", FailureReason.BAD_PARAM_SYNTAX, 17),
+    ("[F(x='a'y='b')]", FailureReason.BAD_PARAM_SYNTAX, 8),
+    ("[F(x='1'))]", FailureReason.BAD_PARAM_SYNTAX, 9),
+    ("[F(x=  )]", FailureReason.BAD_PARAM_SYNTAX, 7),
 ]
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,11 @@ class _LocalServer:
 
     def _serve(self, handler) -> None:
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval lets shutdown() in __exit__ return at once
+        # instead of waiting out serve_forever's default 0.5 s poll.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     @property
     def port(self) -> int:

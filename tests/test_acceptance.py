@@ -156,9 +156,9 @@ def test_criterion_3_parser_properties():
 
     if len(MALFORMED_CASES) < 20:
         failures.append(f"malformed corpus holds only {len(MALFORMED_CASES)} cases")
-    for text, reason in MALFORMED_CASES:
+    for text, reason, offset in MALFORMED_CASES:
         result = parse_first_call(text)
-        if not isinstance(result, ParseFailure) or result.reason is not reason:
+        if result != ParseFailure(reason, offset):
             failures.append(f"malformed case {text!r}: got {result}")
 
     elapsed = time.perf_counter() - started

@@ -3,6 +3,7 @@ and totality properties."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -88,11 +89,14 @@ class TestParse:
         assert failure.offset == 1
 
 
-@pytest.mark.parametrize("text,reason", MALFORMED_CASES)
-def test_malformed_corpus(text, reason):
+@pytest.mark.parametrize(
+    "text,reason,offset",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in MALFORMED_CASES],
+)
+def test_malformed_corpus(text, reason, offset):
     failure = _failed(text)
     assert failure.reason is reason
-    assert failure.offset >= 0
+    assert failure.offset == offset
 
 
 class TestNormalize:
@@ -211,3 +215,15 @@ def test_totality_on_seeded_noise():
     for _ in range(500):
         result = parse_first_call(random_text(rng))
         assert isinstance(result, (ParsedCall, ParseFailure))
+
+
+def test_scanner_golden_digest():
+    # Pins every reason, offset, span and value the scanner gives on a
+    # fixed fuzz set; any drift in how a text is read changes the digest.
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(20_000):
+        digest.update(repr(parse_first_call(random_text(rng))).encode())
+    assert digest.hexdigest() == (
+        "e44683159c30b1e17916314c693f29750cb099065977bc7d340600713bac5b86"
+    )

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from _support import random_call, random_text
 from toolstream.calls import ApiCall, parse_first_call, render_call
+from toolstream import scoring
 from toolstream.report import format_pct
 from toolstream.scoring import (
     CATEGORY_LABELS,
@@ -24,6 +28,7 @@ from toolstream.scoring import (
     classify_error,
     evaluate_completion,
     read_scores_jsonl,
+    score_completions,
     write_category_csv,
     write_scores_jsonl,
 )
@@ -267,6 +272,44 @@ class TestExports:
             (r.example_id, r.stage, r.block_id, r.flags, r.category) for r in records
         ]
 
+    def test_scores_jsonl_bytes_equal_json_dumps(self, tmp_path):
+        ids = ['plain', 'quote"d', "back\\slash", "caf\u00e9", "new\nline", "tab\there"]
+        flag_rows = [  # every combination the flag chain allows
+            (False, False, False, False),
+            (True, False, False, False),
+            (True, True, False, False),
+            (True, True, True, False),
+            (True, True, True, True),
+        ]
+        records = [
+            ScoreRecord(example_id, stage, block_id, MetricFlags(*row), category)
+            for (example_id, stage, block_id), row, category in itertools.product(
+                zip(ids, (0, 1, 4, 12, 3, 7), (0, 9, 10, 2, 1, 123)), flag_rows, ErrorCategory
+            )
+        ]
+        path = tmp_path / "scores.jsonl"
+        write_scores_jsonl(path, records)
+        expected = "".join(
+            json.dumps(
+                {
+                    "example_id": r.example_id,
+                    "stage": r.stage,
+                    "block": r.block_id,
+                    "flags": {
+                        "parsed": r.flags.parsed,
+                        "name_ok": r.flags.name_ok,
+                        "name_any_ok": r.flags.name_any_ok,
+                        "exact_ok": r.flags.exact_ok,
+                    },
+                    "category": r.category.value,
+                }
+            )
+            + "\n"
+            for r in records
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_scores_jsonl(path) == records
+
     def test_category_csv_row_order(self, tmp_path):
         records = _records(4, 1, [(True, True, True, True), (False, False, False, False)])
         path = tmp_path / "categories.csv"
@@ -277,3 +320,37 @@ class TestExports:
         assert labels == [CATEGORY_LABELS[c] for c in CATEGORY_ORDER]
         counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert counts == [1, 0, 0, 0, 1]
+
+
+def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
+    counts = {"parse": 0, "normalize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # Scoring must go through these module-level names, which tracing wraps.
+    monkeypatch.setattr(scoring, "parse_first_call", counted("parse", parse_first_call))
+    monkeypatch.setattr(
+        scoring, "normalize_params", counted("normalize", scoring.normalize_params)
+    )
+    examples = {
+        "e1": SimpleNamespace(id="e1", block_id=0, expected=WEATHER),
+        "e2": SimpleNamespace(id="e2", block_id=1, expected=ApiCall("Ping")),
+    }
+    texts = {"e1": "[GetWeather(city='Paris')]", "e2": "no call"}
+    completions = [
+        SimpleNamespace(example_id=example_id, stage=stage, text=texts[example_id])
+        for stage in range(3)
+        for example_id in ("e1", "e2")
+    ]
+    records = score_completions(completions, examples)
+    assert counts == {"parse": 6, "normalize": 2 + 3}
+    assert [r.category for r in records] == [
+        ErrorCategory.EXACT_FULL_CALL, ErrorCategory.MALFORMED_NO_CALL
+    ] * 3
+    for r, c in zip(records, completions):
+        expected = examples[c.example_id].expected
+        assert (r.flags, r.category) == evaluate_completion(c.text, expected)[:2]
