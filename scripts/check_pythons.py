@@ -1,0 +1,138 @@
+"""Check that CPython 3.10 to 3.13 give the same bytes.
+
+    python3 scripts/check_pythons.py
+
+For each interpreter found under ~/.pyenv/versions (3.10.*, 3.11.*,
+3.12.*, 3.13.*), this runs two checks in a child process of that
+interpreter, with the sources under src/ and no installed package:
+
+- the reference-fixture `report` (fixtures, then report with both
+  conditions imported), whose output directory is hashed with sha256 and
+  compared with the 3.11 hash;
+- the continual-learning statistics against the brute-force oracles of
+  tests/_support.py on the random matrices of
+  tests/test_clmetrics.py::test_oracle_equivalence_random_matrices
+  (seed 7), counting the values that differ.
+
+An interpreter that is not installed is printed as MISSING and counts as
+a failure. The exit status is 0 only when all four are present, every
+report hash equals 3.11's and no oracle value differs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PYENV_VERSIONS = Path.home() / ".pyenv" / "versions"
+MINORS = ("3.10", "3.11", "3.12", "3.13")
+REFERENCE = "3.11"
+
+REPORT_ARGS = [
+    "report", "--corpus", "fixture/corpus.jsonl", "--blocks", "4", "--seed", "42",
+    "--conditions", "A,B",
+    "--import", "fixture/completions_A.jsonl",
+    "--import", "fixture/completions_B.jsonl",
+    "--out", "run",
+]
+
+ORACLE_CODE = """
+import random
+from _support import (
+    oracle_aulc, oracle_average_accuracy, oracle_bwt, oracle_forgetting,
+    oracle_fwt, random_matrix,
+)
+from toolstream.clmetrics import (
+    BaselineVector, EvalMatrix, aulc, average_accuracy, avg_forgetting, bwt, fwt,
+)
+rng = random.Random(7)
+checked = mismatches = 0
+for T in (2, 4, 8, 12):
+    for _ in range(25):
+        R = random_matrix(rng, T)
+        b = [rng.random() for _ in range(T)]
+        m = EvalMatrix(values=tuple(tuple(r) for r in R))
+        pairs = [
+            (average_accuracy(m), oracle_average_accuracy(R)),
+            (bwt(m), oracle_bwt(R)),
+            (fwt(m, BaselineVector(tuple(b))), oracle_fwt(R, b)),
+            (avg_forgetting(m), oracle_forgetting(R)),
+            (aulc(m), oracle_aulc(R)),
+        ]
+        checked += len(pairs)
+        mismatches += sum(got != want for got, want in pairs)
+print(checked, mismatches)
+"""
+
+
+def find_interpreter(minor: str) -> Path | None:
+    found = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python3"))
+    return found[-1] if found else None
+
+
+def _run(python: Path, args: list[str], cwd: Path) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    proc = subprocess.run(
+        [str(python), *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=600
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{python} {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
+    return proc.stdout
+
+
+def tree_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(directory).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def check(python: Path) -> tuple[str, int, int]:
+    """(report digest, oracle values checked, oracle mismatches) for one interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
+        _run(python, ["-m", "toolstream.cli", *REPORT_ARGS], work)
+        digest = tree_digest(work / "run")
+        checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
+    return digest, checked, mismatches
+
+
+def main() -> int:
+    results: dict[str, tuple[str, str, int, int] | None] = {}
+    for minor in MINORS:
+        python = find_interpreter(minor)
+        if python is None:
+            results[minor] = None
+            continue
+        version = _run(python, ["-c", "import platform; print(platform.python_version())"], ROOT)
+        results[minor] = (version.strip(), *check(python))
+
+    reference = results[REFERENCE]
+    reference_digest = reference[1] if reference else None
+    ok = True
+    for minor in MINORS:
+        result = results[minor]
+        if result is None:
+            print(f"{minor}: MISSING")
+            ok = False
+            continue
+        version, digest, checked, mismatches = result
+        matched = digest == reference_digest and mismatches == 0
+        ok = ok and matched
+        print(
+            f"{version}: {'match' if matched else 'MISMATCH'} "
+            f"report sha256 {digest[:16]} ({REFERENCE}: {str(reference_digest)[:16]}), "
+            f"oracle mismatches {mismatches}/{checked}"
+        )
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

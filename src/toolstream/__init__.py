@@ -35,7 +35,6 @@ from .corpus import (
 )
 from .transform import (
     Condition,
-    PromptTemplate,
     RenderedPrompt,
     context_stats,
     render_prompt,

@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Subcommands cover the pipeline stages individually (split, render,
-generate, score, matrix, summary) plus an end-to-end `report`, a line
-parser for debugging, and a deterministic fixture writer.
+generate from an endpoint, score, matrix, summary) plus an end-to-end
+`report`, a line parser for debugging, and a deterministic fixture
+writer. Recorded completions are validated against their prompts by
+`score --prompts P --strict`. Every option is a command-line flag.
 
 Exit codes:
   0  success
-  2  command-line usage error
-  3  missing or unreadable input (file not found, ingestion error)
+  2  command-line usage error (including a missing required flag)
+  3  missing or unreadable input (file not found, ingestion error,
+     failing --tokenizer-cmd)
   4  validation error (partition, schema, matrix, aggregation)
   5  endpoint or transport failure
   6  stale completions under --strict
@@ -64,9 +67,8 @@ from .scoring import (
     write_scores_jsonl,
 )
 from .transform import (
-    DEFAULT_TEMPLATE,
     Condition,
-    PromptTemplate,
+    StatsError,
     export_rendered_jsonl,
     read_rendered_jsonl,
     render_prompt,
@@ -95,20 +97,13 @@ def _int_list(value: str) -> list[int]:
     return [int(v) for v in value.split(",") if v.strip()]
 
 
-def _load_template(path: str | None) -> PromptTemplate:
-    if not path:
-        return DEFAULT_TEMPLATE
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
-    return PromptTemplate.from_config(config)
-
-
 def _decode_stop(values: list[str] | None) -> tuple[str, ...]:
     if not values:
         return ("\n",)
     return tuple(v.encode("utf-8").decode("unicode_escape") for v in values)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toolstream",
         description="Continual tool-use evaluation harness.",
@@ -117,77 +112,65 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--version", action="version", version=f"toolstream {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--config",
-            help="JSON file of flag defaults (command-line flags take precedence)",
-        )
-        registry[name] = p
-        return p
-
-    p = add("split", "partition a corpus into disjoint-API domain blocks")
-    p.add_argument("--corpus", help="episode JSONL file")
+    p = sub.add_parser("split", help="partition a corpus into disjoint-API domain blocks")
+    p.add_argument("--corpus", required=True, help="episode JSONL file")
     p.add_argument("--blocks", type=int, default=4, help="number of blocks T")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", help="blocks.json output path")
-    p.set_defaults(func=cmd_split, required=("corpus", "out"))
+    p.add_argument("--out", required=True, help="blocks.json output path")
+    p.set_defaults(func=cmd_split)
 
-    p = add("render", "render next-call prompts for one condition")
-    p.add_argument("--corpus")
-    p.add_argument("--condition", type=_condition)
-    p.add_argument("--out", help="prompts JSONL output path")
-    p.add_argument("--template", help="JSON template config")
+    p = sub.add_parser("render", help="render next-call prompts for one condition")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--condition", type=_condition, required=True)
+    p.add_argument("--out", required=True, help="prompts JSONL output path")
     p.add_argument("--blocks-file", help="blocks.json (needed with --sample)")
     p.add_argument("--sample", type=int, help="per-block eval sample size (>= 1)")
     p.add_argument("--sample-seed", type=int, default=42)
-    p.set_defaults(func=cmd_render, required=("corpus", "condition", "out"))
+    p.set_defaults(func=cmd_render)
 
-    p = add("generate", "obtain completions from an endpoint or recorded file")
-    p.add_argument("--prompts", help="rendered prompts JSONL")
-    p.add_argument("--stage", type=int, help="trained-through stage label")
-    p.add_argument("--out", help="completions JSONL output path")
-    p.add_argument("--base-url")
-    p.add_argument("--model")
+    p = sub.add_parser("generate", help="obtain completions from an endpoint")
+    p.add_argument("--prompts", required=True, help="rendered prompts JSONL")
+    p.add_argument("--stage", type=int, required=True, help="trained-through stage label")
+    p.add_argument("--out", required=True, help="completions JSONL output path")
+    p.add_argument("--base-url", required=True)
+    p.add_argument("--model", required=True)
     p.add_argument("--max-tokens", type=int, default=128)
     p.add_argument("--stop", action="append", help="stop sequence (repeatable; escapes decoded)")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--max-parallel", type=int, default=4)
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--cache-dir")
-    p.add_argument("--import-file", help="recorded completions to validate and re-emit")
-    p.add_argument("--strict", action="store_true", help="hash mismatches become errors")
-    p.set_defaults(func=cmd_generate, required=("prompts", "out"))
+    p.set_defaults(func=cmd_generate)
 
-    p = add("score", "score completions against the corpus ground truth")
-    p.add_argument("--corpus")
-    p.add_argument("--blocks-file")
-    p.add_argument("--completions", action="append", help="completions JSONL (repeatable)")
-    p.add_argument("--out", help="score JSONL output path")
+    p = sub.add_parser("score", help="score completions against the corpus ground truth")
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--blocks-file", required=True)
+    p.add_argument("--completions", action="append", required=True,
+                   help="completions JSONL (repeatable)")
+    p.add_argument("--out", required=True, help="score JSONL output path")
     p.add_argument("--categories", help="optional category-count CSV output")
     p.add_argument("--condition", type=_condition, help="restrict to one condition")
     p.add_argument("--prompts", help="rendered prompts JSONL for hash validation")
-    p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=cmd_score, required=("corpus", "blocks_file", "completions", "out"))
+    p.add_argument("--strict", action="store_true", help="hash mismatches become errors")
+    p.set_defaults(func=cmd_score)
 
-    p = add("matrix", "assemble stage-by-block accuracy matrices from scores")
-    p.add_argument("--scores", action="append", help="score JSONL (repeatable)")
+    p = sub.add_parser("matrix", help="assemble stage-by-block accuracy matrices from scores")
+    p.add_argument("--scores", action="append", required=True, help="score JSONL (repeatable)")
     p.add_argument("--metric", default="exact", choices=["exact", "name", "name_any", "malformed"])
     p.add_argument("--blocks", type=int, help="block count T (default: max block id seen)")
     p.add_argument("--block-order", type=_int_list, help="comma-separated block ids")
-    p.add_argument("--out", help="matrix CSV output path")
-    p.set_defaults(func=cmd_matrix, required=("scores", "out"))
+    p.add_argument("--out", required=True, help="matrix CSV output path")
+    p.set_defaults(func=cmd_matrix)
 
-    p = add("summary", "continual-learning statistics from a matrix CSV")
-    p.add_argument("--matrix", help="matrix CSV (stage 0 row optional)")
+    p = sub.add_parser("summary", help="continual-learning statistics from a matrix CSV")
+    p.add_argument("--matrix", required=True, help="matrix CSV (stage 0 row optional)")
     p.add_argument("--baseline", help="baseline CSV when the matrix lacks a stage 0 row")
     p.add_argument("--out", help="summary JSON path (default: stdout)")
-    p.set_defaults(func=cmd_summary, required=("matrix",))
+    p.set_defaults(func=cmd_summary)
 
-    p = add("report", "end-to-end run: split, render, complete, score, emit")
-    p.add_argument("--corpus")
+    p = sub.add_parser("report", help="end-to-end run: split, render, complete, score, emit")
+    p.add_argument("--corpus", required=True)
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--block-order", type=_int_list)
@@ -204,44 +187,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--cache-dir")
     p.add_argument("--sample", type=int, help="per-block eval sample size")
-    p.add_argument("--template", help="JSON template config")
     p.add_argument("--tokenizer-cmd", help="external tokenizer command (shell-split)")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_report, required=("corpus", "out"))
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_report)
 
-    p = add("parse", "parse call lines from standard input (debugging)")
-    p.set_defaults(func=cmd_parse, required=())
+    p = sub.add_parser("parse", help="parse call lines from standard input (debugging)")
+    p.set_defaults(func=cmd_parse)
 
-    p = add("fixtures", "write the bundled reference corpus and completions")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_fixtures, required=("out",))
+    p = sub.add_parser("fixtures", help="write the bundled reference corpus and completions")
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_fixtures)
 
-    return parser, registry
-
-
-def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise ValueError("--config file must hold a JSON object")
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise ValueError(f"--config key {key!r} matches no flag of this subcommand")
-        if getattr(args, dest) == sub.get_default(dest):
-            setattr(args, dest, value)
-
-
-def _require(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    missing = [
-        "--" + name.replace("_", "-")
-        for name in args.required
-        if getattr(args, name, None) in (None, [])
-    ]
-    if missing:
-        parser.error(f"missing required arguments: {', '.join(missing)}")
+    return parser
 
 
 def _endpoint_config(args: argparse.Namespace) -> EndpointConfig:
@@ -266,7 +224,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    template = _load_template(args.template)
     episodes = load_corpus(args.corpus)
     if args.blocks_file:
         _, assignment = read_blocks_json(args.blocks_file)
@@ -277,7 +234,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         examples = {ex.id: ex for ep in episodes for ex in extract_examples(ep)}
     ordered = sorted(examples)
-    prompts = [render_prompt(examples[ex_id], args.condition, template) for ex_id in ordered]
+    prompts = [render_prompt(examples[ex_id], args.condition) for ex_id in ordered]
     targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered}
     export_rendered_jsonl(args.out, prompts, targets)
     print(f"wrote {args.out} ({len(prompts)} prompts, condition {args.condition.value})")
@@ -286,13 +243,6 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     prompts, _ = read_rendered_jsonl(args.prompts)
-    if args.import_file:
-        records = import_completions(args.import_file, prompts=prompts, strict=args.strict)
-        write_completions_jsonl(args.out, records)
-        print(f"wrote {args.out} ({len(records)} imported records)")
-        return EXIT_OK
-    if not args.base_url or not args.model or args.stage is None:
-        raise ValueError("endpoint mode needs --base-url, --model, and --stage")
     cache = CompletionCache(args.cache_dir) if args.cache_dir else None
     result = batch_generate(prompts, _endpoint_config(args), args.stage, cache)
     write_completions_jsonl(args.out, result.ok_records)
@@ -393,7 +343,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         endpoint=endpoint,
         stages=stages,
         cache_dir=args.cache_dir,
-        template=_load_template(args.template),
         tokenizer_cmd=tokenizer_cmd,
         strict_import=args.strict,
     )
@@ -427,14 +376,10 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, registry = build_parser()
-    args = parser.parse_args(argv)
-    sub = registry[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args, sub)
-        _require(args, sub)
         return args.func(args)
-    except (FileNotFoundError, IngestionError) as exc:
+    except (FileNotFoundError, IngestionError, StatsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TransportError, EndpointError) as exc:

@@ -84,9 +84,12 @@ class CLSummary:
 
 
 def _mean(values: Sequence[float]) -> float:
-    # sum() adds left to right (CPython <= 3.11), which equals NumPy's mean
-    # below 8 values and the brute-force oracles in the tests at any size.
-    return sum(values) / len(values)
+    # An explicit left-to-right loop: from Python 3.12 on, sum() of floats
+    # is compensated, so its last digit would depend on the interpreter.
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 def _require_multistage(matrix: EvalMatrix) -> None:
@@ -126,14 +129,11 @@ def avg_forgetting(matrix: EvalMatrix) -> float:
     return _mean(drops)
 
 
-def aulc(matrix: EvalMatrix, seen_only: bool = True) -> float:
+def aulc(matrix: EvalMatrix) -> float:
     """Area under the learning curve: mean over stages of the stage's
-    average accuracy. The default averages only blocks seen so far;
-    seen_only=False averages every block at every stage."""
+    average accuracy over the blocks seen so far."""
     R = matrix.values
-    if seen_only:
-        return _mean([_mean(R[i][: i + 1]) for i in range(matrix.T)])
-    return _mean([_mean(row) for row in R])
+    return _mean([_mean(R[i][: i + 1]) for i in range(matrix.T)])
 
 
 def summarize(matrix: EvalMatrix, baseline: BaselineVector) -> CLSummary:

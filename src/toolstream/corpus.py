@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -81,12 +81,6 @@ class Turn:
 class Episode:
     id: str
     turns: list[Turn]
-    api_names: frozenset[str] = field(init=False)
-
-    def __post_init__(self):
-        self.api_names = frozenset(
-            t.call.name for t in self.turns if t.role is Role.API_REQUEST and t.call
-        )
 
 
 @dataclass
@@ -94,7 +88,6 @@ class ScoredExample:
     """A next-call prediction target: the context before one api_request turn."""
 
     id: str
-    episode_id: str
     cut_index: int
     context: list[Turn]
     expected: ApiCall
@@ -219,7 +212,6 @@ def extract_examples(episode: Episode) -> list[ScoredExample]:
         examples.append(
             ScoredExample(
                 id=f"{episode.id}:{idx}",
-                episode_id=episode.id,
                 cut_index=idx,
                 context=list(episode.turns[:idx]),
                 expected=turn.call,

@@ -23,7 +23,7 @@ from .calls import ApiCall, render_call
 from .corpus import DomainBlock, load_corpus, partition_blocks
 from .genclient import CompletionRecord, write_completions_jsonl
 from .scoring import CATEGORY_ORDER, ErrorCategory
-from .transform import DEFAULT_TEMPLATE, Condition, render_prompt
+from .transform import Condition, render_prompt
 
 __all__ = [
     "REFERENCE_T",
@@ -84,19 +84,19 @@ _ASSISTANT_ACKS = (
 )
 
 
-def _call_turn(api: str, keys: tuple[str, str], episode_idx: int, turn_idx: int) -> dict:
+def _call_turn(api: str, keys: tuple[str, str], episode_no: int, turn_idx: int) -> dict:
     call = ApiCall(
         api,
         (
-            (keys[0], f"{keys[0]}_{episode_idx:04d}_{turn_idx}"),
-            (keys[1], f"{keys[1]}_{episode_idx:04d}_{turn_idx}"),
+            (keys[0], f"{keys[0]}_{episode_no:04d}_{turn_idx}"),
+            (keys[1], f"{keys[1]}_{episode_no:04d}_{turn_idx}"),
         ),
     )
     return {"role": "api_request", "text": render_call(call)}
 
 
-def _response_turn(api: str, episode_idx: int, turn_idx: int) -> dict:
-    payload = {"status": "ok", "ref": f"{api.lower()}-{episode_idx:04d}-{turn_idx}"}
+def _response_turn(api: str, episode_no: int, turn_idx: int) -> dict:
+    payload = {"status": "ok", "ref": f"{api.lower()}-{episode_no:04d}-{turn_idx}"}
     return {"role": "api_response", "text": json.dumps(payload)}
 
 
@@ -165,7 +165,7 @@ def build_reference_completions(
         random.Random(f"{condition.value}:{block.block_id}").shuffle(categories)
         other_api = api_by_block[(block.block_id % len(blocks)) + 1]
         for idx, (example, category) in enumerate(zip(block.examples, categories)):
-            prompt = render_prompt(example, condition, DEFAULT_TEMPLATE)
+            prompt = render_prompt(example, condition)
             records.append(
                 CompletionRecord(
                     example_id=example.id,

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .clmetrics import matrix_from_rows, summarize, write_matrix_csv
+from .clmetrics import _mean, matrix_from_rows, summarize, write_matrix_csv
 from .corpus import (
     StreamSpec,
     load_corpus,
@@ -43,9 +43,7 @@ from .scoring import (
     write_scores_jsonl,
 )
 from .transform import (
-    DEFAULT_TEMPLATE,
     Condition,
-    PromptTemplate,
     RenderedPrompt,
     context_stats,
     export_rendered_jsonl,
@@ -173,11 +171,10 @@ def _final_table_rows(
         for metric in METRICS:
             attr = _METRIC_ATTR[metric]
             values = [getattr(by_block[b], attr) for b in stream.block_order]
-            mean = sum(values) / len(values)
             rows.append(
                 [condition, metric]
                 + [format_pct(v) for v in values]
-                + [format_pct(mean)]
+                + [format_pct(_mean(values))]
             )
     return rows
 
@@ -191,7 +188,6 @@ def run_report(
     endpoint: EndpointConfig | None = None,
     stages: Sequence[int] = (),
     cache_dir: str | Path | None = None,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
     tokenizer_cmd: Sequence[str] | None = None,
     strict_import: bool = False,
 ) -> Path:
@@ -214,11 +210,20 @@ def run_report(
 
     prompts_by_condition: dict[str, list[RenderedPrompt]] = {}
     for condition in conditions:
-        prompts = [render_prompt(examples[ex_id], condition, template) for ex_id in ordered_ids]
+        prompts = [render_prompt(examples[ex_id], condition) for ex_id in ordered_ids]
         prompts_by_condition[condition.value] = prompts
         export_rendered_jsonl(out / f"prompts_{condition.value}.jsonl", prompts, targets)
 
     all_prompts = [p for ps in prompts_by_condition.values() for p in ps]
+    # Before any completion is obtained, so a failing tokenizer command
+    # stops the run without scores or a manifest.
+    stats = context_stats(all_prompts, tokenizer_cmd=tokenizer_cmd)
+    if "A" in stats and "B" in stats and stats["A"]["ws_token"] > 0:
+        stats["ws_token_ratio_b_over_a"] = (
+            stats["B"]["ws_token"] / stats["A"]["ws_token"]
+        )
+    _write_json(out / "context_stats.json", stats)
+
     completions: list[CompletionRecord] = []
     if import_paths:
         for path in import_paths:
@@ -315,13 +320,6 @@ def run_report(
                 "n_final": len(finals),
             }
         _write_json(out / "final_means.json", means)
-
-    stats = context_stats(all_prompts, tokenizer_cmd=tokenizer_cmd)
-    if "A" in stats and "B" in stats and stats["A"]["ws_token"] > 0:
-        stats["ws_token_ratio_b_over_a"] = (
-            stats["B"]["ws_token"] / stats["A"]["ws_token"]
-        )
-    _write_json(out / "context_stats.json", stats)
 
     if import_paths:
         source: dict[str, object] = {

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call
+from .clmetrics import _mean
 
 __all__ = [
     "MetricFlags",
@@ -226,12 +227,11 @@ def aggregate_macro(blocks: Sequence[BlockScore]) -> dict[str, float]:
     """Unweighted per-metric mean over blocks (printed-table convention)."""
     if not blocks:
         raise AggregationError("cannot average zero block scores")
-    n = len(blocks)
     return {
-        "exact": sum(b.acc_exact for b in blocks) / n,
-        "name": sum(b.acc_name for b in blocks) / n,
-        "name_any": sum(b.acc_name_any for b in blocks) / n,
-        "malformed": sum(b.rate_malformed for b in blocks) / n,
+        "exact": _mean([b.acc_exact for b in blocks]),
+        "name": _mean([b.acc_name for b in blocks]),
+        "name_any": _mean([b.acc_name_any for b in blocks]),
+        "malformed": _mean([b.rate_malformed for b in blocks]),
     }
 
 

@@ -19,10 +19,10 @@ from .corpus import Role, ScoredExample, Turn
 
 __all__ = [
     "Condition",
-    "PromptTemplate",
     "RenderedPrompt",
     "StatsError",
-    "DEFAULT_TEMPLATE",
+    "PREFIXES",
+    "CUE",
     "strip_trajectory",
     "render_prompt",
     "context_stats",
@@ -42,24 +42,14 @@ class Condition(Enum):
     B_TRAJECTORY = "B"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    user_prefix: str = "User: "
-    assistant_prefix: str = "Assistant: "
-    api_request_prefix: str = "API-Request: "
-    api_response_prefix: str = "API-Response: "
-    cue: str = "API-Request:"
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, str]) -> "PromptTemplate":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(config) - known
-        if unknown:
-            raise ValueError(f"unknown template keys: {sorted(unknown)}")
-        return cls(**config)
-
-
-DEFAULT_TEMPLATE = PromptTemplate()
+# Line prefix for each turn role, and the cue line that ends every prompt.
+PREFIXES: dict[Role, str] = {
+    Role.USER: "User: ",
+    Role.ASSISTANT_TEXT: "Assistant: ",
+    Role.API_REQUEST: "API-Request: ",
+    Role.API_RESPONSE: "API-Response: ",
+}
+CUE = "API-Request:"
 
 
 @dataclass
@@ -67,8 +57,6 @@ class RenderedPrompt:
     example_id: str
     condition: Condition
     text: str
-    char_len: int
-    ws_token_len: int
     ext_token_len: int | None = None
 
     @property
@@ -81,36 +69,15 @@ def strip_trajectory(context: Sequence[Turn]) -> list[Turn]:
     return [t for t in context if t.role in (Role.USER, Role.ASSISTANT_TEXT)]
 
 
-def _turn_line(turn: Turn, template: PromptTemplate) -> str:
-    if turn.role is Role.USER:
-        return template.user_prefix + turn.text
-    if turn.role is Role.ASSISTANT_TEXT:
-        return template.assistant_prefix + turn.text
-    if turn.role is Role.API_REQUEST:
-        return template.api_request_prefix + turn.text
-    return template.api_response_prefix + turn.text
-
-
-def render_prompt(
-    example: ScoredExample,
-    condition: Condition,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-) -> RenderedPrompt:
+def render_prompt(example: ScoredExample, condition: Condition) -> RenderedPrompt:
     """Render one example's context under the given condition."""
     if condition is Condition.A_STRIPPED:
         turns = strip_trajectory(example.context)
     else:
-        turns = list(example.context)
-    lines = [_turn_line(t, template) for t in turns]
-    lines.append(template.cue)
-    text = "\n".join(lines)
-    return RenderedPrompt(
-        example_id=example.id,
-        condition=condition,
-        text=text,
-        char_len=len(text),
-        ws_token_len=len(text.split()),
-    )
+        turns = example.context
+    lines = [PREFIXES[t.role] + t.text for t in turns]
+    lines.append(CUE)
+    return RenderedPrompt(example_id=example.id, condition=condition, text="\n".join(lines))
 
 
 def _run_tokenizer(command: Sequence[str], text: str) -> int:
@@ -145,8 +112,8 @@ def context_stats(
     for prompt in prompts:
         tag = prompt.condition.value
         bucket = totals.setdefault(tag, {"char": 0, "ws_token": 0})
-        bucket["char"] += prompt.char_len
-        bucket["ws_token"] += prompt.ws_token_len
+        bucket["char"] += len(prompt.text)
+        bucket["ws_token"] += len(prompt.text.split())
         if tokenizer_cmd is not None:
             bucket["ext_token"] = bucket.get("ext_token", 0) + (prompt.ext_token_len or 0)
     return totals
@@ -162,14 +129,11 @@ def read_rendered_jsonl(path: str | Path) -> tuple[list[RenderedPrompt], dict[st
                 continue
             try:
                 raw = json.loads(line)
-                text = str(raw["prompt"])
                 prompts.append(
                     RenderedPrompt(
                         example_id=str(raw["example_id"]),
                         condition=Condition(raw["condition"]),
-                        text=text,
-                        char_len=len(text),
-                        ws_token_len=len(text.split()),
+                        text=str(raw["prompt"]),
                     )
                 )
                 targets[str(raw["example_id"])] = str(raw["target"])

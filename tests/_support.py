@@ -51,22 +51,33 @@ MALFORMED_CASES = [
 ]
 
 # ---------------------------------------------------------------------------
-# Brute-force continual-learning oracles (pure loops, no numpy)
+# Brute-force continual-learning oracles (pure loops, no numpy). Each sum
+# is an explicit left-to-right loop: sum() of floats is compensated from
+# Python 3.12 on, which would make the oracles differ between interpreters.
 
 
 def oracle_average_accuracy(R):
     T = len(R)
-    return sum(R[T - 1]) / T
+    total = 0.0
+    for j in range(T):
+        total += R[T - 1][j]
+    return total / T
 
 
 def oracle_bwt(R):
     T = len(R)
-    return sum(R[T - 1][j] - R[j][j] for j in range(T - 1)) / (T - 1)
+    total = 0.0
+    for j in range(T - 1):
+        total += R[T - 1][j] - R[j][j]
+    return total / (T - 1)
 
 
 def oracle_fwt(R, b):
     T = len(R)
-    return sum(R[j - 1][j] - b[j] for j in range(1, T)) / (T - 1)
+    total = 0.0
+    for j in range(1, T):
+        total += R[j - 1][j] - b[j]
+    return total / (T - 1)
 
 
 def oracle_forgetting(R):
@@ -80,7 +91,13 @@ def oracle_forgetting(R):
 
 def oracle_aulc(R):
     T = len(R)
-    return sum(sum(R[i][: i + 1]) / (i + 1) for i in range(T)) / T
+    total = 0.0
+    for i in range(T):
+        seen = 0.0
+        for j in range(i + 1):
+            seen += R[i][j]
+        total += seen / (i + 1)
+    return total / T
 
 
 def random_matrix(rng: random.Random, T: int = 4) -> list[list[float]]:

@@ -61,7 +61,7 @@ from toolstream.scoring import (
     score_completions,
 )
 from toolstream.transform import (
-    DEFAULT_TEMPLATE,
+    PREFIXES,
     Condition,
     RenderedPrompt,
     render_prompt,
@@ -218,10 +218,7 @@ def test_criterion_5_condition_transform_properties(tmp_path):
         failures.append(f"expected 200 trace-bearing examples, got {len(examples)}")
 
     total_a = total_b = 0
-    trace_prefixes = (
-        DEFAULT_TEMPLATE.api_request_prefix,
-        DEFAULT_TEMPLATE.api_response_prefix,
-    )
+    trace_prefixes = (PREFIXES[Role.API_REQUEST], PREFIXES[Role.API_RESPONSE])
     for ex in examples:
         a = render_prompt(ex, Condition.A_STRIPPED)
         b = render_prompt(ex, Condition.B_TRAJECTORY)
@@ -234,8 +231,8 @@ def test_criterion_5_condition_transform_properties(tmp_path):
         context_lines = a.text.splitlines()[:-1]  # cue line excluded
         if any(line.startswith(trace_prefixes) for line in context_lines):
             failures.append(f"{ex.id}: trace line leaked into stripped prompt")
-        total_a += a.ws_token_len
-        total_b += b.ws_token_len
+        total_a += len(a.text.split())
+        total_b += len(b.text.split())
     if not total_b / total_a > 1:
         failures.append(f"token ratio {total_b / total_a:.4f} not > 1")
     _verdict(5, "stripped vs trajectory rendering properties", failures)
@@ -331,8 +328,6 @@ def test_criterion_8_mock_endpoint_integration(tmp_path):
                 example_id=f"e:{i}",
                 condition=Condition.A_STRIPPED,
                 text=text,
-                char_len=len(text),
-                ws_token_len=len(text.split()),
             )
         )
     with MockEndpoint(delay=0.03) as mock:

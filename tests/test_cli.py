@@ -1,10 +1,11 @@
-"""Subcommand behavior, exit codes, and the config-file mechanism."""
+"""Subcommand behavior, exit codes, and required flags."""
 
 from __future__ import annotations
 
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from toolstream.cli import (
     EXIT_ENDPOINT,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VALIDATION,
     main,
 )
@@ -55,6 +57,12 @@ class TestSplit:
             ["split", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "b.json")]
         )
         assert code == EXIT_INPUT
+
+    def test_missing_out_is_usage_error(self, reference_paths, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["split", "--corpus", str(reference_paths["corpus"])])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
 
     def test_too_many_blocks_is_validation_error(self, reference_paths, tmp_path):
         code = main(
@@ -274,46 +282,6 @@ class TestParseSubcommand:
         assert not second["ok"] and second["reason"] == "no_bracket"
 
 
-class TestConfigFile:
-    def test_defaults_from_config(self, reference_paths, tmp_path):
-        config_path = tmp_path / "run.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "corpus": str(reference_paths["corpus"]),
-                    "blocks": 4,
-                    "seed": 42,
-                    "out": str(tmp_path / "blocks.json"),
-                }
-            )
-        )
-        assert main(["split", "--config", str(config_path)]) == EXIT_OK
-        assert (tmp_path / "blocks.json").exists()
-
-    def test_cli_flag_overrides_config(self, reference_paths, tmp_path):
-        config_path = tmp_path / "run.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "corpus": str(reference_paths["corpus"]),
-                    "out": str(tmp_path / "from_config.json"),
-                }
-            )
-        )
-        override = tmp_path / "from_cli.json"
-        assert (
-            main(["split", "--config", str(config_path), "--out", str(override)])
-            == EXIT_OK
-        )
-        assert override.exists()
-        assert not (tmp_path / "from_config.json").exists()
-
-    def test_unknown_config_key_rejected(self, reference_paths, tmp_path):
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({"corpus": "x", "bogus_flag": 1}))
-        assert main(["split", "--config", str(config_path)]) == EXIT_VALIDATION
-
-
 class TestFixturesSubcommand:
     def test_writes_fixture_files(self, tmp_path):
         out = tmp_path / "fixture"
@@ -383,6 +351,27 @@ class TestReportSubcommand:
         )
         assert code == EXIT_ENDPOINT
 
+    def test_failing_tokenizer_is_input_error_before_scoring(self, reference_paths, tmp_path):
+        out = tmp_path / "r"
+        code = main(
+            [
+                "report",
+                "--corpus",
+                str(reference_paths["corpus"]),
+                "--conditions",
+                "A",
+                "--import",
+                str(reference_paths["completions_A"]),
+                "--tokenizer-cmd",
+                shlex.join([sys.executable, "-c", "import sys; sys.exit(1)"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert not list(out.glob("scores_*.jsonl"))
+        assert not (out / "manifest.json").exists()
+
 
 class TestGenerate:
     def test_base_url_without_scheme_is_validation_error(self, tmp_path):
@@ -396,6 +385,14 @@ class TestGenerate:
                 "--out", str(tmp_path / "out.jsonl")]
         assert main(args + ["--base-url", "localhost:8000"]) == EXIT_VALIDATION
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_missing_base_url_is_usage_error(self, tmp_path, capsys):
+        args = ["generate", "--prompts", str(tmp_path / "prompts.jsonl"), "--model", "m",
+                "--stage", "1", "--out", str(tmp_path / "out.jsonl")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--base-url" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_numpy_out():

@@ -152,10 +152,6 @@ class TestAulc:
         )
         assert aulc(m) > average_accuracy(m)
 
-    def test_all_blocks_variant(self):
-        m = _matrix([[1.0, 0.0], [0.5, 1.0]])
-        assert aulc(m, seen_only=False) == pytest.approx((0.5 + 0.75) / 2)
-
 
 class TestSummarize:
     def test_single_stage_rejected(self):

@@ -46,7 +46,6 @@ class TestLoadCorpus:
         episodes = load_corpus(path)
         assert len(episodes) == 1
         assert episodes[0].id == "e1"
-        assert episodes[0].api_names == frozenset()
 
     def test_api_request_with_prefix_text(self, tmp_path):
         path = _write_jsonl(
@@ -62,9 +61,9 @@ class TestLoadCorpus:
             ],
         )
         episode = load_corpus(path)[0]
-        assert episode.api_names == frozenset({"GetWeather"})
         # text is canonicalized to the call itself at ingestion
         assert episode.turns[1].text == "[GetWeather(city='Paris')]"
+        assert episode.turns[1].call.name == "GetWeather"
         assert episode.turns[1].call.params == (("city", "Paris"),)
 
     def test_bad_json_line_names_line_number(self, tmp_path):

@@ -30,8 +30,6 @@ def _prompt(i: int, condition=Condition.A_STRIPPED) -> RenderedPrompt:
         example_id=f"e:{i}",
         condition=condition,
         text=text,
-        char_len=len(text),
-        ws_token_len=len(text.split()),
     )
 
 

@@ -205,6 +205,21 @@ class TestAggregation:
         macro = aggregate_macro([single])
         assert macro["exact"] == single.acc_exact
 
+    def test_macro_adds_left_to_right_on_every_interpreter(self):
+        # Ten 0.1s summed left to right give 0.9999999999999999; the
+        # compensated sum() of Python 3.12 and later gives 1.0.
+        blocks = [
+            BlockScore(
+                stage=4, block_id=i, n=10, acc_exact=0.1, acc_name=0.1,
+                acc_name_any=0.1, rate_malformed=0.1,
+            )
+            for i in range(1, 11)
+        ]
+        mean = 0.09999999999999999
+        assert aggregate_macro(blocks) == {
+            "exact": mean, "name": mean, "name_any": mean, "malformed": mean,
+        }
+
     def test_macro_empty_rejected(self):
         with pytest.raises(AggregationError):
             aggregate_macro([])

@@ -13,9 +13,9 @@ from toolstream.corpus import Role, ScoredExample, Turn, extract_examples
 from _support import load_episodes_from_records
 from toolstream.fixtures import trace_heavy_corpus_records
 from toolstream.transform import (
-    DEFAULT_TEMPLATE,
+    CUE,
+    PREFIXES,
     Condition,
-    PromptTemplate,
     RenderedPrompt,
     StatsError,
     context_stats,
@@ -36,7 +36,7 @@ def _turn(role: Role, text: str = "t") -> Turn:
 
 def _example(context: list[Turn], ex_id: str = "e:1") -> ScoredExample:
     return ScoredExample(
-        id=ex_id, episode_id="e", cut_index=len(context), context=context, expected=CALL
+        id=ex_id, cut_index=len(context), context=context, expected=CALL
     )
 
 
@@ -72,8 +72,8 @@ class TestRenderPrompt:
         example = _example(context)
         a = render_prompt(example, Condition.A_STRIPPED)
         b = render_prompt(example, Condition.B_TRAJECTORY)
-        assert b.char_len > a.char_len
-        assert b.ws_token_len >= a.ws_token_len
+        assert len(b.text) > len(a.text)
+        assert len(b.text.split()) >= len(a.text.split())
 
     def test_no_trace_renders_identically(self):
         context = [_turn(Role.USER, "u"), _turn(Role.ASSISTANT_TEXT, "a")]
@@ -86,7 +86,7 @@ class TestRenderPrompt:
         example = _example([_turn(Role.USER, "u"), _turn(Role.API_REQUEST)])
         for condition in Condition:
             text = render_prompt(example, condition).text
-            assert text.splitlines()[-1] == DEFAULT_TEMPLATE.cue
+            assert text.splitlines()[-1] == CUE
 
     def test_line_multiset_subset(self):
         context = [
@@ -110,8 +110,8 @@ class TestRenderPrompt:
         ]
         text = render_prompt(_example(context), Condition.A_STRIPPED).text
         for line in text.splitlines()[:-1]:  # the cue line is expected
-            assert not line.startswith(DEFAULT_TEMPLATE.api_request_prefix)
-            assert not line.startswith(DEFAULT_TEMPLATE.api_response_prefix)
+            assert not line.startswith(PREFIXES[Role.API_REQUEST])
+            assert not line.startswith(PREFIXES[Role.API_RESPONSE])
 
     def test_rendering_is_deterministic(self):
         example = _example([_turn(Role.USER, "u"), _turn(Role.API_REQUEST)])
@@ -119,18 +119,6 @@ class TestRenderPrompt:
         second = render_prompt(example, Condition.B_TRAJECTORY)
         assert first.text == second.text
         assert first.prompt_hash == second.prompt_hash
-
-    def test_custom_template(self):
-        template = PromptTemplate.from_config(
-            {"user_prefix": "<u> ", "cue": "NEXT>"}
-        )
-        example = _example([_turn(Role.USER, "hello")])
-        text = render_prompt(example, Condition.B_TRAJECTORY, template).text
-        assert text == "<u> hello\nNEXT>"
-
-    def test_unknown_template_key_rejected(self):
-        with pytest.raises(ValueError):
-            PromptTemplate.from_config({"nope": "x"})
 
 
 def _trace_heavy_prompts(tmp_path, n_episodes=50):
@@ -159,8 +147,8 @@ class TestContextStats:
 
     def test_token_arithmetic(self):
         prompts = [
-            RenderedPrompt("a", Condition.A_STRIPPED, "one two three", 13, 3),
-            RenderedPrompt("b", Condition.A_STRIPPED, "a b c d e", 9, 5),
+            RenderedPrompt("a", Condition.A_STRIPPED, "one two three"),
+            RenderedPrompt("b", Condition.A_STRIPPED, "a b c d e"),
         ]
         stats = context_stats(prompts)
         assert stats == {"A": {"char": 22, "ws_token": 8}}
@@ -180,8 +168,8 @@ class TestContextStats:
 
     def test_external_tokenizer(self):
         prompts = [
-            RenderedPrompt("a", Condition.A_STRIPPED, "one two three", 13, 3),
-            RenderedPrompt("b", Condition.B_TRAJECTORY, "a b", 3, 2),
+            RenderedPrompt("a", Condition.A_STRIPPED, "one two three"),
+            RenderedPrompt("b", Condition.B_TRAJECTORY, "a b"),
         ]
         cmd = [sys.executable, "-c", "import sys; print(len(sys.stdin.read().split()))"]
         stats = context_stats(prompts, tokenizer_cmd=cmd)
@@ -190,7 +178,7 @@ class TestContextStats:
         assert prompts[0].ext_token_len == 3
 
     def test_external_tokenizer_failure_names_command(self):
-        prompts = [RenderedPrompt("a", Condition.A_STRIPPED, "x", 1, 1)]
+        prompts = [RenderedPrompt("a", Condition.A_STRIPPED, "x")]
         cmd = [sys.executable, "-c", "import sys; sys.exit(3)"]
         with pytest.raises(StatsError) as excinfo:
             context_stats(prompts, tokenizer_cmd=cmd)
