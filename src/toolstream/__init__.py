@@ -41,6 +41,7 @@ from .transform import (
     strip_trajectory,
 )
 from .scoring import (
+    FLAGS,
     BlockScore,
     ErrorCategory,
     MetricFlags,
@@ -48,7 +49,6 @@ from .scoring import (
     aggregate_block,
     aggregate_macro,
     aggregate_micro,
-    classify_error,
 )
 from .clmetrics import (
     BaselineVector,

@@ -60,6 +60,7 @@ from .genclient import (
 )
 from .report import ReportError, block_scores_by_stage, run_report, stage_rows
 from .scoring import (
+    METRICS,
     AggregationError,
     read_scores_jsonl,
     score_completions,
@@ -91,6 +92,13 @@ def _condition(value: str) -> Condition:
         return Condition(value.upper())
     except ValueError:
         raise argparse.ArgumentTypeError(f"condition must be A or B, got {value!r}")
+
+
+def _conditions(value: str) -> list[Condition]:
+    conditions = [_condition(tag.strip()) for tag in value.split(",") if tag.strip()]
+    if not conditions or len(set(conditions)) < len(conditions):
+        raise argparse.ArgumentTypeError(f"conditions must be distinct A or B tags, got {value!r}")
+    return conditions
 
 
 def _int_list(value: str) -> list[int]:
@@ -157,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="assemble stage-by-block accuracy matrices from scores")
     p.add_argument("--scores", action="append", required=True, help="score JSONL (repeatable)")
-    p.add_argument("--metric", default="exact", choices=["exact", "name", "name_any", "malformed"])
+    p.add_argument("--metric", default="exact", choices=METRICS)
     p.add_argument("--blocks", type=int, help="block count T (default: max block id seen)")
     p.add_argument("--block-order", type=_int_list, help="comma-separated block ids")
     p.add_argument("--out", required=True, help="matrix CSV output path")
@@ -174,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=4)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--block-order", type=_int_list)
-    p.add_argument("--conditions", default="A,B", help="comma-separated condition tags")
+    p.add_argument("--conditions", type=_conditions, default="A,B", help="comma-separated tags")
     p.add_argument("--import", dest="imports", action="append",
                    help="recorded completions JSONL (repeatable)")
     p.add_argument("--base-url")
@@ -319,7 +327,6 @@ def cmd_summary(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    conditions = [_condition(tag) for tag in str(args.conditions).split(",") if tag.strip()]
     stream = StreamSpec(
         T=args.blocks,
         block_order=tuple(args.block_order or ()),
@@ -338,7 +345,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         corpus_path=args.corpus,
         out_dir=args.out,
         stream=stream,
-        conditions=conditions,
+        conditions=args.conditions,
         import_paths=args.imports or [],
         endpoint=endpoint,
         stages=stages,

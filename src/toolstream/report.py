@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,6 +32,7 @@ from .genclient import (
     import_completions,
 )
 from .scoring import (
+    METRICS,
     BlockScore,
     ScoreRecord,
     aggregate_block,
@@ -52,25 +52,13 @@ from .transform import (
 from .calls import render_call
 
 __all__ = [
-    "RunManifest",
     "ReportError",
-    "METRICS",
     "format_pct",
     "emit_heatmap_data",
     "block_scores_by_stage",
     "stage_rows",
     "run_report",
 ]
-
-METRICS = ("exact", "name", "name_any", "malformed")
-
-_METRIC_ATTR = {
-    "exact": "acc_exact",
-    "name": "acc_name",
-    "name_any": "acc_name_any",
-    "malformed": "rate_malformed",
-}
-
 
 class ReportError(Exception):
     pass
@@ -81,33 +69,6 @@ def format_pct(fraction: float) -> str:
     return str(
         Decimal(repr(fraction * 100)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
     )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run given the completion source."""
-
-    corpus: str
-    stream: StreamSpec
-    conditions: tuple[str, ...]
-    stages: tuple[int, ...]
-    source: Mapping[str, object]
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "toolstream",
-            "tool_version": __version__,
-            "corpus": self.corpus,
-            "stream": {
-                "T": self.stream.T,
-                "block_order": list(self.stream.block_order),
-                "seed": self.stream.seed,
-                "sample_size": self.stream.sample_size,
-            },
-            "conditions": list(self.conditions),
-            "stages": list(self.stages),
-            "source": dict(self.source),
-        }
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -137,11 +98,10 @@ def stage_rows(
     Column order follows the stream's block order so the diagonal is the
     just-trained block.
     """
-    attr = _METRIC_ATTR[metric]
     rows: dict[int, list[float]] = {}
     for stage, by_block in scores.items():
         if all(b in by_block for b in stream.block_order):
-            rows[stage] = [getattr(by_block[b], attr) for b in stream.block_order]
+            rows[stage] = [by_block[b].rates[metric] for b in stream.block_order]
     return rows
 
 
@@ -169,8 +129,7 @@ def _final_table_rows(
     for condition in sorted(final_scores):
         by_block = final_scores[condition]
         for metric in METRICS:
-            attr = _METRIC_ATTR[metric]
-            values = [getattr(by_block[b], attr) for b in stream.block_order]
+            values = [by_block[b].rates[metric] for b in stream.block_order]
             rows.append(
                 [condition, metric]
                 + [format_pct(v) for v in values]
@@ -321,19 +280,23 @@ def run_report(
             }
         _write_json(out / "final_means.json", means)
 
-    if import_paths:
-        source: dict[str, object] = {
-            "mode": "import",
-            "paths": [str(p) for p in import_paths],
-        }
-    else:
-        source = {"mode": "http", "base_url": endpoint.base_url, "model_id": endpoint.model_id}
-    manifest = RunManifest(
-        corpus=str(corpus_path),
-        stream=stream,
-        conditions=tuple(c.value for c in conditions),
-        stages=tuple(sorted(stages_seen)),
-        source=source,
-    )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    # Everything needed to reproduce the run given the completion source.
+    _write_json(out / "manifest.json", {
+        "tool": "toolstream",
+        "tool_version": __version__,
+        "corpus": str(corpus_path),
+        "stream": {
+            "T": stream.T,
+            "block_order": list(stream.block_order),
+            "seed": stream.seed,
+            "sample_size": stream.sample_size,
+        },
+        "conditions": [c.value for c in conditions],
+        "stages": sorted(stages_seen),
+        "source": (
+            {"mode": "import", "paths": [str(p) for p in import_paths]}
+            if import_paths
+            else {"mode": "http", "base_url": endpoint.base_url, "model_id": endpoint.model_id}
+        ),
+    })
     return out

@@ -1,8 +1,9 @@
-"""Completion scoring: metric flags, the five-way error taxonomy, and
-per-block aggregation.
+"""Completion scoring: the five-way error taxonomy, the metric flags and
+rates that follow from it, and per-block aggregation.
 
-Flags form a chain (exact implies name+any-param implies name implies
-parsed), and the five error categories partition every scored example.
+The error category is the only stored score. Its flags come from a table
+whose five rows are the patterns the chain (exact implies name+any-param
+implies name implies parsed) allows, so each rate counts categories.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call
 from .clmetrics import _mean
@@ -25,7 +26,8 @@ __all__ = [
     "AggregationError",
     "CATEGORY_ORDER",
     "CATEGORY_LABELS",
-    "classify_error",
+    "FLAGS",
+    "METRICS",
     "evaluate_completion",
     "score_completions",
     "aggregate_block",
@@ -42,21 +44,11 @@ class AggregationError(Exception):
     pass
 
 
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-@dataclass(frozen=True, slots=True)
-class MetricFlags:
+class MetricFlags(NamedTuple):
     parsed: bool
     name_ok: bool
     name_any_ok: bool
     exact_ok: bool
-
-    def __post_init__(self):
-        chain = (self.exact_ok, self.name_any_ok, self.name_ok, self.parsed)
-        for stronger, weaker in zip(chain, chain[1:]):
-            if stronger and not weaker:
-                raise ValueError(f"inconsistent metric flags: {self}")
 
 
 class ErrorCategory(Enum):
@@ -67,13 +59,7 @@ class ErrorCategory(Enum):
     MALFORMED_NO_CALL = "malformed_no_call"
 
 
-CATEGORY_ORDER: tuple[ErrorCategory, ...] = (
-    ErrorCategory.EXACT_FULL_CALL,
-    ErrorCategory.CORRECT_API_SOME_PARAMS,
-    ErrorCategory.CORRECT_API_WRONG_PARAMS,
-    ErrorCategory.WRONG_API,
-    ErrorCategory.MALFORMED_NO_CALL,
-)
+CATEGORY_ORDER: tuple[ErrorCategory, ...] = tuple(ErrorCategory)
 
 CATEGORY_LABELS: dict[ErrorCategory, str] = {
     ErrorCategory.EXACT_FULL_CALL: "Exact full call",
@@ -83,13 +69,33 @@ CATEGORY_LABELS: dict[ErrorCategory, str] = {
     ErrorCategory.MALFORMED_NO_CALL: "Malformed or no call",
 }
 
+FLAGS: dict[ErrorCategory, MetricFlags] = {
+    ErrorCategory.EXACT_FULL_CALL: MetricFlags(True, True, True, True),
+    ErrorCategory.CORRECT_API_SOME_PARAMS: MetricFlags(True, True, True, False),
+    ErrorCategory.CORRECT_API_WRONG_PARAMS: MetricFlags(True, True, False, False),
+    ErrorCategory.WRONG_API: MetricFlags(True, False, False, False),
+    ErrorCategory.MALFORMED_NO_CALL: MetricFlags(False, False, False, False),
+}
+
+# Metric name -> the categories whose records it counts.
+_COUNTED: dict[str, tuple[ErrorCategory, ...]] = {
+    "exact": tuple(c for c, f in FLAGS.items() if f.exact_ok),
+    "name": tuple(c for c, f in FLAGS.items() if f.name_ok),
+    "name_any": tuple(c for c, f in FLAGS.items() if f.name_any_ok),
+    "malformed": tuple(c for c, f in FLAGS.items() if not f.parsed),
+}
+METRICS: tuple[str, ...] = tuple(_COUNTED)
+
+
+# A call as scored: (name, normalized params).
+_Pair = tuple[str, dict[str, str]]
+
 
 @dataclass(slots=True)
 class ScoreRecord:
     example_id: str
     stage: int
     block_id: int
-    flags: MetricFlags
     category: ErrorCategory
 
 
@@ -98,63 +104,36 @@ class BlockScore:
     stage: int
     block_id: int
     n: int
-    acc_exact: float
-    acc_name: float
-    acc_name_any: float
-    rate_malformed: float
+    rates: dict[str, float]  # keyed by METRICS
 
 
-def _flags_for(
-    predicted: tuple[str, dict[str, str]] | None, expected: tuple[str, dict[str, str]]
-) -> MetricFlags:
-    """Flags for (name, normalized params) pairs; predicted is None when nothing parsed."""
-    parsed = predicted is not None
-    expected_name, expected_map = expected
-    name_ok = parsed and predicted[0] == expected_name
-    predicted_map = predicted[1] if parsed else {}
-    exact_ok = name_ok and predicted_map == expected_map
-    if expected_map:
-        name_any_ok = name_ok and any(
-            predicted_map.get(k) == v for k, v in expected_map.items()
-        )
-    else:
-        # Zero-parameter expectation: name+any holds only when the
-        # prediction is also parameterless (the exact case).
-        name_any_ok = name_ok and not predicted_map
-    return MetricFlags(
-        parsed=parsed, name_ok=name_ok, name_any_ok=name_any_ok, exact_ok=exact_ok
-    )
-
-
-def classify_error(flags: MetricFlags) -> ErrorCategory:
-    """Map metric flags onto the five-way error taxonomy."""
-    if not flags.parsed:
+def _categorize(predicted: _Pair | None, expected: _Pair) -> ErrorCategory:
+    """Category of a prediction; predicted is None when nothing parsed."""
+    if predicted is None:
         return ErrorCategory.MALFORMED_NO_CALL
-    if not flags.name_ok:
+    if predicted[0] != expected[0]:
         return ErrorCategory.WRONG_API
-    if flags.exact_ok:
+    predicted_map, expected_map = predicted[1], expected[1]
+    if predicted_map == expected_map:
         return ErrorCategory.EXACT_FULL_CALL
-    if flags.name_any_ok:
+    # A zero-parameter expectation has no pair to reproduce, so a
+    # prediction with parameters lands in wrong params.
+    if any(predicted_map.get(k) == v for k, v in expected_map.items()):
         return ErrorCategory.CORRECT_API_SOME_PARAMS
     return ErrorCategory.CORRECT_API_WRONG_PARAMS
 
 
-def evaluate_completion(
-    completion: str, expected: ApiCall
-) -> tuple[MetricFlags, ErrorCategory, ApiCall | None]:
-    """Score one raw completion against its expected call: flags,
-    category, and the predicted call (None when nothing parses)."""
+def evaluate_completion(completion: str, expected: ApiCall) -> tuple[ErrorCategory, ApiCall | None]:
+    """Score one raw completion against its expected call: the category
+    and the predicted call (None when nothing parses)."""
     return _evaluate(completion, (expected.name, normalize_params(expected)))
 
 
-def _evaluate(
-    completion: str, expected: tuple[str, dict[str, str]]
-) -> tuple[MetricFlags, ErrorCategory, ApiCall | None]:
+def _evaluate(completion: str, expected: _Pair) -> tuple[ErrorCategory, ApiCall | None]:
     parsed = parse_first_call(completion)
     predicted = parsed.call if isinstance(parsed, ParsedCall) else None
     pair = None if predicted is None else (predicted.name, normalize_params(predicted))
-    flags = _flags_for(pair, expected)
-    return flags, classify_error(flags), predicted
+    return _categorize(pair, expected), predicted
 
 
 def score_completions(completions, examples) -> list[ScoreRecord]:
@@ -168,7 +147,7 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
     """
     records: list[ScoreRecord] = []
     seen: set[tuple[int, str]] = set()
-    expected_by_id: dict[str, tuple[str, dict[str, str]]] = {}
+    expected_by_id: dict[str, _Pair] = {}
     for completion in completions:
         key = (int(completion.stage), completion.example_id)
         if key in seen:
@@ -191,35 +170,38 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
             expected = expected_by_id[example.id] = (
                 example.expected.name, normalize_params(example.expected)
             )
-        flags, category, _ = _evaluate(completion.text, expected)
+        category, _ = _evaluate(completion.text, expected)
         records.append(
             ScoreRecord(
                 example_id=example.id,
                 stage=key[0],
                 block_id=example.block_id,
-                flags=flags,
                 category=category,
             )
         )
     return records
 
 
+def _rates(records: Sequence[ScoreRecord]) -> dict[str, float]:
+    counts = category_counts(records)
+    return {
+        metric: sum(counts[c] for c in categories) / len(records)
+        for metric, categories in _COUNTED.items()
+    }
+
+
 def aggregate_block(records: Sequence[ScoreRecord]) -> BlockScore:
-    """Exact per-block accuracy fractions; all records must share (stage, block)."""
+    """Exact per-block rates; all records must share (stage, block)."""
     if not records:
         raise AggregationError("cannot aggregate an empty record list")
     keys = {(r.stage, r.block_id) for r in records}
     if len(keys) > 1:
         raise AggregationError(f"records span multiple (stage, block) keys: {sorted(keys)}")
-    n = len(records)
     return BlockScore(
         stage=records[0].stage,
         block_id=records[0].block_id,
-        n=n,
-        acc_exact=sum(r.flags.exact_ok for r in records) / n,
-        acc_name=sum(r.flags.name_ok for r in records) / n,
-        acc_name_any=sum(r.flags.name_any_ok for r in records) / n,
-        rate_malformed=sum(not r.flags.parsed for r in records) / n,
+        n=len(records),
+        rates=_rates(records),
     )
 
 
@@ -227,25 +209,14 @@ def aggregate_macro(blocks: Sequence[BlockScore]) -> dict[str, float]:
     """Unweighted per-metric mean over blocks (printed-table convention)."""
     if not blocks:
         raise AggregationError("cannot average zero block scores")
-    return {
-        "exact": _mean([b.acc_exact for b in blocks]),
-        "name": _mean([b.acc_name for b in blocks]),
-        "name_any": _mean([b.acc_name_any for b in blocks]),
-        "malformed": _mean([b.rate_malformed for b in blocks]),
-    }
+    return {metric: _mean([b.rates[metric] for b in blocks]) for metric in METRICS}
 
 
 def aggregate_micro(records: Sequence[ScoreRecord]) -> dict[str, float]:
-    """Pooled accuracy over all records, for transparency next to macro."""
+    """Pooled rates over all records, for transparency next to macro."""
     if not records:
         raise AggregationError("cannot aggregate an empty record list")
-    n = len(records)
-    return {
-        "exact": sum(r.flags.exact_ok for r in records) / n,
-        "name": sum(r.flags.name_ok for r in records) / n,
-        "name_any": sum(r.flags.name_any_ok for r in records) / n,
-        "malformed": sum(not r.flags.parsed for r in records) / n,
-    }
+    return _rates(records)
 
 
 def category_counts(records: Iterable[ScoreRecord]) -> dict[ErrorCategory, int]:
@@ -255,22 +226,26 @@ def category_counts(records: Iterable[ScoreRecord]) -> dict[ErrorCategory, int]:
     return counts
 
 
+# Each line ends with its category's flags and the category, pre-rendered.
+_LINE_TAIL = {
+    c: f', "flags": {json.dumps(f._asdict())}, "category": "{c.value}"}}\n'
+    for c, f in FLAGS.items()
+}
+
+
 def write_scores_jsonl(path: str | Path, records: Sequence[ScoreRecord]) -> None:
     """One JSON object per line, byte-equal to json.dumps of the record's
-    dict in the key order below."""
+    dict in the key order below; the flags are those of the category."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for r in records:
-            f = r.flags
             fh.write(
                 f'{{"example_id": {json.dumps(r.example_id)}, "stage": {r.stage:d}, '
-                f'"block": {r.block_id:d}, "flags": {{"parsed": {_JSON_BOOL[f.parsed]}, '
-                f'"name_ok": {_JSON_BOOL[f.name_ok]}, '
-                f'"name_any_ok": {_JSON_BOOL[f.name_any_ok]}, '
-                f'"exact_ok": {_JSON_BOOL[f.exact_ok]}}}, "category": "{r.category.value}"}}\n'
+                f'"block": {r.block_id:d}{_LINE_TAIL[r.category]}'
             )
 
 
 def read_scores_jsonl(path: str | Path) -> list[ScoreRecord]:
+    """Read score records back, rejecting flags that contradict the category."""
     records: list[ScoreRecord] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -278,19 +253,15 @@ def read_scores_jsonl(path: str | Path) -> list[ScoreRecord]:
                 continue
             try:
                 raw = json.loads(line)
-                flags = MetricFlags(
-                    parsed=bool(raw["flags"]["parsed"]),
-                    name_ok=bool(raw["flags"]["name_ok"]),
-                    name_any_ok=bool(raw["flags"]["name_any_ok"]),
-                    exact_ok=bool(raw["flags"]["exact_ok"]),
-                )
+                category = ErrorCategory(raw["category"])
+                if raw["flags"] != FLAGS[category]._asdict():
+                    raise ValueError(f"flags {raw['flags']} contradict {category.value}")
                 records.append(
                     ScoreRecord(
                         example_id=str(raw["example_id"]),
                         stage=int(raw["stage"]),
                         block_id=int(raw["block"]),
-                        flags=flags,
-                        category=ErrorCategory(raw["category"]),
+                        category=category,
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

@@ -57,7 +57,6 @@ class RenderedPrompt:
     example_id: str
     condition: Condition
     text: str
-    ext_token_len: int | None = None
 
     @property
     def prompt_hash(self) -> str:
@@ -102,12 +101,6 @@ def context_stats(
     """Per-condition totals of char, whitespace-token, and optional
     external-tokenizer counts. External counts appear only when a
     tokenizer command is configured."""
-    prompts = list(prompts)
-    if tokenizer_cmd is not None:
-        for prompt in prompts:
-            if prompt.ext_token_len is None:
-                prompt.ext_token_len = _run_tokenizer(tokenizer_cmd, prompt.text)
-
     totals: dict[str, dict[str, int]] = {}
     for prompt in prompts:
         tag = prompt.condition.value
@@ -115,7 +108,9 @@ def context_stats(
         bucket["char"] += len(prompt.text)
         bucket["ws_token"] += len(prompt.text.split())
         if tokenizer_cmd is not None:
-            bucket["ext_token"] = bucket.get("ext_token", 0) + (prompt.ext_token_len or 0)
+            bucket["ext_token"] = bucket.get("ext_token", 0) + _run_tokenizer(
+                tokenizer_cmd, prompt.text
+            )
     return totals
 
 

@@ -16,7 +16,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from toolstream.calls import ApiCall, FailureReason
+from toolstream.calls import ApiCall, FailureReason, ParsedCall, parse_first_call
 from toolstream.corpus import Episode, load_corpus
 from toolstream.fixtures import write_jsonl_records
 
@@ -98,6 +98,38 @@ def oracle_aulc(R):
             seen += R[i][j]
         total += seen / (i + 1)
     return total / T
+
+
+# ---------------------------------------------------------------------------
+# Metric-flag oracle, straight from the README's flag definitions. It shares
+# only the call parser with the library, not the scoring code.
+
+
+def oracle_flags(completion: str, expected: ApiCall) -> tuple[bool, bool, bool, bool]:
+    """(parsed, name_ok, name_any_ok, exact_ok) for one completion."""
+    result = parse_first_call(completion)
+    if not isinstance(result, ParsedCall):
+        return (False, False, False, False)
+    predicted = result.call
+    if predicted.name != expected.name:
+        return (True, False, False, False)
+    # Values are compared with surrounding whitespace trimmed; key order
+    # does not matter.
+    predicted_map = {}
+    for key, value in predicted.params:
+        predicted_map[key] = value.strip()
+    expected_map = {}
+    for key, value in expected.params:
+        expected_map[key] = value.strip()
+    exact_ok = predicted_map == expected_map
+    if expected_map:
+        name_any_ok = False
+        for key, value in expected_map.items():
+            if key in predicted_map and predicted_map[key] == value:
+                name_any_ok = True
+    else:
+        name_any_ok = not predicted_map
+    return (True, True, name_any_ok, exact_ok)
 
 
 def random_matrix(rng: random.Random, T: int = 4) -> list[list[float]]:

@@ -17,6 +17,7 @@ from _support import (
     MockEndpoint,
     load_episodes_from_records,
     oracle_aulc,
+    oracle_flags,
     oracle_average_accuracy,
     oracle_bwt,
     oracle_forgetting,
@@ -53,6 +54,7 @@ from toolstream.genclient import (
 from toolstream.report import format_pct
 from toolstream.scoring import (
     CATEGORY_ORDER,
+    FLAGS,
     ScoreRecord,
     aggregate_block,
     aggregate_macro,
@@ -280,40 +282,50 @@ def test_criterion_6_report_determinism(reference_paths, tmp_path):
 
 def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
     failures: list[str] = []
+    if set(FLAGS) != set(CATEGORY_ORDER) or len(set(FLAGS.values())) != len(FLAGS):
+        failures.append(f"FLAGS rows are not one distinct row per category: {FLAGS}")
+    for category, flags in FLAGS.items():
+        # (parsed, name_ok, name_any_ok, exact_ok): each flag implies the one before.
+        if any(stronger and not weaker for weaker, stronger in zip(flags, flags[1:])):
+            failures.append(f"FLAGS row of {category.value} breaks the chain: {flags}")
 
-    def check(tag, records):
-        n_exact = sum(r.flags.exact_ok for r in records)
-        n_any = sum(r.flags.name_any_ok for r in records)
-        n_name = sum(r.flags.name_ok for r in records)
-        n_parsed = sum(r.flags.parsed for r in records)
+    def check(tag, records, cases):
+        flags = [FLAGS[r.category] for r in records]
+        n_exact = sum(f.exact_ok for f in flags)
+        n_any = sum(f.name_any_ok for f in flags)
+        n_name = sum(f.name_ok for f in flags)
+        n_parsed = sum(f.parsed for f in flags)
         if not n_exact <= n_any <= n_name <= n_parsed:
             failures.append(f"{tag}: chain {n_exact}/{n_any}/{n_name}/{n_parsed}")
-        for r in records:
-            chain = (r.flags.exact_ok, r.flags.name_any_ok, r.flags.name_ok, r.flags.parsed)
-            if any(s and not w for s, w in zip(chain, chain[1:])):
-                failures.append(f"{tag}: per-record violation on {r.example_id}")
+        for r, f, (completion, expected) in zip(records, flags, cases):
+            if f != oracle_flags(completion, expected):
+                failures.append(f"{tag}: {r.example_id} flags {f} vs oracle")
 
+    _, _, index = reference_blocks
     for condition in ("A", "B"):
-        scored, _ = _scored_blocks(reference_paths, reference_blocks, condition)
-        check(f"fixture {condition}", scored)
+        completions = import_completions(reference_paths[f"completions_{condition}"])
+        scored = score_completions(completions, index)
+        cases = [(c.text, index[c.example_id].expected) for c in completions]
+        check(f"fixture {condition}", scored, cases)
 
     rng = random.Random(777)
     fuzz_records = []
+    fuzz_cases = []
     expected_pool = [random_call(rng) for _ in range(20)]
     for i in range(2000):
         expected = expected_pool[i % len(expected_pool)]
         completion = random_text(rng) if i % 2 else render_call(random_call(rng))
-        flags, category, _ = evaluate_completion(completion, expected)
+        category, _ = evaluate_completion(completion, expected)
         fuzz_records.append(
             ScoreRecord(
                 example_id=f"fuzz:{i}",
                 stage=1,
                 block_id=1,
-                flags=flags,
                 category=category,
             )
         )
-    check("fuzz", fuzz_records)
+        fuzz_cases.append((completion, expected))
+    check("fuzz", fuzz_records, fuzz_cases)
     _verdict(7, "metric flag chain", failures)
 
 

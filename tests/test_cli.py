@@ -234,6 +234,36 @@ class TestRenderScorePipeline:
         assert lines[0] == "stage,block_1,block_2,block_3,block_4"
         assert lines[1].startswith("4,")
 
+    def test_matrix_rejects_flags_contradicting_category(self, split_paths, tmp_path, capsys):
+        # Giving 20 wrong_api records all-true flags must not raise the
+        # exact rate: the category is the score, and the file contradicts it.
+        reference_paths, blocks_path = split_paths
+        scores_path = tmp_path / "scores_A.jsonl"
+        main(
+            [
+                "score",
+                "--corpus", str(reference_paths["corpus"]),
+                "--blocks-file", str(blocks_path),
+                "--completions", str(reference_paths["completions_A"]),
+                "--out", str(scores_path),
+            ]
+        )
+        lines, edited = [], 0
+        for line in scores_path.read_text(encoding="utf-8").splitlines():
+            raw = json.loads(line)
+            if raw["category"] == "wrong_api" and edited < 20:
+                raw["flags"] = dict.fromkeys(raw["flags"], True)
+                edited += 1
+            lines.append(json.dumps(raw))
+        assert edited == 20
+        scores_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(
+            ["matrix", "--scores", str(scores_path), "--out", str(tmp_path / "matrix.csv")]
+        )
+        assert code == EXIT_VALIDATION
+        assert "contradict wrong_api" in capsys.readouterr().err
+        assert not (tmp_path / "matrix.csv").exists()
+
 
 class TestSummary:
     def test_two_by_two_fixture(self, tmp_path, capsys):
@@ -316,6 +346,25 @@ class TestReportSubcommand:
         assert code == EXIT_OK
         table = (out / "final_table.csv").read_text()
         assert "A,exact" in table and "B,exact" in table
+
+    @pytest.mark.parametrize("conditions", ["A,C", "A,A,B"])
+    def test_bad_or_repeated_condition_is_usage_error(
+        self, reference_paths, tmp_path, capsys, conditions
+    ):
+        out = tmp_path / "report"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "report",
+                    "--corpus", str(reference_paths["corpus"]),
+                    "--conditions", conditions,
+                    "--import", str(reference_paths["completions_A"]),
+                    "--out", str(out),
+                ]
+            )
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--conditions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_source_is_validation_error(self, reference_paths, tmp_path):
         code = main(

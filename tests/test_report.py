@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from _support import MockEndpoint
+from toolstream.cli import EXIT_OK, main
 from toolstream.corpus import StreamSpec
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
 from toolstream.genclient import EndpointConfig
@@ -21,6 +23,10 @@ from toolstream.report import (
 )
 from toolstream.scoring import AggregationError
 from toolstream.transform import Condition, RenderedPrompt
+
+# sha256 over (name, bytes) of each fixture `report` output except
+# manifest.json, in name order.
+REFERENCE_REPORT_SHA256 = "264111b1ce56252304c091130689f2425877becca06215e2e888537663b244a9"
 
 
 class TestFormatPct:
@@ -127,6 +133,27 @@ class TestRunReport:
 
         stats = json.loads((out / "context_stats.json").read_text())
         assert stats["ws_token_ratio_b_over_a"] > 1
+
+    def test_reference_report_golden_digest(self, reference_paths, tmp_path):
+        # Pins the bytes of every output but manifest.json (which holds
+        # paths), so a change that alters them the same way on every run
+        # still fails here.
+        out = tmp_path / "out"
+        code = main(
+            [
+                "report",
+                "--corpus", str(reference_paths["corpus"]),
+                "--import", str(reference_paths["completions_A"]),
+                "--import", str(reference_paths["completions_B"]),
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == REFERENCE_REPORT_SHA256
 
     def test_import_given_twice_is_rejected(self, reference_paths, tmp_path):
         with pytest.raises(AggregationError, match="more than one completion"):

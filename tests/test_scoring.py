@@ -16,6 +16,7 @@ from toolstream.report import format_pct
 from toolstream.scoring import (
     CATEGORY_LABELS,
     CATEGORY_ORDER,
+    FLAGS,
     AggregationError,
     BlockScore,
     ErrorCategory,
@@ -25,7 +26,6 @@ from toolstream.scoring import (
     aggregate_macro,
     aggregate_micro,
     category_counts,
-    classify_error,
     evaluate_completion,
     read_scores_jsonl,
     score_completions,
@@ -36,35 +36,39 @@ from toolstream.scoring import (
 WEATHER = ApiCall("GetWeather", (("city", "Paris"),))
 
 
+def _flags(completion, expected):
+    return FLAGS[evaluate_completion(completion, expected)[0]]
+
+
 class TestScoreExample:
     def test_exact_match(self):
-        flags = evaluate_completion("[GetWeather(city='Paris')]", WEATHER)[0]
+        flags = _flags("[GetWeather(city='Paris')]", WEATHER)
         assert flags == MetricFlags(parsed=True, name_ok=True, name_any_ok=True, exact_ok=True)
 
     def test_wrong_value(self):
-        flags = evaluate_completion("[GetWeather(city='Lyon')]", WEATHER)[0]
+        flags = _flags("[GetWeather(city='Lyon')]", WEATHER)
         assert flags.parsed and flags.name_ok
         assert not flags.name_any_ok and not flags.exact_ok
 
     def test_no_call(self):
-        flags = evaluate_completion("I will check the weather.", WEATHER)[0]
+        flags = _flags("I will check the weather.", WEATHER)
         assert flags == MetricFlags(parsed=False, name_ok=False, name_any_ok=False, exact_ok=False)
 
     def test_quote_style_does_not_matter(self):
-        assert evaluate_completion('[GetWeather(city="Paris")]', WEATHER)[0].exact_ok
+        assert _flags('[GetWeather(city="Paris")]', WEATHER).exact_ok
 
     def test_extra_param_breaks_exact_not_name_any(self):
-        flags = evaluate_completion("[GetWeather(city='Paris', units='C')]", WEATHER)[0]
+        flags = _flags("[GetWeather(city='Paris', units='C')]", WEATHER)
         assert flags.name_any_ok and not flags.exact_ok
 
     def test_partial_params(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
-        flags = evaluate_completion("[Book(origin='LHR', dest='AMS')]", expected)[0]
+        flags = _flags("[Book(origin='LHR', dest='AMS')]", expected)
         assert flags.name_any_ok and not flags.exact_ok
 
     def test_param_order_ignored(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
-        assert evaluate_completion("[Book(dest='CDG', origin='LHR')]", expected)[0].exact_ok
+        assert _flags("[Book(dest='CDG', origin='LHR')]", expected).exact_ok
 
 
 # The scanner alone resolves quotes and escapes; normalization only trims
@@ -82,7 +86,8 @@ class TestScoreExample:
 )
 def test_value_equality_golden(completion, expected_text, exact):
     expected = parse_first_call(expected_text).call
-    flags, category, _ = evaluate_completion(completion, expected)
+    category, _ = evaluate_completion(completion, expected)
+    flags = FLAGS[category]
     assert flags.parsed and flags.name_ok
     assert flags.exact_ok is exact
     assert category is (
@@ -92,64 +97,50 @@ def test_value_equality_golden(completion, expected_text, exact):
 
 class TestClassifyError:
     def test_malformed(self):
-        flags, category, predicted = evaluate_completion("nope", WEATHER)
+        category, predicted = evaluate_completion("nope", WEATHER)
         assert category is ErrorCategory.MALFORMED_NO_CALL
         assert predicted is None
 
     def test_wrong_api(self):
-        _, category, _ = evaluate_completion("[GetNews(city='Paris')]", WEATHER)
+        category, _ = evaluate_completion("[GetNews(city='Paris')]", WEATHER)
         assert category is ErrorCategory.WRONG_API
 
     def test_exact(self):
-        _, category, _ = evaluate_completion("[GetWeather(city='Paris')]", WEATHER)
+        category, _ = evaluate_completion("[GetWeather(city='Paris')]", WEATHER)
         assert category is ErrorCategory.EXACT_FULL_CALL
 
     def test_some_params(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
-        _, category, _ = evaluate_completion("[Book(origin='LHR', dest='AMS')]", expected)
+        category, _ = evaluate_completion("[Book(origin='LHR', dest='AMS')]", expected)
         assert category is ErrorCategory.CORRECT_API_SOME_PARAMS
 
     def test_wrong_params(self):
-        _, category, _ = evaluate_completion("[GetWeather(city='Lyon')]", WEATHER)
+        category, _ = evaluate_completion("[GetWeather(city='Lyon')]", WEATHER)
         assert category is ErrorCategory.CORRECT_API_WRONG_PARAMS
 
     def test_empty_expected_with_extra_params_is_wrong_params(self):
         ping = ApiCall("Ping")
-        flags, category, _ = evaluate_completion("[Ping(x='1')]", ping)
-        assert not flags.name_any_ok
+        category, _ = evaluate_completion("[Ping(x='1')]", ping)
+        assert not FLAGS[category].name_any_ok
         assert category is ErrorCategory.CORRECT_API_WRONG_PARAMS
 
     def test_empty_expected_exact(self):
-        _, category, _ = evaluate_completion("[Ping()]", ApiCall("Ping"))
+        category, _ = evaluate_completion("[Ping()]", ApiCall("Ping"))
         assert category is ErrorCategory.EXACT_FULL_CALL
-
-    def test_flags_only_interface(self):
-        flags = MetricFlags(parsed=True, name_ok=False, name_any_ok=False, exact_ok=False)
-        assert classify_error(flags) is ErrorCategory.WRONG_API
-
-
-class TestMetricFlagsInvariant:
-    def test_inconsistent_flags_rejected(self):
-        with pytest.raises(ValueError):
-            MetricFlags(parsed=False, name_ok=True, name_any_ok=False, exact_ok=False)
-        with pytest.raises(ValueError):
-            MetricFlags(parsed=True, name_ok=True, name_any_ok=False, exact_ok=True)
 
 
 def _records(stage, block_id, flag_rows):
-    records = []
-    for i, (parsed, name_ok, name_any, exact) in enumerate(flag_rows):
-        flags = MetricFlags(parsed=parsed, name_ok=name_ok, name_any_ok=name_any, exact_ok=exact)
-        records.append(
-            ScoreRecord(
-                example_id=f"e:{i}",
-                stage=stage,
-                block_id=block_id,
-                flags=flags,
-                category=classify_error(flags),
-            )
+    # Each flag row names the one category whose FLAGS row it is.
+    category_of = {flags: category for category, flags in FLAGS.items()}
+    return [
+        ScoreRecord(
+            example_id=f"e:{i}",
+            stage=stage,
+            block_id=block_id,
+            category=category_of[MetricFlags(*row)],
         )
-    return records
+        for i, row in enumerate(flag_rows)
+    ]
 
 
 class TestAggregation:
@@ -157,14 +148,14 @@ class TestAggregation:
         rows = [(True, True, True, True)] * 45 + [(False, False, False, False)] * 81
         score = aggregate_block(_records(4, 1, rows))
         assert score.n == 126
-        assert score.acc_exact == 45 / 126
-        assert round(score.acc_exact, 3) == 0.357
-        assert format_pct(score.acc_exact) == "35.7"
+        assert score.rates["exact"] == 45 / 126
+        assert round(score.rates["exact"], 3) == 0.357
+        assert format_pct(score.rates["exact"]) == "35.7"
 
     def test_all_exact(self):
         score = aggregate_block(_records(4, 1, [(True, True, True, True)] * 7))
-        assert score.acc_exact == score.acc_name == score.acc_name_any == 1.0
-        assert score.rate_malformed == 0.0
+        assert score.rates["exact"] == score.rates["name"] == score.rates["name_any"] == 1.0
+        assert score.rates["malformed"] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
@@ -183,10 +174,7 @@ class TestAggregation:
                 stage=4,
                 block_id=block_id,
                 n=100,
-                acc_exact=vals[0],
-                acc_name=vals[1],
-                acc_name_any=vals[2],
-                rate_malformed=0.0,
+                rates={"exact": vals[0], "name": vals[1], "name_any": vals[2], "malformed": 0.0},
             )
 
         exact_blocks = [
@@ -203,15 +191,15 @@ class TestAggregation:
     def test_macro_single_block(self):
         single = aggregate_block(_records(4, 1, [(True, True, True, True)] * 3))
         macro = aggregate_macro([single])
-        assert macro["exact"] == single.acc_exact
+        assert macro["exact"] == single.rates["exact"]
 
     def test_macro_adds_left_to_right_on_every_interpreter(self):
         # Ten 0.1s summed left to right give 0.9999999999999999; the
         # compensated sum() of Python 3.12 and later gives 1.0.
         blocks = [
             BlockScore(
-                stage=4, block_id=i, n=10, acc_exact=0.1, acc_name=0.1,
-                acc_name_any=0.1, rate_malformed=0.1,
+                stage=4, block_id=i, n=10,
+                rates={"exact": 0.1, "name": 0.1, "name_any": 0.1, "malformed": 0.1},
             )
             for i in range(1, 11)
         ]
@@ -251,30 +239,28 @@ class TestCategoryProperties:
                     tuple((k, v + "_x") for k, v in expected.params),
                 )
                 completion = render_call(mutated)
-            flags, category, _ = evaluate_completion(completion, expected)
+            category, _ = evaluate_completion(completion, expected)
             records.append(
                 ScoreRecord(
                     example_id=f"f:{i}",
                     stage=1,
                     block_id=1,
-                    flags=flags,
                     category=category,
                 )
             )
         counts = category_counts(records)
         assert sum(counts.values()) == len(records)
-        n_exact = sum(r.flags.exact_ok for r in records)
-        n_any = sum(r.flags.name_any_ok for r in records)
-        n_name = sum(r.flags.name_ok for r in records)
-        n_parsed = sum(r.flags.parsed for r in records)
+        flags = [FLAGS[r.category] for r in records]
+        n_exact = sum(f.exact_ok for f in flags)
+        n_any = sum(f.name_any_ok for f in flags)
+        n_name = sum(f.name_ok for f in flags)
+        n_parsed = sum(f.parsed for f in flags)
         assert n_exact <= n_any <= n_name <= n_parsed
         # category/flag consistency
-        for r in records:
-            assert (r.category is ErrorCategory.EXACT_FULL_CALL) == r.flags.exact_ok
-            assert (r.category is ErrorCategory.MALFORMED_NO_CALL) == (not r.flags.parsed)
-            assert (r.category is ErrorCategory.WRONG_API) == (
-                r.flags.parsed and not r.flags.name_ok
-            )
+        for r, f in zip(records, flags):
+            assert (r.category is ErrorCategory.EXACT_FULL_CALL) == f.exact_ok
+            assert (r.category is ErrorCategory.MALFORMED_NO_CALL) == (not f.parsed)
+            assert (r.category is ErrorCategory.WRONG_API) == (f.parsed and not f.name_ok)
 
 
 class TestExports:
@@ -283,23 +269,16 @@ class TestExports:
         path = tmp_path / "scores.jsonl"
         write_scores_jsonl(path, records)
         loaded = read_scores_jsonl(path)
-        assert [(r.example_id, r.stage, r.block_id, r.flags, r.category) for r in loaded] == [
-            (r.example_id, r.stage, r.block_id, r.flags, r.category) for r in records
+        assert [(r.example_id, r.stage, r.block_id, r.category) for r in loaded] == [
+            (r.example_id, r.stage, r.block_id, r.category) for r in records
         ]
 
     def test_scores_jsonl_bytes_equal_json_dumps(self, tmp_path):
         ids = ['plain', 'quote"d', "back\\slash", "caf\u00e9", "new\nline", "tab\there"]
-        flag_rows = [  # every combination the flag chain allows
-            (False, False, False, False),
-            (True, False, False, False),
-            (True, True, False, False),
-            (True, True, True, False),
-            (True, True, True, True),
-        ]
         records = [
-            ScoreRecord(example_id, stage, block_id, MetricFlags(*row), category)
-            for (example_id, stage, block_id), row, category in itertools.product(
-                zip(ids, (0, 1, 4, 12, 3, 7), (0, 9, 10, 2, 1, 123)), flag_rows, ErrorCategory
+            ScoreRecord(example_id, stage, block_id, category)
+            for (example_id, stage, block_id), category in itertools.product(
+                zip(ids, (0, 1, 4, 12, 3, 7), (0, 9, 10, 2, 1, 123)), ErrorCategory
             )
         ]
         path = tmp_path / "scores.jsonl"
@@ -311,10 +290,10 @@ class TestExports:
                     "stage": r.stage,
                     "block": r.block_id,
                     "flags": {
-                        "parsed": r.flags.parsed,
-                        "name_ok": r.flags.name_ok,
-                        "name_any_ok": r.flags.name_any_ok,
-                        "exact_ok": r.flags.exact_ok,
+                        "parsed": FLAGS[r.category].parsed,
+                        "name_ok": FLAGS[r.category].name_ok,
+                        "name_any_ok": FLAGS[r.category].name_any_ok,
+                        "exact_ok": FLAGS[r.category].exact_ok,
                     },
                     "category": r.category.value,
                 }
@@ -324,6 +303,25 @@ class TestExports:
         )
         assert path.read_bytes() == expected.encode("utf-8")
         assert read_scores_jsonl(path) == records
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"parsed": True, "name_ok": True, "name_any_ok": True, "exact_ok": True},
+            {"parsed": "no", "name_ok": False, "name_any_ok": False, "exact_ok": False},
+            {"parsed": True, "name_ok": False, "name_any_ok": False},
+        ],
+    )
+    def test_flags_contradicting_the_category_rejected(self, tmp_path, flags):
+        # A wrong_api record may carry only wrong_api's flags; "no" is not
+        # read as true, and a missing flag is not read as false.
+        path = tmp_path / "scores.jsonl"
+        record = {
+            "example_id": "e:1", "stage": 4, "block": 1, "flags": flags, "category": "wrong_api",
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(AggregationError, match="line 1"):
+            read_scores_jsonl(path)
 
     def test_category_csv_row_order(self, tmp_path):
         records = _records(4, 1, [(True, True, True, True), (False, False, False, False)])
@@ -368,4 +366,4 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
     ] * 3
     for r, c in zip(records, completions):
         expected = examples[c.example_id].expected
-        assert (r.flags, r.category) == evaluate_completion(c.text, expected)[:2]
+        assert r.category is evaluate_completion(c.text, expected)[0]

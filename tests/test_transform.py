@@ -175,7 +175,6 @@ class TestContextStats:
         stats = context_stats(prompts, tokenizer_cmd=cmd)
         assert stats["A"]["ext_token"] == 3
         assert stats["B"]["ext_token"] == 2
-        assert prompts[0].ext_token_len == 3
 
     def test_external_tokenizer_failure_names_command(self):
         prompts = [RenderedPrompt("a", Condition.A_STRIPPED, "x")]
