@@ -7,8 +7,10 @@ For each interpreter found under ~/.pyenv/versions (3.10.*, 3.11.*,
 interpreter, with the sources under src/ and no installed package:
 
 - the reference-fixture `report` (fixtures, then report with both
-  conditions imported), whose output directory is hashed with sha256 and
-  compared with the 3.11 hash;
+  conditions imported) and the multi-stage `report` on the seeded input
+  of tests/_support.py's write_multistage_inputs (stages 0-4, so it also
+  writes the summaries and full matrices); each output directory is
+  hashed with sha256 and compared with the 3.11 hash;
 - the continual-learning statistics against the brute-force oracles of
   tests/_support.py on the random matrices of
   tests/test_clmetrics.py::test_oracle_equivalence_random_matrices
@@ -40,6 +42,17 @@ REPORT_ARGS = [
     "--import", "fixture/completions_B.jsonl",
     "--out", "run",
 ]
+
+MULTISTAGE_CODE = """
+from _support import MULTISTAGE_SEED, MULTISTAGE_T, write_multistage_inputs
+from toolstream.cli import main
+corpus, imports = write_multistage_inputs("multistage")
+args = ["report", "--corpus", str(corpus), "--blocks", str(MULTISTAGE_T),
+        "--seed", str(MULTISTAGE_SEED), "--out", "multistage_run"]
+for path in imports:
+    args += ["--import", str(path)]
+raise SystemExit(main(args))
+"""
 
 ORACLE_CODE = """
 import random
@@ -93,19 +106,21 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[str, int, int]:
-    """(report digest, oracle values checked, oracle mismatches) for one interpreter."""
+def check(python: Path) -> tuple[tuple[str, str], int, int]:
+    """((fixture report digest, multi-stage report digest), oracle values
+    checked, oracle mismatches) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
         _run(python, ["-m", "toolstream.cli", *REPORT_ARGS], work)
-        digest = tree_digest(work / "run")
+        _run(python, ["-c", MULTISTAGE_CODE], work)
+        digests = (tree_digest(work / "run"), tree_digest(work / "multistage_run"))
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
-    return digest, checked, mismatches
+    return digests, checked, mismatches
 
 
 def main() -> int:
-    results: dict[str, tuple[str, str, int, int] | None] = {}
+    results: dict[str, tuple[str, tuple[str, str], int, int] | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -115,7 +130,7 @@ def main() -> int:
         results[minor] = (version.strip(), *check(python))
 
     reference = results[REFERENCE]
-    reference_digest = reference[1] if reference else None
+    reference_digests = reference[1] if reference else (None, None)
     ok = True
     for minor in MINORS:
         result = results[minor]
@@ -123,14 +138,15 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        version, digest, checked, mismatches = result
-        matched = digest == reference_digest and mismatches == 0
+        version, digests, checked, mismatches = result
+        matched = digests == reference_digests and mismatches == 0
         ok = ok and matched
-        print(
-            f"{version}: {'match' if matched else 'MISMATCH'} "
-            f"report sha256 {digest[:16]} ({REFERENCE}: {str(reference_digest)[:16]}), "
-            f"oracle mismatches {mismatches}/{checked}"
+        shown = ", ".join(
+            f"{name} report sha256 {digest[:16]} ({REFERENCE}: {str(ref)[:16]})"
+            for name, digest, ref in zip(("fixture", "multi-stage"), digests, reference_digests)
         )
+        print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
+              f"oracle mismatches {mismatches}/{checked}")
     return 0 if ok else 1
 
 

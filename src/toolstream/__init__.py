@@ -42,17 +42,14 @@ from .transform import (
 )
 from .scoring import (
     FLAGS,
-    BlockScore,
     ErrorCategory,
     MetricFlags,
     ScoreRecord,
-    aggregate_block,
     aggregate_macro,
-    aggregate_micro,
+    rates,
 )
 from .clmetrics import (
     BaselineVector,
-    CLSummary,
     EvalMatrix,
     aulc,
     average_accuracy,

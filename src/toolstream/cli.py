@@ -275,7 +275,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.condition:
         completions = [c for c in completions if c.condition == args.condition.value]
     records = score_completions(completions, examples)
-    records.sort(key=lambda r: (r.stage, r.block_id, r.example_id))
     write_scores_jsonl(args.out, records)
     if args.categories:
         write_category_csv(args.categories, records)
@@ -285,8 +284,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     records = []
+    seen: set[tuple[int, str]] = set()
     for path in args.scores:
-        records.extend(read_scores_jsonl(path))
+        for record in read_scores_jsonl(path):
+            key = (record.stage, record.example_id)
+            if key in seen:
+                raise AggregationError(
+                    f"{path}: more than one score for example {key[1]!r} at stage {key[0]}"
+                )
+            seen.add(key)
+            records.append(record)
     if not records:
         raise AggregationError("no score records found")
     T = args.blocks or max(r.block_id for r in records)
@@ -316,8 +323,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
         else:
             raise MetricsError("baseline CSV must hold exactly one row (stage 0)")
         baseline = BaselineVector(tuple(values))
-    summary = summarize(matrix, baseline)
-    payload = json.dumps(summary.to_dict(), indent=2) + "\n"
+    payload = json.dumps(summarize(matrix, baseline), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 __all__ = [
     "EvalMatrix",
     "BaselineVector",
-    "CLSummary",
     "MetricsError",
     "average_accuracy",
     "bwt",
@@ -63,24 +62,6 @@ class BaselineVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class CLSummary:
-    final_aa: float
-    bwt: float
-    fwt: float
-    avg_forgetting: float
-    aulc: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "final_aa": self.final_aa,
-            "bwt": self.bwt,
-            "fwt": self.fwt,
-            "avg_forgetting": self.avg_forgetting,
-            "aulc": self.aulc,
-        }
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -136,16 +117,17 @@ def aulc(matrix: EvalMatrix) -> float:
     return _mean([_mean(R[i][: i + 1]) for i in range(matrix.T)])
 
 
-def summarize(matrix: EvalMatrix, baseline: BaselineVector) -> CLSummary:
-    """All five continual-learning statistics for one accuracy matrix."""
+def summarize(matrix: EvalMatrix, baseline: BaselineVector) -> dict[str, float]:
+    """All five continual-learning statistics for one accuracy matrix, by
+    name in the order final_aa, bwt, fwt, avg_forgetting, aulc."""
     _require_multistage(matrix)
-    return CLSummary(
-        final_aa=average_accuracy(matrix),
-        bwt=bwt(matrix),
-        fwt=fwt(matrix, baseline),
-        avg_forgetting=avg_forgetting(matrix),
-        aulc=aulc(matrix),
-    )
+    return {
+        "final_aa": average_accuracy(matrix),
+        "bwt": bwt(matrix),
+        "fwt": fwt(matrix, baseline),
+        "avg_forgetting": avg_forgetting(matrix),
+        "aulc": aulc(matrix),
+    }
 
 
 def write_matrix_csv(

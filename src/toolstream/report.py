@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .clmetrics import _mean, matrix_from_rows, summarize, write_matrix_csv
+from .clmetrics import matrix_from_rows, summarize, write_matrix_csv
 from .corpus import (
     StreamSpec,
     load_corpus,
@@ -33,11 +33,9 @@ from .genclient import (
 )
 from .scoring import (
     METRICS,
-    BlockScore,
     ScoreRecord,
-    aggregate_block,
     aggregate_macro,
-    aggregate_micro,
+    rates,
     score_completions,
     write_category_csv,
     write_scores_jsonl,
@@ -77,19 +75,19 @@ def _write_json(path: Path, payload: object) -> None:
 
 def block_scores_by_stage(
     records: Sequence[ScoreRecord],
-) -> dict[int, dict[int, BlockScore]]:
-    """Group score records and aggregate: stage -> block_id -> BlockScore."""
+) -> dict[int, dict[int, dict[str, float]]]:
+    """Group score records and aggregate: stage -> block_id -> rates."""
     grouped: dict[tuple[int, int], list[ScoreRecord]] = {}
     for record in records:
         grouped.setdefault((record.stage, record.block_id), []).append(record)
-    out: dict[int, dict[int, BlockScore]] = {}
+    out: dict[int, dict[int, dict[str, float]]] = {}
     for (stage, block_id), recs in sorted(grouped.items()):
-        out.setdefault(stage, {})[block_id] = aggregate_block(recs)
+        out.setdefault(stage, {})[block_id] = rates(recs)
     return out
 
 
 def stage_rows(
-    scores: Mapping[int, Mapping[int, BlockScore]],
+    scores: Mapping[int, Mapping[int, Mapping[str, float]]],
     stream: StreamSpec,
     metric: str,
 ) -> dict[int, list[float]]:
@@ -101,7 +99,7 @@ def stage_rows(
     rows: dict[int, list[float]] = {}
     for stage, by_block in scores.items():
         if all(b in by_block for b in stream.block_order):
-            rows[stage] = [by_block[b].rates[metric] for b in stream.block_order]
+            rows[stage] = [by_block[b][metric] for b in stream.block_order]
     return rows
 
 
@@ -119,23 +117,6 @@ def emit_heatmap_data(
             for stage in sorted(rows):
                 for block_id, value in zip(block_ids, rows[stage]):
                     writer.writerow([condition, stage, block_id, repr(float(value))])
-
-
-def _final_table_rows(
-    final_scores: Mapping[str, Mapping[int, BlockScore]],
-    stream: StreamSpec,
-) -> list[list[str]]:
-    rows = []
-    for condition in sorted(final_scores):
-        by_block = final_scores[condition]
-        for metric in METRICS:
-            values = [by_block[b].rates[metric] for b in stream.block_order]
-            rows.append(
-                [condition, metric]
-                + [format_pct(v) for v in values]
-                + [format_pct(_mean(values))]
-            )
-    return rows
 
 
 def run_report(
@@ -206,28 +187,28 @@ def run_report(
                 completions.extend(batch.ok_records)
 
     stages_seen: set[int] = set()
-    final_scores: dict[str, dict[int, BlockScore]] = {}
-    records_by_tag: dict[str, list[ScoreRecord]] = {}
+    # Condition -> its final-stage macro and micro means and record count.
+    final_means: dict[str, dict] = {}
     rows_by_metric: dict[str, dict[str, dict[int, list[float]]]] = {m: {} for m in METRICS}
     for condition in conditions:
         tag = condition.value
         cond_records = [c for c in completions if c.condition == tag]
         score_records = score_completions(cond_records, examples)
-        score_records.sort(key=lambda r: (r.stage, r.block_id, r.example_id))
         if not score_records:
             raise ReportError(f"no completions found for condition {tag}")
-        records_by_tag[tag] = score_records
-        stages_seen.update(r.stage for r in score_records)
+        # Records are unique per (stage, example), so a full count means
+        # every example is scored at every stage the condition has.
+        cond_stages = {r.stage for r in score_records}
+        missing = len(cond_stages) * len(examples) - len(score_records)
+        if missing:
+            raise ReportError(
+                f"condition {tag}: {missing} of {len(examples)} examples x "
+                f"{len(cond_stages)} stages have no completion"
+            )
+        stages_seen.update(cond_stages)
         write_scores_jsonl(out / f"scores_{tag}.jsonl", score_records)
 
         scores = block_scores_by_stage(score_records)
-        final_stage = stream.T
-        if final_stage in scores and all(
-            b in scores[final_stage] for b in stream.block_order
-        ):
-            final_scores[tag] = scores[final_stage]
-            final_records = [r for r in score_records if r.stage == final_stage]
-            write_category_csv(out / f"categories_{tag}.csv", final_records)
         for metric in METRICS:
             rows = stage_rows(scores, stream, metric)
             if rows:
@@ -240,10 +221,17 @@ def run_report(
                 )
 
         matrix_rows = rows_by_metric["exact"].get(tag, {})
+        if stream.T in matrix_rows:
+            finals = [r for r in score_records if r.stage == stream.T]
+            write_category_csv(out / f"categories_{tag}.csv", finals)
+            final_means[tag] = {
+                "macro": aggregate_macro([scores[stream.T][b] for b in stream.block_order]),
+                "micro": rates(finals),
+                "n_final": len(finals),
+            }
         if all(s in matrix_rows for s in range(0, stream.T + 1)):
             matrix, baseline = matrix_from_rows(matrix_rows, stream.T)
-            summary = summarize(matrix, baseline)
-            _write_json(out / f"summary_{tag}.json", summary.to_dict())
+            _write_json(out / f"summary_{tag}.json", summarize(matrix, baseline))
         else:
             print(
                 f"note: condition {tag} lacks stage rows 0..{stream.T}; "
@@ -260,7 +248,8 @@ def run_report(
             out / f"heatmap_{metric}.csv", per_condition, stream.block_order
         )
 
-    if final_scores:
+    if final_means:
+        final_means = dict(sorted(final_means.items()))
         with (out / "final_table.csv").open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -268,17 +257,15 @@ def run_report(
                 + [f"block_{b}" for b in stream.block_order]
                 + ["mean"]
             )
-            writer.writerows(_final_table_rows(final_scores, stream))
-        means = {}
-        for tag in sorted(final_scores):
-            macro = aggregate_macro([final_scores[tag][b] for b in stream.block_order])
-            finals = [r for r in records_by_tag[tag] if r.stage == stream.T]
-            means[tag] = {
-                "macro": macro,
-                "micro": aggregate_micro(finals),
-                "n_final": len(finals),
-            }
-        _write_json(out / "final_means.json", means)
+            for tag, means in final_means.items():
+                for metric in METRICS:
+                    row = rows_by_metric[metric][tag][stream.T]
+                    writer.writerow(
+                        [tag, metric]
+                        + [format_pct(v) for v in row]
+                        + [format_pct(means["macro"][metric])]
+                    )
+        _write_json(out / "final_means.json", final_means)
 
     # Everything needed to reproduce the run given the completion source.
     _write_json(out / "manifest.json", {

@@ -1,5 +1,5 @@
 """Completion scoring: the five-way error taxonomy, the metric flags and
-rates that follow from it, and per-block aggregation.
+rates that follow from it, and their block and macro means.
 
 The error category is the only stored score. Its flags come from a table
 whose five rows are the patterns the chain (exact implies name+any-param
@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call
 from .clmetrics import _mean
@@ -22,7 +22,6 @@ __all__ = [
     "MetricFlags",
     "ErrorCategory",
     "ScoreRecord",
-    "BlockScore",
     "AggregationError",
     "CATEGORY_ORDER",
     "CATEGORY_LABELS",
@@ -30,9 +29,8 @@ __all__ = [
     "METRICS",
     "evaluate_completion",
     "score_completions",
-    "aggregate_block",
+    "rates",
     "aggregate_macro",
-    "aggregate_micro",
     "category_counts",
     "write_scores_jsonl",
     "read_scores_jsonl",
@@ -99,14 +97,6 @@ class ScoreRecord:
     category: ErrorCategory
 
 
-@dataclass(frozen=True)
-class BlockScore:
-    stage: int
-    block_id: int
-    n: int
-    rates: dict[str, float]  # keyed by METRICS
-
-
 def _categorize(predicted: _Pair | None, expected: _Pair) -> ErrorCategory:
     """Category of a prediction; predicted is None when nothing parsed."""
     if predicted is None:
@@ -144,6 +134,7 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
     ScoredExample whose block_id is assigned. Each (stage, example) may be
     scored once; a second completion for it is an error. Each expected
     call is normalized once, however many stages score its example.
+    Records come back sorted by (stage, block_id, example_id).
     """
     records: list[ScoreRecord] = []
     seen: set[tuple[int, str]] = set()
@@ -179,10 +170,15 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
                 category=category,
             )
         )
+    records.sort(key=lambda r: (r.stage, r.block_id, r.example_id))
     return records
 
 
-def _rates(records: Sequence[ScoreRecord]) -> dict[str, float]:
+def rates(records: Sequence[ScoreRecord]) -> dict[str, float]:
+    """Pooled per-metric rates over the records, keyed by METRICS: one
+    block's score, or the micro mean over several blocks."""
+    if not records:
+        raise AggregationError("cannot aggregate an empty record list")
     counts = category_counts(records)
     return {
         metric: sum(counts[c] for c in categories) / len(records)
@@ -190,33 +186,11 @@ def _rates(records: Sequence[ScoreRecord]) -> dict[str, float]:
     }
 
 
-def aggregate_block(records: Sequence[ScoreRecord]) -> BlockScore:
-    """Exact per-block rates; all records must share (stage, block)."""
-    if not records:
-        raise AggregationError("cannot aggregate an empty record list")
-    keys = {(r.stage, r.block_id) for r in records}
-    if len(keys) > 1:
-        raise AggregationError(f"records span multiple (stage, block) keys: {sorted(keys)}")
-    return BlockScore(
-        stage=records[0].stage,
-        block_id=records[0].block_id,
-        n=len(records),
-        rates=_rates(records),
-    )
-
-
-def aggregate_macro(blocks: Sequence[BlockScore]) -> dict[str, float]:
-    """Unweighted per-metric mean over blocks (printed-table convention)."""
+def aggregate_macro(blocks: Sequence[Mapping[str, float]]) -> dict[str, float]:
+    """Unweighted per-metric mean over per-block rates (printed-table convention)."""
     if not blocks:
         raise AggregationError("cannot average zero block scores")
-    return {metric: _mean([b.rates[metric] for b in blocks]) for metric in METRICS}
-
-
-def aggregate_micro(records: Sequence[ScoreRecord]) -> dict[str, float]:
-    """Pooled rates over all records, for transparency next to macro."""
-    if not records:
-        raise AggregationError("cannot aggregate an empty record list")
-    return _rates(records)
+    return {metric: _mean([b[metric] for b in blocks]) for metric in METRICS}
 
 
 def category_counts(records: Iterable[ScoreRecord]) -> dict[ErrorCategory, int]:

@@ -16,9 +16,11 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from toolstream.calls import ApiCall, FailureReason, ParsedCall, parse_first_call
-from toolstream.corpus import Episode, load_corpus
-from toolstream.fixtures import write_jsonl_records
+from toolstream.calls import ApiCall, FailureReason, ParsedCall, parse_first_call, render_call
+from toolstream.corpus import Episode, load_corpus, partition_blocks
+from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
+from toolstream.genclient import CompletionRecord, write_completions_jsonl
+from toolstream.transform import Condition, render_prompt
 
 # Fixed malformed-completion corpus: each case's text, the reason it must
 # produce, and the offset the failure must point at.
@@ -184,6 +186,57 @@ def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:
     path = Path(tmp_path) / "synthetic_corpus.jsonl"
     write_jsonl_records(path, records)
     return load_corpus(path)
+
+
+# ---------------------------------------------------------------------------
+# A seeded multi-stage replay input
+
+MULTISTAGE_T = 4
+MULTISTAGE_SEED = 42
+
+
+def _planted_completion(rng: random.Random, expected: ApiCall, p_exact: float) -> str:
+    """An exact call with probability p_exact, else one of the four other
+    category shapes (the corpus calls all take two parameters)."""
+    if rng.random() < p_exact:
+        return render_call(expected)
+    (k1, v1), (k2, v2) = expected.params
+    shape = rng.randrange(4)
+    if shape == 0:
+        return render_call(ApiCall(expected.name, ((k1, v1), (k2, f"x_{v2}"))))
+    if shape == 1:
+        return render_call(ApiCall(expected.name, ((k1, f"x_{v1}"), (k2, f"x_{v2}"))))
+    if shape == 2:
+        return render_call(ApiCall("OtherTool", expected.params))
+    return f"[{expected.name}({k1}='{v1}'"
+
+
+def write_multistage_inputs(directory, seed: int = 11) -> tuple[Path, list[Path]]:
+    """Write a corpus and stage 0-4 completions under both conditions for a
+    StreamSpec(T=MULTISTAGE_T, seed=MULTISTAGE_SEED) report; returns the
+    corpus path and the two completion files. A block scores better once
+    its stage has trained it, and B a little better than A, so every
+    matrix, summary and heatmap has distinct rows."""
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    corpus = out / "corpus.jsonl"
+    write_jsonl_records(corpus, trace_heavy_corpus_records(40, 3, n_apis=8))
+    blocks = partition_blocks(load_corpus(corpus), MULTISTAGE_T, MULTISTAGE_SEED)
+    examples = sorted((ex for b in blocks for ex in b.examples), key=lambda ex: ex.id)
+    rng = random.Random(seed)
+    paths = []
+    for condition, bonus in ((Condition.A_STRIPPED, 0.0), (Condition.B_TRAJECTORY, 0.15)):
+        records = []
+        for ex in examples:
+            prompt_hash = render_prompt(ex, condition).prompt_hash
+            for stage in range(MULTISTAGE_T + 1):
+                p_exact = (0.6 if ex.block_id <= stage else 0.2) + bonus
+                text = _planted_completion(rng, ex.expected, p_exact)
+                records.append(CompletionRecord(ex.id, condition.value, stage, prompt_hash, text))
+        path = out / f"completions_{condition.value}.jsonl"
+        write_completions_jsonl(path, records)
+        paths.append(path)
+    return corpus, paths
 
 
 # ---------------------------------------------------------------------------

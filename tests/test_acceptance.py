@@ -56,10 +56,10 @@ from toolstream.scoring import (
     CATEGORY_ORDER,
     FLAGS,
     ScoreRecord,
-    aggregate_block,
     aggregate_macro,
     category_counts,
     evaluate_completion,
+    rates,
     score_completions,
 )
 from toolstream.transform import (
@@ -83,7 +83,7 @@ def _scored_blocks(reference_paths, reference_blocks, condition: str):
     by_block: dict[int, list] = {}
     for record in scored:
         by_block.setdefault(record.block_id, []).append(record)
-    return scored, [aggregate_block(by_block[b]) for b in sorted(by_block)]
+    return scored, [rates(by_block[b]) for b in sorted(by_block)]
 
 
 def test_criterion_1_final_table_replay(reference_paths, reference_blocks):

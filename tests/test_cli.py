@@ -264,6 +264,40 @@ class TestRenderScorePipeline:
         assert "contradict wrong_api" in capsys.readouterr().err
         assert not (tmp_path / "matrix.csv").exists()
 
+    @pytest.mark.parametrize("second", ["scores_B", "head_of_scores_A"])
+    def test_matrix_rejects_a_repeated_stage_and_example(
+        self, split_paths, tmp_path, capsys, second
+    ):
+        # Score records name no condition, so A's and B's files together, or
+        # a file's lines given twice, would pool into one matrix.
+        reference_paths, blocks_path = split_paths
+        for tag in ("A", "B"):
+            code = main(
+                [
+                    "score",
+                    "--corpus", str(reference_paths["corpus"]),
+                    "--blocks-file", str(blocks_path),
+                    "--completions", str(reference_paths[f"completions_{tag}"]),
+                    "--out", str(tmp_path / f"scores_{tag}.jsonl"),
+                ]
+            )
+            assert code == EXIT_OK
+        scores_a = (tmp_path / "scores_A.jsonl").read_text(encoding="utf-8")
+        (tmp_path / "head_of_scores_A.jsonl").write_text(
+            "".join(scores_a.splitlines(keepends=True)[:40]), encoding="utf-8"
+        )
+        code = main(
+            [
+                "matrix",
+                "--scores", str(tmp_path / "scores_A.jsonl"),
+                "--scores", str(tmp_path / f"{second}.jsonl"),
+                "--out", str(tmp_path / "matrix.csv"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "more than one score for example" in capsys.readouterr().err
+        assert not (tmp_path / "matrix.csv").exists()
+
 
 class TestSummary:
     def test_two_by_two_fixture(self, tmp_path, capsys):
@@ -419,6 +453,26 @@ class TestReportSubcommand:
         )
         assert code == EXIT_INPUT
         assert not list(out.glob("scores_*.jsonl"))
+        assert not (out / "manifest.json").exists()
+
+
+    def test_missing_completion_is_validation_error(self, reference_paths, tmp_path, capsys):
+        lines = reference_paths["completions_B"].read_text(encoding="utf-8").splitlines(True)
+        assert len(lines) == 440
+        truncated = tmp_path / "completions_B.jsonl"
+        truncated.write_text("".join(lines[:400]), encoding="utf-8")
+        out = tmp_path / "r"
+        code = main(
+            [
+                "report",
+                "--corpus", str(reference_paths["corpus"]),
+                "--import", str(reference_paths["completions_A"]),
+                "--import", str(truncated),
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "condition B: 40 of 440 examples x 1 stages" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
 

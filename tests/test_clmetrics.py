@@ -161,7 +161,7 @@ class TestSummarize:
     def test_zero_matrix(self):
         m = _matrix([[0.0] * 3] * 3)
         summary = summarize(m, BaselineVector((0.0, 0.0, 0.0)))
-        assert summary.to_dict() == {
+        assert summary == {
             "final_aa": 0.0,
             "bwt": 0.0,
             "fwt": 0.0,
@@ -176,11 +176,13 @@ class TestSummarize:
         m = _matrix(R)
         baseline = BaselineVector(tuple(b))
         summary = summarize(m, baseline)
-        assert summary.final_aa == average_accuracy(m)
-        assert summary.bwt == bwt(m)
-        assert summary.fwt == fwt(m, baseline)
-        assert summary.avg_forgetting == avg_forgetting(m)
-        assert summary.aulc == aulc(m)
+        assert list(summary.items()) == [
+            ("final_aa", average_accuracy(m)),
+            ("bwt", bwt(m)),
+            ("fwt", fwt(m, baseline)),
+            ("avg_forgetting", avg_forgetting(m)),
+            ("aulc", aulc(m)),
+        ]
 
 
 def test_oracle_equivalence_random_matrices():

@@ -13,9 +13,9 @@ from toolstream.fixtures import (
 from toolstream.genclient import import_completions
 from toolstream.scoring import (
     CATEGORY_ORDER,
-    aggregate_block,
     aggregate_macro,
     category_counts,
+    rates,
     score_completions,
 )
 from toolstream.transform import Condition, render_prompt
@@ -76,9 +76,7 @@ def test_micro_exact_close_to_macro(reference_paths, reference_blocks):
     by_block: dict[int, list] = {}
     for r in scored:
         by_block.setdefault(r.block_id, []).append(r)
-    macro_exact = aggregate_macro(
-        [aggregate_block(by_block[b]) for b in sorted(by_block)]
-    )["exact"]
+    macro_exact = aggregate_macro([rates(by_block[b]) for b in sorted(by_block)])["exact"]
     assert abs(micro_exact - macro_exact) * 100 < 1.5  # pooled vs unweighted gap
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from _support import MockEndpoint
+from _support import MULTISTAGE_SEED, MULTISTAGE_T, MockEndpoint, write_multistage_inputs
 from toolstream.cli import EXIT_OK, main
 from toolstream.corpus import StreamSpec
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
@@ -24,9 +24,20 @@ from toolstream.report import (
 from toolstream.scoring import AggregationError
 from toolstream.transform import Condition, RenderedPrompt
 
-# sha256 over (name, bytes) of each fixture `report` output except
-# manifest.json, in name order.
+# sha256 over (name, bytes) of each `report` output except manifest.json,
+# in name order (see _report_digest), for the fixture and for the seeded
+# multi-stage input of _support.write_multistage_inputs.
 REFERENCE_REPORT_SHA256 = "264111b1ce56252304c091130689f2425877becca06215e2e888537663b244a9"
+MULTISTAGE_REPORT_SHA256 = "2c5b72766d40274d4ee5cc45998c48d5295838b18d87753a4f2777b2bd206a77"
+
+
+def _report_digest(out: Path) -> str:
+    # manifest.json holds paths, so it is left out.
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 class TestFormatPct:
@@ -135,9 +146,8 @@ class TestRunReport:
         assert stats["ws_token_ratio_b_over_a"] > 1
 
     def test_reference_report_golden_digest(self, reference_paths, tmp_path):
-        # Pins the bytes of every output but manifest.json (which holds
-        # paths), so a change that alters them the same way on every run
-        # still fails here.
+        # Pins the bytes of every output but manifest.json, so a change
+        # that alters them the same way on every run still fails here.
         out = tmp_path / "out"
         code = main(
             [
@@ -149,11 +159,21 @@ class TestRunReport:
             ]
         )
         assert code == EXIT_OK
-        digest = hashlib.sha256()
-        for path in sorted(out.iterdir()):
-            if path.name != "manifest.json":
-                digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
-        assert digest.hexdigest() == REFERENCE_REPORT_SHA256
+        assert _report_digest(out) == REFERENCE_REPORT_SHA256
+
+    def test_multistage_report_golden_digest(self, tmp_path):
+        # Stages 0-4 under both conditions: full matrices, summaries and
+        # heatmaps, which the single-stage fixture does not write.
+        corpus, imports = write_multistage_inputs(tmp_path / "in")
+        out = run_report(
+            corpus_path=corpus,
+            out_dir=tmp_path / "out",
+            stream=StreamSpec(T=MULTISTAGE_T, seed=MULTISTAGE_SEED),
+            conditions=[Condition.A_STRIPPED, Condition.B_TRAJECTORY],
+            import_paths=imports,
+        )
+        assert (out / "summary_A.json").exists() and (out / "summary_B.json").exists()
+        assert _report_digest(out) == MULTISTAGE_REPORT_SHA256
 
     def test_import_given_twice_is_rejected(self, reference_paths, tmp_path):
         with pytest.raises(AggregationError, match="more than one completion"):

@@ -18,15 +18,13 @@ from toolstream.scoring import (
     CATEGORY_ORDER,
     FLAGS,
     AggregationError,
-    BlockScore,
     ErrorCategory,
     MetricFlags,
     ScoreRecord,
-    aggregate_block,
     aggregate_macro,
-    aggregate_micro,
     category_counts,
     evaluate_completion,
+    rates,
     read_scores_jsonl,
     score_completions,
     write_category_csv,
@@ -146,62 +144,40 @@ def _records(stage, block_id, flag_rows):
 class TestAggregation:
     def test_block_fractions(self):
         rows = [(True, True, True, True)] * 45 + [(False, False, False, False)] * 81
-        score = aggregate_block(_records(4, 1, rows))
-        assert score.n == 126
-        assert score.rates["exact"] == 45 / 126
-        assert round(score.rates["exact"], 3) == 0.357
-        assert format_pct(score.rates["exact"]) == "35.7"
+        score = rates(_records(4, 1, rows))
+        assert score["exact"] == 45 / 126
+        assert round(score["exact"], 3) == 0.357
+        assert format_pct(score["exact"]) == "35.7"
 
     def test_all_exact(self):
-        score = aggregate_block(_records(4, 1, [(True, True, True, True)] * 7))
-        assert score.rates["exact"] == score.rates["name"] == score.rates["name_any"] == 1.0
-        assert score.rates["malformed"] == 0.0
+        score = rates(_records(4, 1, [(True, True, True, True)] * 7))
+        assert score["exact"] == score["name"] == score["name_any"] == 1.0
+        assert score["malformed"] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(AggregationError):
-            aggregate_block([])
-
-    def test_mixed_keys_rejected(self):
-        records = _records(4, 1, [(True, True, True, True)]) + _records(
-            4, 2, [(True, True, True, True)]
-        )
-        with pytest.raises(AggregationError):
-            aggregate_block(records)
+            rates([])
 
     def test_macro_mean_reference_rows(self):
-        def block(vals, block_id):
-            return BlockScore(
-                stage=4,
-                block_id=block_id,
-                n=100,
-                rates={"exact": vals[0], "name": vals[1], "name_any": vals[2], "malformed": 0.0},
-            )
+        def block(vals):
+            return {"exact": vals[0], "name": vals[1], "name_any": vals[2], "malformed": 0.0}
 
-        exact_blocks = [
-            block((v / 100, 0, 0), i)
-            for i, v in enumerate((57.9, 61.5, 44.7, 63.6), start=1)
-        ]
+        exact_blocks = [block((v / 100, 0, 0)) for v in (57.9, 61.5, 44.7, 63.6)]
         assert format_pct(aggregate_macro(exact_blocks)["exact"]) == "56.9"
-        name_blocks = [
-            block((0, v / 100, 0), i)
-            for i, v in enumerate((64.3, 62.5, 60.2, 79.4), start=1)
-        ]
+        name_blocks = [block((0, v / 100, 0)) for v in (64.3, 62.5, 60.2, 79.4)]
         assert format_pct(aggregate_macro(name_blocks)["name"]) == "66.6"
 
     def test_macro_single_block(self):
-        single = aggregate_block(_records(4, 1, [(True, True, True, True)] * 3))
+        single = rates(_records(4, 1, [(True, True, True, True)] * 3))
         macro = aggregate_macro([single])
-        assert macro["exact"] == single.rates["exact"]
+        assert macro["exact"] == single["exact"]
 
     def test_macro_adds_left_to_right_on_every_interpreter(self):
         # Ten 0.1s summed left to right give 0.9999999999999999; the
         # compensated sum() of Python 3.12 and later gives 1.0.
         blocks = [
-            BlockScore(
-                stage=4, block_id=i, n=10,
-                rates={"exact": 0.1, "name": 0.1, "name_any": 0.1, "malformed": 0.1},
-            )
-            for i in range(1, 11)
+            {"exact": 0.1, "name": 0.1, "name_any": 0.1, "malformed": 0.1}
+            for _ in range(10)
         ]
         mean = 0.09999999999999999
         assert aggregate_macro(blocks) == {
@@ -214,7 +190,7 @@ class TestAggregation:
 
     def test_micro_pooled(self):
         rows = [(True, True, True, True)] * 3 + [(False, False, False, False)]
-        micro = aggregate_micro(_records(4, 1, rows))
+        micro = rates(_records(4, 1, rows) + _records(4, 2, rows))
         assert micro["exact"] == 0.75
         assert micro["malformed"] == 0.25
 
