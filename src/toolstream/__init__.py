@@ -20,7 +20,6 @@ from .calls import (
 )
 from .corpus import (
     DomainBlock,
-    DuplicateEpisodeError,
     Episode,
     IngestionError,
     PartitionError,

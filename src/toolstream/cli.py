@@ -9,8 +9,8 @@ writer. Recorded completions are validated against their prompts by
 Exit codes:
   0  success
   2  command-line usage error (including a missing required flag)
-  3  missing or unreadable input (file not found, ingestion error,
-     failing --tokenizer-cmd)
+  3  missing or unreadable input (any file-system error, a bad corpus
+     line, failing --tokenizer-cmd)
   4  validation error (partition, schema, matrix, aggregation)
   5  endpoint or transport failure
   6  stale completions under --strict
@@ -23,7 +23,6 @@ import argparse
 import json
 import shlex
 import sys
-from pathlib import Path
 
 from .calls import ParsedCall, normalize_params, parse_first_call, render_call
 from .clmetrics import (
@@ -47,6 +46,7 @@ from .corpus import (
     select_examples,
     write_blocks_json,
 )
+from .files import write_json
 from .fixtures import write_reference_fixture
 from .genclient import (
     CompletionCache,
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="score JSONL output path")
     p.add_argument("--categories", help="optional category-count CSV output")
     p.add_argument("--condition", type=_condition, help="restrict to one condition")
-    p.add_argument("--prompts", help="rendered prompts JSONL for hash validation")
+    p.add_argument("--prompts", help="rendered prompts JSONL: validates hashes, sets the eval set")
     p.add_argument("--strict", action="store_true", help="hash mismatches become errors")
     p.set_defaults(func=cmd_score)
 
@@ -250,7 +250,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    prompts, _ = read_rendered_jsonl(args.prompts)
+    prompts = read_rendered_jsonl(args.prompts)
     cache = CompletionCache(args.cache_dir) if args.cache_dir else None
     result = batch_generate(prompts, _endpoint_config(args), args.stage, cache)
     write_completions_jsonl(args.out, result.ok_records)
@@ -268,13 +268,18 @@ def cmd_score(args: argparse.Namespace) -> int:
     examples = select_examples(blocks, sample_size=None, seed=0)
     prompts = None
     if args.prompts:
-        prompts, _ = read_rendered_jsonl(args.prompts)
-    completions = []
-    for path in args.completions:
-        completions.extend(import_completions(path, prompts=prompts, strict=args.strict))
+        # The eval set of a sampled run is the examples it rendered.
+        prompts = read_rendered_jsonl(args.prompts)
+        rendered = {p.example_id for p in prompts}
+        examples = {ex_id: ex for ex_id, ex in examples.items() if ex_id in rendered}
+    completions = import_completions(args.completions, prompts=prompts, strict=args.strict)
     if args.condition:
         completions = [c for c in completions if c.condition == args.condition.value]
-    records = score_completions(completions, examples)
+    try:
+        records = score_completions(completions, examples)
+    except AggregationError as exc:
+        hint = "" if args.prompts else " (to score a sampled run, pass its prompts file as --prompts)"
+        raise AggregationError(f"{exc}{hint}") from exc
     write_scores_jsonl(args.out, records)
     if args.categories:
         write_category_csv(args.categories, records)
@@ -323,12 +328,12 @@ def cmd_summary(args: argparse.Namespace) -> int:
         else:
             raise MetricsError("baseline CSV must hold exactly one row (stage 0)")
         baseline = BaselineVector(tuple(values))
-    payload = json.dumps(summarize(matrix, baseline), indent=2) + "\n"
+    summary = summarize(matrix, baseline)
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        write_json(args.out, summary)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -392,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IngestionError, StatsError) as exc:
+    except (OSError, IngestionError, StatsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TransportError, EndpointError) as exc:

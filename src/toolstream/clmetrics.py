@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .files import write_csv
+
 __all__ = [
     "EvalMatrix",
     "BaselineVector",
@@ -144,14 +146,13 @@ def write_matrix_csv(
     ids = list(block_ids) if block_ids is not None else list(range(1, T + 1))
     if len(ids) != T:
         raise MetricsError(f"expected {T} block ids, got {len(ids)}")
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage"] + [f"block_{b}" for b in ids])
-        for stage in sorted(rows):
-            row = list(rows[stage])
-            if len(row) != T:
-                raise MetricsError(f"stage {stage} row has {len(row)} values, expected {T}")
-            writer.writerow([stage] + [repr(float(v)) for v in row])
+    table = []
+    for stage in sorted(rows):
+        row = list(rows[stage])
+        if len(row) != T:
+            raise MetricsError(f"stage {stage} row has {len(row)} values, expected {T}")
+        table.append([stage] + [repr(float(v)) for v in row])
+    write_csv(path, ["stage"] + [f"block_{b}" for b in ids], table)
 
 
 def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]], list[int]]:

@@ -12,7 +12,6 @@ its text is canonicalized at ingestion so downstream rendering is stable.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
+from .files import read_json, read_jsonl, write_json
 
 __all__ = [
     "Role",
@@ -30,7 +30,6 @@ __all__ = [
     "StreamSpec",
     "CorpusError",
     "IngestionError",
-    "DuplicateEpisodeError",
     "PartitionError",
     "load_corpus",
     "extract_examples",
@@ -48,12 +47,6 @@ class CorpusError(Exception):
 
 
 class IngestionError(CorpusError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
-
-class DuplicateEpisodeError(IngestionError):
     pass
 
 
@@ -123,78 +116,56 @@ class StreamSpec:
 
 def load_corpus(path: str | Path) -> list[Episode]:
     """Load all episodes from a JSONL corpus file, preserving order."""
-    path = Path(path)
-    episodes: list[Episode] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(
-                    f"line {line_no}: invalid JSON ({exc.msg})", line=line_no
-                ) from exc
-            episode = _episode_from_record(record, line_no)
-            if episode.id in seen_ids:
-                raise DuplicateEpisodeError(
-                    f"line {line_no}: duplicate episode id {episode.id!r}",
-                    line=line_no,
-                )
-            seen_ids.add(episode.id)
-            episodes.append(episode)
-    return episodes
+
+    def episode(record: object) -> Episode:
+        ep = _episode_from_record(record)
+        if ep.id in seen_ids:
+            raise ValueError(f"duplicate episode id {ep.id!r}")
+        seen_ids.add(ep.id)
+        return ep
+
+    return read_jsonl(path, episode, IngestionError)
 
 
-def _episode_from_record(record: object, line_no: int) -> Episode:
+def _episode_from_record(record: object) -> Episode:
     if not isinstance(record, dict):
-        raise IngestionError(f"line {line_no}: episode must be a JSON object", line=line_no)
+        raise ValueError("episode must be a JSON object")
     ep_id = record.get("id")
     turns_raw = record.get("turns")
     if not isinstance(ep_id, str) or not ep_id:
-        raise IngestionError(f"line {line_no}: missing or invalid 'id'", line=line_no)
+        raise ValueError("missing or invalid 'id'")
     if not isinstance(turns_raw, list):
-        raise IngestionError(f"line {line_no}: missing or invalid 'turns'", line=line_no)
+        raise ValueError("missing or invalid 'turns'")
     turns: list[Turn] = []
     for idx, turn_raw in enumerate(turns_raw):
         if not isinstance(turn_raw, dict):
-            raise IngestionError(
-                f"line {line_no}: turn {idx} must be a JSON object", line=line_no
-            )
+            raise ValueError(f"turn {idx} must be a JSON object")
         role_raw = turn_raw.get("role")
         text = turn_raw.get("text")
         try:
             role = Role(role_raw)
         except ValueError:
-            raise IngestionError(
-                f"line {line_no}: turn {idx} has unknown role {role_raw!r}",
-                line=line_no,
-            ) from None
+            raise ValueError(f"turn {idx} has unknown role {role_raw!r}") from None
         if not isinstance(text, str):
-            raise IngestionError(
-                f"line {line_no}: turn {idx} has missing or non-string text",
-                line=line_no,
-            )
-        turns.append(_build_turn(role, text, ep_id, idx, line_no))
+            raise ValueError(f"turn {idx} has missing or non-string text")
+        turns.append(_build_turn(role, text, ep_id, idx))
     return Episode(id=ep_id, turns=turns)
 
 
-def _build_turn(role: Role, text: str, ep_id: str, idx: int, line_no: int) -> Turn:
+def _build_turn(role: Role, text: str, ep_id: str, idx: int) -> Turn:
     if role is Role.API_REQUEST:
         parsed = parse_first_call(text)
         if not isinstance(parsed, ParsedCall):
-            raise IngestionError(
-                f"line {line_no}: episode {ep_id!r} turn {idx}: api_request text "
-                f"contains no parseable call ({parsed.reason.value})",
-                line=line_no,
+            raise ValueError(
+                f"episode {ep_id!r} turn {idx}: api_request text "
+                f"contains no parseable call ({parsed.reason.value})"
             )
         trailing = parse_first_call(text[parsed.span[1]:])
         if isinstance(trailing, ParsedCall):
-            raise IngestionError(
-                f"line {line_no}: episode {ep_id!r} turn {idx}: api_request text "
-                "contains more than one call",
-                line=line_no,
+            raise ValueError(
+                f"episode {ep_id!r} turn {idx}: api_request text "
+                "contains more than one call"
             )
         # Store the canonical rendering so the turn text and the parsed
         # call can never drift apart.
@@ -317,7 +288,7 @@ def assign_blocks(
 
 
 def write_blocks_json(path: str | Path, blocks: Sequence[DomainBlock]) -> None:
-    payload = {
+    write_json(path, {
         "T": len(blocks),
         "blocks": [
             {
@@ -327,20 +298,18 @@ def write_blocks_json(path: str | Path, blocks: Sequence[DomainBlock]) -> None:
             }
             for b in sorted(blocks, key=lambda b: b.block_id)
         ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def read_blocks_json(path: str | Path) -> tuple[int, dict[str, int]]:
     """Return (T, example_id -> block_id) from a blocks.json file."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    try:
-        T = int(payload["T"])
-        assignment: dict[str, int] = {}
-        for block in payload["blocks"]:
-            block_id = int(block["block_id"])
-            for example_id in block["example_ids"]:
-                assignment[str(example_id)] = block_id
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"malformed blocks file {path}: {exc}") from exc
-    return T, assignment
+    return read_json(path, _block_assignment, CorpusError)
+
+
+def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
+    assignment: dict[str, int] = {}
+    for block in payload["blocks"]:
+        block_id = int(block["block_id"])
+        for example_id in block["example_ids"]:
+            assignment[str(example_id)] = block_id
+    return int(payload["T"]), assignment

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .calls import ApiCall, render_call
 from .corpus import DomainBlock, load_corpus, partition_blocks
+from .files import write_jsonl_records
 from .genclient import CompletionRecord, write_completions_jsonl
 from .scoring import CATEGORY_ORDER, ErrorCategory
 from .transform import Condition, render_prompt
@@ -35,7 +36,6 @@ __all__ = [
     "build_reference_completions",
     "write_reference_fixture",
     "trace_heavy_corpus_records",
-    "write_jsonl_records",
 ]
 
 REFERENCE_T = 4
@@ -177,12 +177,6 @@ def build_reference_completions(
                 )
             )
     return records
-
-
-def write_jsonl_records(path: str | Path, records: list[dict]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
 
 
 def write_reference_fixture(out_dir: str | Path) -> dict[str, Path]:

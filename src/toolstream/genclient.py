@@ -21,9 +21,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 from urllib.parse import quote, urlsplit
 
+from .files import read_jsonl, write_jsonl_records
 from .transform import RenderedPrompt
 
 __all__ = [
@@ -303,49 +304,40 @@ def batch_generate(
 
 
 def import_completions(
-    path: str | Path,
+    paths: Sequence[str | Path],
     prompts: Sequence[RenderedPrompt] | None = None,
     strict: bool = False,
 ) -> list[CompletionRecord]:
-    """Load recorded completions from JSONL (source becomes 'imported').
+    """Load recorded completions from JSONL files, in order (source
+    becomes 'imported').
 
     When rendered prompts are supplied, each record's prompt_hash is
     validated; mismatches warn by default and raise under strict mode.
     """
-    hashes: Mapping[tuple[str, str], str] = {}
-    if prompts is not None:
-        hashes = {(p.example_id, p.condition.value): p.prompt_hash for p in prompts}
-    records: list[CompletionRecord] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                record = CompletionRecord(
-                    example_id=str(raw["example_id"]),
-                    condition=str(raw["condition"]),
-                    stage=int(raw["stage"]),
-                    prompt_hash=str(raw["prompt_hash"]),
-                    text=str(raw["text"]),
-                    source="imported",
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad completion record at line {line_no}: {exc}") from exc
-            key = (record.example_id, record.condition)
-            if key in hashes and hashes[key] != record.prompt_hash:
-                message = (
-                    f"stale completion for example {record.example_id!r} "
-                    f"(condition {record.condition}): prompt hash mismatch"
-                )
-                if strict:
-                    raise StaleCompletionError(message)
-                logger.warning(message)
-            records.append(record)
-    return records
+    hashes = {(p.example_id, p.condition.value): p.prompt_hash for p in prompts or ()}
+
+    def completion(raw) -> CompletionRecord:
+        record = CompletionRecord(
+            example_id=str(raw["example_id"]),
+            condition=str(raw["condition"]),
+            stage=int(raw["stage"]),
+            prompt_hash=str(raw["prompt_hash"]),
+            text=str(raw["text"]),
+            source="imported",
+        )
+        key = (record.example_id, record.condition)
+        if key in hashes and hashes[key] != record.prompt_hash:
+            message = (
+                f"stale completion for example {record.example_id!r} "
+                f"(condition {record.condition}): prompt hash mismatch"
+            )
+            if strict:
+                raise StaleCompletionError(message)
+            logger.warning(message)
+        return record
+
+    return [record for path in paths for record in read_jsonl(path, completion, ValueError)]
 
 
 def write_completions_jsonl(path: str | Path, records: Sequence[CompletionRecord]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_obj()) + "\n")
+    write_jsonl_records(path, (record.to_json_obj() for record in records))

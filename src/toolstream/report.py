@@ -7,8 +7,6 @@ completion source, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -23,6 +21,7 @@ from .corpus import (
     select_examples,
     write_blocks_json,
 )
+from .files import write_csv, write_json
 from .genclient import (
     CompletionCache,
     CompletionRecord,
@@ -69,10 +68,6 @@ def format_pct(fraction: float) -> str:
     )
 
 
-def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 def block_scores_by_stage(
     records: Sequence[ScoreRecord],
 ) -> dict[int, dict[int, dict[str, float]]]:
@@ -109,14 +104,13 @@ def emit_heatmap_data(
     block_ids: Sequence[int],
 ) -> None:
     """Long-format CSV (condition,stage,block,value) for external plotting."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["condition", "stage", "block", "value"])
-        for condition in sorted(per_condition_rows):
-            rows = per_condition_rows[condition]
-            for stage in sorted(rows):
-                for block_id, value in zip(block_ids, rows[stage]):
-                    writer.writerow([condition, stage, block_id, repr(float(value))])
+    rows = (
+        [condition, stage, block_id, repr(float(value))]
+        for condition, by_stage in sorted(per_condition_rows.items())
+        for stage in sorted(by_stage)
+        for block_id, value in zip(block_ids, by_stage[stage])
+    )
+    write_csv(path, ["condition", "stage", "block", "value"], rows)
 
 
 def run_report(
@@ -162,15 +156,12 @@ def run_report(
         stats["ws_token_ratio_b_over_a"] = (
             stats["B"]["ws_token"] / stats["A"]["ws_token"]
         )
-    _write_json(out / "context_stats.json", stats)
+    write_json(out / "context_stats.json", stats)
 
     completions: list[CompletionRecord] = []
     if import_paths:
-        for path in import_paths:
-            imported = import_completions(path, prompts=all_prompts, strict=strict_import)
-            completions.extend(
-                r for r in imported if r.example_id in examples
-            )
+        imported = import_completions(import_paths, prompts=all_prompts, strict=strict_import)
+        completions = [r for r in imported if r.example_id in examples]
     else:
         cache = CompletionCache(cache_dir) if cache_dir else None
         for condition in conditions:
@@ -196,16 +187,7 @@ def run_report(
         score_records = score_completions(cond_records, examples)
         if not score_records:
             raise ReportError(f"no completions found for condition {tag}")
-        # Records are unique per (stage, example), so a full count means
-        # every example is scored at every stage the condition has.
-        cond_stages = {r.stage for r in score_records}
-        missing = len(cond_stages) * len(examples) - len(score_records)
-        if missing:
-            raise ReportError(
-                f"condition {tag}: {missing} of {len(examples)} examples x "
-                f"{len(cond_stages)} stages have no completion"
-            )
-        stages_seen.update(cond_stages)
+        stages_seen.update(r.stage for r in score_records)
         write_scores_jsonl(out / f"scores_{tag}.jsonl", score_records)
 
         scores = block_scores_by_stage(score_records)
@@ -231,7 +213,7 @@ def run_report(
             }
         if all(s in matrix_rows for s in range(0, stream.T + 1)):
             matrix, baseline = matrix_from_rows(matrix_rows, stream.T)
-            _write_json(out / f"summary_{tag}.json", summarize(matrix, baseline))
+            write_json(out / f"summary_{tag}.json", summarize(matrix, baseline))
         else:
             print(
                 f"note: condition {tag} lacks stage rows 0..{stream.T}; "
@@ -250,25 +232,19 @@ def run_report(
 
     if final_means:
         final_means = dict(sorted(final_means.items()))
-        with (out / "final_table.csv").open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["condition", "metric"]
-                + [f"block_{b}" for b in stream.block_order]
-                + ["mean"]
-            )
-            for tag, means in final_means.items():
-                for metric in METRICS:
-                    row = rows_by_metric[metric][tag][stream.T]
-                    writer.writerow(
-                        [tag, metric]
-                        + [format_pct(v) for v in row]
-                        + [format_pct(means["macro"][metric])]
-                    )
-        _write_json(out / "final_means.json", final_means)
+        table = (
+            [tag, metric]
+            + [format_pct(v) for v in rows_by_metric[metric][tag][stream.T]]
+            + [format_pct(means["macro"][metric])]
+            for tag, means in final_means.items()
+            for metric in METRICS
+        )
+        header = ["condition", "metric"] + [f"block_{b}" for b in stream.block_order] + ["mean"]
+        write_csv(out / "final_table.csv", header, table)
+        write_json(out / "final_means.json", final_means)
 
     # Everything needed to reproduce the run given the completion source.
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "tool": "toolstream",
         "tool_version": __version__,
         "corpus": str(corpus_path),

@@ -8,7 +8,6 @@ implies name implies parsed) allows, so each rate counts categories.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call
 from .clmetrics import _mean
+from .files import read_jsonl, write_csv
 
 __all__ = [
     "MetricFlags",
@@ -132,7 +132,8 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
     `completions` is an iterable with example_id/stage/text attributes
     (genclient.CompletionRecord); `examples` maps example_id to a
     ScoredExample whose block_id is assigned. Each (stage, example) may be
-    scored once; a second completion for it is an error. Each expected
+    scored once; a second completion for it is an error, and so is an
+    example left unscored at a stage the completions have. Each expected
     call is normalized once, however many stages score its example.
     Records come back sorted by (stage, block_id, example_id).
     """
@@ -169,6 +170,16 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
                 block_id=example.block_id,
                 category=category,
             )
+        )
+    # Records are unique per (stage, example), so a full count means every
+    # example is scored at every stage seen. A gap means the loop ran, so
+    # `completion` is bound and names the condition.
+    stages = {r.stage for r in records}
+    missing = len(stages) * len(examples) - len(records)
+    if missing:
+        raise AggregationError(
+            f"condition {completion.condition}: {missing} of {len(examples)} examples x "
+            f"{len(stages)} stages have no completion"
         )
     records.sort(key=lambda r: (r.stage, r.block_id, r.example_id))
     return records
@@ -220,34 +231,23 @@ def write_scores_jsonl(path: str | Path, records: Sequence[ScoreRecord]) -> None
 
 def read_scores_jsonl(path: str | Path) -> list[ScoreRecord]:
     """Read score records back, rejecting flags that contradict the category."""
-    records: list[ScoreRecord] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                category = ErrorCategory(raw["category"])
-                if raw["flags"] != FLAGS[category]._asdict():
-                    raise ValueError(f"flags {raw['flags']} contradict {category.value}")
-                records.append(
-                    ScoreRecord(
-                        example_id=str(raw["example_id"]),
-                        stage=int(raw["stage"]),
-                        block_id=int(raw["block"]),
-                        category=category,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise AggregationError(f"{path}: bad score record at line {line_no}: {exc}") from exc
-    return records
+    return read_jsonl(path, _score_record, AggregationError)
+
+
+def _score_record(raw) -> ScoreRecord:
+    category = ErrorCategory(raw["category"])
+    if raw["flags"] != FLAGS[category]._asdict():
+        raise ValueError(f"flags {raw['flags']} contradict {category.value}")
+    return ScoreRecord(
+        example_id=str(raw["example_id"]),
+        stage=int(raw["stage"]),
+        block_id=int(raw["block"]),
+        category=category,
+    )
 
 
 def write_category_csv(path: str | Path, records: Sequence[ScoreRecord]) -> None:
     """Category-count table, rows in the standard taxonomy order."""
     counts = category_counts(records)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "count"])
-        for category in CATEGORY_ORDER:
-            writer.writerow([CATEGORY_LABELS[category], counts[category]])
+    rows = ([CATEGORY_LABELS[c], counts[c]] for c in CATEGORY_ORDER)
+    write_csv(path, ["category", "count"], rows)

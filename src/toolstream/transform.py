@@ -8,7 +8,6 @@ Both renderings end with the same next-action cue line.
 from __future__ import annotations
 
 import hashlib
-import json
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
@@ -16,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Role, ScoredExample, Turn
+from .files import read_jsonl, write_jsonl_records
 
 __all__ = [
     "Condition",
@@ -114,29 +114,12 @@ def context_stats(
     return totals
 
 
-def read_rendered_jsonl(path: str | Path) -> tuple[list[RenderedPrompt], dict[str, str]]:
-    """Read a rendered-prompt export back; returns (prompts, target by id)."""
-    prompts: list[RenderedPrompt] = []
-    targets: dict[str, str] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                prompts.append(
-                    RenderedPrompt(
-                        example_id=str(raw["example_id"]),
-                        condition=Condition(raw["condition"]),
-                        text=str(raw["prompt"]),
-                    )
-                )
-                targets[str(raw["example_id"])] = str(raw["target"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: bad rendered-prompt record at line {line_no}: {exc}"
-                ) from exc
-    return prompts, targets
+def read_rendered_jsonl(path: str | Path) -> list[RenderedPrompt]:
+    """Read a rendered-prompt export back."""
+    def prompt(raw) -> RenderedPrompt:
+        return RenderedPrompt(str(raw["example_id"]), Condition(raw["condition"]), str(raw["prompt"]))
+
+    return read_jsonl(path, prompt, ValueError)
 
 
 def export_rendered_jsonl(
@@ -145,16 +128,12 @@ def export_rendered_jsonl(
     targets_by_id: Mapping[str, str],
 ) -> None:
     """Write the rendered-prompt export, one JSON object per prompt."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for prompt in prompts:
-            fh.write(
-                json.dumps(
-                    {
-                        "example_id": prompt.example_id,
-                        "condition": prompt.condition.value,
-                        "prompt": prompt.text,
-                        "target": targets_by_id[prompt.example_id],
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl_records(path, (
+        {
+            "example_id": prompt.example_id,
+            "condition": prompt.condition.value,
+            "prompt": prompt.text,
+            "target": targets_by_id[prompt.example_id],
+        }
+        for prompt in prompts
+    ))

@@ -78,7 +78,7 @@ def _verdict(num: int, label: str, failures: list[str]) -> None:
 
 def _scored_blocks(reference_paths, reference_blocks, condition: str):
     _, blocks, index = reference_blocks
-    records = import_completions(reference_paths[f"completions_{condition}"])
+    records = import_completions([reference_paths[f"completions_{condition}"]])
     scored = score_completions(records, index)
     by_block: dict[int, list] = {}
     for record in scored:
@@ -303,7 +303,7 @@ def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
 
     _, _, index = reference_blocks
     for condition in ("A", "B"):
-        completions = import_completions(reference_paths[f"completions_{condition}"])
+        completions = import_completions([reference_paths[f"completions_{condition}"]])
         scored = score_completions(completions, index)
         cases = [(c.text, index[c.example_id].expected) for c in completions]
         check(f"fixture {condition}", scored, cases)

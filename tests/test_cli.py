@@ -510,3 +510,58 @@ def test_cli_import_leaves_http_libraries_out():
     code = "import sys, toolstream.cli; sys.exit(bool({'requests', 'urllib3'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.fixture(scope="module")
+def exit_code_inputs(reference_paths, tmp_path_factory):
+    """Paths the exit-code table refers to by name."""
+    tmp = tmp_path_factory.mktemp("exit_codes")
+    paths = {name: str(path) for name, path in reference_paths.items()}
+    paths["dir"] = str(tmp)
+    paths["out"] = str(tmp / "out")
+    corpus = reference_paths["corpus"].read_bytes().split(b"\n")
+    corpus[2] = corpus[2].replace(b'"text": "', b'"text": "\xff', 1)
+    (tmp / "not_utf8.jsonl").write_bytes(b"\n".join(corpus))
+    paths["not_utf8"] = str(tmp / "not_utf8.jsonl")
+    first = corpus[0] + b"\n"
+    (tmp / "duplicate.jsonl").write_bytes(first + first)
+    paths["duplicate"] = str(tmp / "duplicate.jsonl")
+    paths["blocks"] = str(tmp / "blocks.json")
+    assert main(["split", "--corpus", paths["corpus"], "--out", paths["blocks"]]) == EXIT_OK
+    lines = reference_paths["completions_B"].read_text(encoding="utf-8").splitlines(True)
+    (tmp / "truncated_B.jsonl").write_text("".join(lines[:400]), encoding="utf-8")
+    paths["truncated_B"] = str(tmp / "truncated_B.jsonl")
+    paths["sampled_prompts"] = str(tmp / "sampled_prompts.jsonl")
+    assert main(["render", "--corpus", paths["corpus"], "--condition", "B",
+                 "--blocks-file", paths["blocks"], "--sample", "5",
+                 "--out", paths["sampled_prompts"]]) == EXIT_OK
+    sampled = {json.loads(line)["example_id"]
+               for line in Path(paths["sampled_prompts"]).read_text(encoding="utf-8").splitlines()}
+    (tmp / "sampled_B.jsonl").write_text(
+        "".join(line for line in lines if json.loads(line)["example_id"] in sampled),
+        encoding="utf-8",
+    )
+    paths["sampled_B"] = str(tmp / "sampled_B.jsonl")
+    return paths
+
+
+_SCORE = "score --corpus {corpus} --blocks-file {blocks} --out {out}/scores.jsonl"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("split --corpus {not_utf8} --out {out}/b.json", EXIT_INPUT),
+        ("split --corpus {duplicate} --out {out}/b.json", EXIT_INPUT),
+        ("split --corpus {dir} --out {out}/b.json", EXIT_INPUT),
+        ("report --corpus {corpus} --import {dir} --out {out}/r", EXIT_INPUT),
+        (_SCORE + " --completions {truncated_B}", EXIT_VALIDATION),
+        (_SCORE + " --completions {sampled_B}", EXIT_VALIDATION),
+        (_SCORE + " --completions {sampled_B} --prompts {sampled_prompts} --strict", EXIT_OK),
+    ],
+    ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
+         "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts"],
+)
+def test_exit_code_table(exit_code_inputs, argv, code):
+    Path(exit_code_inputs["out"]).mkdir(exist_ok=True)
+    assert main(argv.format(**exit_code_inputs).split()) == code

@@ -45,7 +45,7 @@ def test_fixture_files_are_deterministic(tmp_path):
 def test_completion_hashes_match_rendered_prompts(reference_paths, reference_blocks):
     _, _, index = reference_blocks
     for condition in Condition:
-        records = import_completions(reference_paths[f"completions_{condition.value}"])
+        records = import_completions([reference_paths[f"completions_{condition.value}"]])
         for record in records[:25]:
             prompt = render_prompt(index[record.example_id], condition)
             assert prompt.prompt_hash == record.prompt_hash
@@ -55,7 +55,7 @@ def test_per_block_category_counts_match_mix(reference_paths, reference_blocks):
     _, blocks, index = reference_blocks
     size_by_block = {b.block_id: len(b.examples) for b in blocks}
     for condition in ("A", "B"):
-        records = import_completions(reference_paths[f"completions_{condition}"])
+        records = import_completions([reference_paths[f"completions_{condition}"]])
         scored = score_completions(records, index)
         by_block: dict[int, list] = {}
         for r in scored:
@@ -68,7 +68,7 @@ def test_per_block_category_counts_match_mix(reference_paths, reference_blocks):
 
 def test_micro_exact_close_to_macro(reference_paths, reference_blocks):
     _, blocks, index = reference_blocks
-    records = import_completions(reference_paths["completions_A"])
+    records = import_completions([reference_paths["completions_A"]])
     scored = score_completions(records, index)
     counts = category_counts(scored)
     micro_exact = counts[CATEGORY_ORDER[0]] / len(scored)

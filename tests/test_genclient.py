@@ -296,14 +296,14 @@ class TestImportCompletions:
         prompts = [_prompt(i) for i in range(3)]
         path = tmp_path / "completions.jsonl"
         write_completions_jsonl(path, self._records(prompts))
-        loaded = import_completions(path, prompts=prompts)
+        loaded = import_completions([path], prompts=prompts)
         assert len(loaded) == 3
         assert all(r.source == "imported" for r in loaded)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        assert import_completions(path) == []
+        assert import_completions([path]) == []
 
     def test_hash_mismatch_warns_by_default(self, tmp_path, caplog):
         prompts = [_prompt(0)]
@@ -312,7 +312,7 @@ class TestImportCompletions:
         path = tmp_path / "stale.jsonl"
         write_completions_jsonl(path, records)
         with caplog.at_level(logging.WARNING):
-            loaded = import_completions(path, prompts=prompts)
+            loaded = import_completions([path], prompts=prompts)
         assert len(loaded) == 1
         assert any("e:0" in message for message in caplog.messages)
 
@@ -323,18 +323,18 @@ class TestImportCompletions:
         path = tmp_path / "stale.jsonl"
         write_completions_jsonl(path, records)
         with pytest.raises(StaleCompletionError) as excinfo:
-            import_completions(path, prompts=prompts, strict=True)
+            import_completions([path], prompts=prompts, strict=True)
         assert "e:0" in str(excinfo.value)
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"example_id": "x"}) + "\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            import_completions(path)
+            import_completions([path])
 
     def test_reference_fixture_record_counts(self, reference_paths):
         for condition in ("A", "B"):
-            records = import_completions(reference_paths[f"completions_{condition}"])
+            records = import_completions([reference_paths[f"completions_{condition}"]])
             assert len(records) == 440
             assert {r.stage for r in records} == {4}
             assert {r.condition for r in records} == {condition}
