@@ -4,16 +4,16 @@ Subcommands cover the pipeline stages individually (split, render,
 generate from an endpoint, score, matrix, summary) plus an end-to-end
 `report`, a line parser for debugging, and a deterministic fixture
 writer. Recorded completions are validated against their prompts by
-`score --prompts P --strict`. Every option is a command-line flag.
+`score --prompts P` and by `report`. Every option is a command-line flag.
 
 Exit codes:
   0  success
   2  command-line usage error (including a missing required flag)
   3  missing or unreadable input (any file-system error, a bad corpus
-     line, failing --tokenizer-cmd)
+     line, a non-UTF-8 line on `parse`'s stdin, failing --tokenizer-cmd)
   4  validation error (partition, schema, matrix, aggregation)
   5  endpoint or transport failure
-  6  stale completions under --strict
+  6  stale completion (prompt-hash mismatch)
   1  unexpected internal error
 """
 
@@ -37,6 +37,7 @@ from .corpus import (
     CorpusError,
     IngestionError,
     PartitionError,
+    ScoredExample,
     StreamSpec,
     assign_blocks,
     extract_examples,
@@ -46,7 +47,7 @@ from .corpus import (
     select_examples,
     write_blocks_json,
 )
-from .files import write_json
+from .files import read_lines, write_json
 from .fixtures import write_reference_fixture
 from .genclient import (
     CompletionCache,
@@ -160,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--categories", help="optional category-count CSV output")
     p.add_argument("--condition", type=_condition, help="restrict to one condition")
     p.add_argument("--prompts", help="rendered prompts JSONL: validates hashes, sets the eval set")
-    p.add_argument("--strict", action="store_true", help="hash mismatches become errors")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("matrix", help="assemble stage-by-block accuracy matrices from scores")
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir")
     p.add_argument("--sample", type=int, help="per-block eval sample size")
     p.add_argument("--tokenizer-cmd", help="external tokenizer command (shell-split)")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_report)
 
@@ -231,16 +230,20 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _corpus_examples(path: str) -> list[ScoredExample]:
+    return [ex for episode in load_corpus(path) for ex in extract_examples(episode)]
+
+
 def cmd_render(args: argparse.Namespace) -> int:
-    episodes = load_corpus(args.corpus)
+    corpus_examples = _corpus_examples(args.corpus)
     if args.blocks_file:
         _, assignment = read_blocks_json(args.blocks_file)
-        blocks = assign_blocks(episodes, assignment)
+        blocks = assign_blocks(corpus_examples, assignment)
         examples = select_examples(blocks, args.sample, args.sample_seed)
     elif args.sample is not None:
         raise ValueError("--sample requires --blocks-file")
     else:
-        examples = {ex.id: ex for ep in episodes for ex in extract_examples(ep)}
+        examples = {ex.id: ex for ex in corpus_examples}
     ordered = sorted(examples)
     prompts = [render_prompt(examples[ex_id], args.condition) for ex_id in ordered]
     targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered}
@@ -264,7 +267,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     _, assignment = read_blocks_json(args.blocks_file)
-    blocks = assign_blocks(load_corpus(args.corpus), assignment)
+    blocks = assign_blocks(_corpus_examples(args.corpus), assignment)
     examples = select_examples(blocks, sample_size=None, seed=0)
     prompts = None
     if args.prompts:
@@ -272,7 +275,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         prompts = read_rendered_jsonl(args.prompts)
         rendered = {p.example_id for p in prompts}
         examples = {ex_id: ex for ex_id, ex in examples.items() if ex_id in rendered}
-    completions = import_completions(args.completions, prompts=prompts, strict=args.strict)
+    completions = import_completions(args.completions, prompts=prompts)
     if args.condition:
         completions = [c for c in completions if c.condition == args.condition.value]
     try:
@@ -307,20 +310,20 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     rows = stage_rows(scores, stream, args.metric)
     if not rows:
         raise MetricsError("no stage has scores for every block; cannot build a matrix")
-    write_matrix_csv(args.out, T, rows, block_ids=stream.block_order)
+    write_matrix_csv(args.out, rows, stream.block_order)
     print(f"wrote {args.out} (metric {args.metric}, stages {sorted(rows)})")
     return EXIT_OK
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    T, rows, _ = read_matrix_csv(args.matrix)
+    T, rows = read_matrix_csv(args.matrix)
     matrix, baseline = matrix_from_rows(rows, T)
     if baseline is None:
         if not args.baseline:
             raise MetricsError(
                 "matrix has no stage 0 row; provide --baseline for forward transfer"
             )
-        _, baseline_rows, _ = read_matrix_csv(args.baseline)
+        _, baseline_rows = read_matrix_csv(args.baseline)
         if 0 in baseline_rows:
             values = baseline_rows[0]
         elif len(baseline_rows) == 1:
@@ -362,26 +365,32 @@ def cmd_report(args: argparse.Namespace) -> int:
         stages=stages,
         cache_dir=args.cache_dir,
         tokenizer_cmd=tokenizer_cmd,
-        strict_import=args.strict,
     )
     print(f"report written to {out}")
     return EXIT_OK
 
 
+def _without_line_end(text: str) -> str:
+    return text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")
+
+
+def _parse_result(text: str) -> dict:
+    result = parse_first_call(text)
+    if isinstance(result, ParsedCall):
+        return {
+            "ok": True,
+            "name": result.call.name,
+            "params": [list(p) for p in result.call.params],
+            "normalized": normalize_params(result.call),
+            "span": list(result.span),
+        }
+    return {"ok": False, "reason": result.reason.value, "offset": result.offset}
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
-    for line in sys.stdin:
-        text = line.rstrip("\n")
-        result = parse_first_call(text)
-        if isinstance(result, ParsedCall):
-            payload = {
-                "ok": True,
-                "name": result.call.name,
-                "params": [list(p) for p in result.call.params],
-                "normalized": normalize_params(result.call),
-                "span": list(result.span),
-            }
-        else:
-            payload = {"ok": False, "reason": result.reason.value, "offset": result.offset}
+    for payload in read_lines(
+        sys.stdin.buffer, "<stdin>", _without_line_end, _parse_result, IngestionError
+    ):
         print(json.dumps(payload))
     return EXIT_OK
 

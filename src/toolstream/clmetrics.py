@@ -7,12 +7,11 @@ kept separately as the baseline vector used by forward transfer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .files import write_csv
+from .files import read_csv, write_csv
 
 __all__ = [
     "EvalMatrix",
@@ -133,56 +132,45 @@ def summarize(matrix: EvalMatrix, baseline: BaselineVector) -> dict[str, float]:
 
 
 def write_matrix_csv(
-    path: str | Path,
-    T: int,
-    rows: Mapping[int, Sequence[float]],
-    block_ids: Sequence[int] | None = None,
+    path: str | Path, rows: Mapping[int, Sequence[float]], block_ids: Sequence[int]
 ) -> None:
-    """Write stage rows (stage 0 allowed as the baseline row) as CSV.
+    """Write stage rows (stage 0 allowed as the baseline row) as CSV, one
+    column per block id.
 
     Values are written with Python's shortest round-trip float
     representation so reading the file back is lossless.
     """
-    ids = list(block_ids) if block_ids is not None else list(range(1, T + 1))
-    if len(ids) != T:
-        raise MetricsError(f"expected {T} block ids, got {len(ids)}")
+    T = len(block_ids)
     table = []
     for stage in sorted(rows):
         row = list(rows[stage])
         if len(row) != T:
             raise MetricsError(f"stage {stage} row has {len(row)} values, expected {T}")
         table.append([stage] + [repr(float(v)) for v in row])
-    write_csv(path, ["stage"] + [f"block_{b}" for b in ids], table)
+    write_csv(path, ["stage"] + [f"block_{b}" for b in block_ids], table)
 
 
-def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]], list[int]]:
-    """Read a matrix CSV back as (T, stage -> row values, block ids)."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MetricsError(f"{path}: empty matrix file") from None
-        if not header or header[0] != "stage":
-            raise MetricsError(f"{path}: matrix header must start with 'stage'")
-        try:
-            block_ids = [int(col.removeprefix("block_")) for col in header[1:]]
-        except ValueError as exc:
-            raise MetricsError(f"{path}: bad block column header: {exc}") from exc
-        T = len(block_ids)
-        rows: dict[int, list[float]] = {}
-        for line in reader:
-            if not line:
-                continue
-            try:
-                stage = int(line[0])
-                values = [float(v) for v in line[1:]]
-            except ValueError as exc:
-                raise MetricsError(f"{path}: bad matrix row {line!r}: {exc}") from exc
-            if len(values) != T:
-                raise MetricsError(f"{path}: stage {stage} row has {len(values)} values, expected {T}")
-            rows[stage] = values
-    return T, rows, block_ids
+def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]]]:
+    """Read a matrix CSV back as (T, stage -> row values)."""
+    header: list[str] = []
+    rows: dict[int, list[float]] = {}
+
+    def row(fields: list[str]) -> None:
+        if not header:
+            if fields[0] != "stage":
+                raise ValueError("matrix header must start with 'stage'")
+            for column in fields[1:]:
+                int(column.removeprefix("block_"))
+            header.extend(fields)
+        elif len(fields) != len(header):
+            raise ValueError(f"row has {len(fields) - 1} values, expected {len(header) - 1}")
+        else:
+            rows[int(fields[0])] = [float(v) for v in fields[1:]]
+
+    read_csv(path, row, MetricsError)
+    if not header:
+        raise MetricsError(f"{path}: empty matrix file")
+    return len(header) - 1, rows
 
 
 def matrix_from_rows(

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
 from .files import read_json, read_jsonl, write_json
@@ -201,12 +202,8 @@ def partition_blocks(episodes: Sequence[Episode], T: int, seed: int) -> list[Dom
     """
     if T < 2:
         raise PartitionError("T must be >= 2")
-    all_examples: list[ScoredExample] = []
-    for episode in episodes:
-        all_examples.extend(extract_examples(episode))
-    groups: dict[str, list[ScoredExample]] = {}
-    for example in all_examples:
-        groups.setdefault(example.expected.name, []).append(example)
+    examples = [ex for episode in episodes for ex in extract_examples(episode)]
+    groups = Counter(ex.expected.name for ex in examples)
     if len(groups) < T:
         raise PartitionError(
             f"need at least {T} distinct API names to build {T} blocks, "
@@ -214,24 +211,17 @@ def partition_blocks(episodes: Sequence[Episode], T: int, seed: int) -> list[Dom
         )
     names = sorted(groups)
     random.Random(seed).shuffle(names)
-    names.sort(key=lambda name: -len(groups[name]))  # stable: seeded order breaks ties
+    names.sort(key=lambda name: -groups[name])  # stable: seeded order breaks ties
 
     loads = [0] * T
-    members: list[list[str]] = [[] for _ in range(T)]
+    block_of_name: dict[str, int] = {}
     for name in names:
         target = min(range(T), key=lambda i: (loads[i], i))
-        members[target].append(name)
-        loads[target] += len(groups[name])
-
-    blocks: list[DomainBlock] = []
-    for i in range(T):
-        block_id = i + 1
-        member_set = frozenset(members[i])
-        examples = [ex for ex in all_examples if ex.expected.name in member_set]
-        for ex in examples:
-            ex.block_id = block_id
-        blocks.append(DomainBlock(block_id=block_id, api_names=member_set, examples=examples))
-    return blocks
+        block_of_name[name] = target + 1
+        loads[target] += groups[name]
+    return assign_blocks(
+        examples, {ex.id: block_of_name[ex.expected.name] for ex in examples}
+    )
 
 
 def _subset_rng(seed: int, block_id: int, n: int) -> random.Random:
@@ -265,18 +255,18 @@ def select_examples(
 
 
 def assign_blocks(
-    episodes: Sequence[Episode], assignment: Mapping[str, int]
+    examples: Iterable[ScoredExample], assignment: Mapping[str, int]
 ) -> list[DomainBlock]:
-    """Rebuild domain blocks from an example_id -> block_id assignment (as
-    read from blocks.json). Examples keep corpus order within a block, as
-    partition_blocks gives them; examples the assignment omits are left out."""
+    """Group examples into domain blocks by an example_id -> block_id
+    assignment (as partition_blocks computes it, or as read from
+    blocks.json), setting each example's block_id. Examples keep their
+    order within a block; examples the assignment omits are left out."""
     members: dict[int, list[ScoredExample]] = {}
-    for episode in episodes:
-        for example in extract_examples(episode):
-            block_id = assignment.get(example.id)
-            if block_id is not None:
-                example.block_id = block_id
-                members.setdefault(block_id, []).append(example)
+    for example in examples:
+        block_id = assignment.get(example.id)
+        if block_id is not None:
+            example.block_id = block_id
+            members.setdefault(block_id, []).append(example)
     return [
         DomainBlock(
             block_id=block_id,

@@ -1,9 +1,11 @@
-"""The only code that opens the harness's JSON, JSON-lines and CSV files.
+"""The only code that decodes the harness's input files and standard input,
+and that writes its JSON, JSON-lines and CSV files.
 
-Files are UTF-8. A JSON-lines file has one JSON value per line, ended by
-"\\n" or "\\r\\n", and readers skip blank lines. A bad line raises the
-caller's own error class as "<path>: line N: <reason>", so each caller
-keeps its exit code.
+Input is UTF-8. A line-oriented input (JSON-lines, CSV, standard input)
+is read as bytes and decoded line by line; a line ends with "\\n" or
+"\\r\\n", and readers skip blank lines. A bad line raises the caller's
+own error class as "<path>: line N: <reason>", so each caller keeps its
+exit code.
 """
 
 from __future__ import annotations
@@ -11,15 +13,24 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-__all__ = ["read_jsonl", "read_json", "write_jsonl_records", "write_json", "write_csv"]
+__all__ = [
+    "read_lines",
+    "read_jsonl",
+    "read_csv",
+    "read_json",
+    "write_jsonl_records",
+    "write_json",
+    "write_csv",
+]
 
 _T = TypeVar("_T")
 
-# Bad bytes and bad JSON are ValueErrors; a build function rejects a
-# value of the wrong shape with any of the three.
-_BAD_VALUE = (KeyError, TypeError, ValueError)
+# Bad bytes and bad JSON are ValueErrors and a bad CSV line is a
+# csv.Error; a build function rejects a value of the wrong shape with a
+# KeyError, TypeError or ValueError.
+_BAD_VALUE = (KeyError, TypeError, ValueError, csv.Error)
 
 
 def _reason(exc: Exception) -> str:
@@ -28,26 +39,48 @@ def _reason(exc: Exception) -> str:
     return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+def read_lines(
+    lines: Iterable[bytes],
+    name: str | Path,
+    parse: Callable[[str], object],
+    build: Callable[[object], _T],
+    error: type[Exception],
+) -> Iterator[_T]:
+    """build(parse(text)) for each non-blank line of a byte stream, in
+    order; text is the line decoded as UTF-8, line ending included."""
+    # Decoded line by line: a bad byte names its line, and a lone "\r"
+    # does not end one.
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                yield build(parse(text))
+        except _BAD_VALUE as exc:
+            raise error(f"{name}: line {line_no}: {_reason(exc)}") from exc
+
+
 def read_jsonl(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> list[_T]:
     """build(value) for the value on each non-blank line, in file order."""
-    items: list[_T] = []
-    # Bytes, decoded line by line: a bad byte names its line, and a lone
-    # "\r" does not end one.
-    with Path(path).open("rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                text = line.decode("utf-8")
-                if text.strip():
-                    items.append(build(json.loads(text)))
-            except _BAD_VALUE as exc:
-                raise error(f"{path}: line {line_no}: {_reason(exc)}") from exc
-    return items
+    with open(path, "rb") as fh:
+        return list(read_lines(fh, path, json.loads, build, error))
+
+
+def _csv_fields(text: str) -> list[str]:
+    return next(csv.reader([text]))
+
+
+def read_csv(path: str | Path, build: Callable[[list[str]], _T], error: type[Exception]) -> list[_T]:
+    """build(fields) for each non-blank line, header included, in file order."""
+    with open(path, "rb") as fh:
+        return list(read_lines(fh, path, _csv_fields, build, error))
 
 
 def read_json(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> _T:
     """build(value) for the file's one value; a bad file raises error("<path>: <reason>")."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return build(json.loads(Path(path).read_bytes().decode("utf-8")))
+        return build(json.loads(data.decode("utf-8")))
     except _BAD_VALUE as exc:
         raise error(f"{path}: {_reason(exc)}") from exc
 

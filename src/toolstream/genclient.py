@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import quote, urlsplit
 
-from .files import read_jsonl, write_jsonl_records
+from .files import read_json, read_jsonl, write_jsonl_records
 from .transform import RenderedPrompt
 
 __all__ = [
@@ -103,6 +103,13 @@ class CompletionRecord:
         }
 
 
+def _entry_text(entry: object) -> str:
+    text = entry["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"text is {type(text).__name__}, not a string")
+    return text
+
+
 class CompletionCache:
     """One file per completion under stage_<s>/<condition>/, named by the
     sha256 of the endpoint URL and the exact request body.
@@ -121,14 +128,15 @@ class CompletionCache:
     def get(self, stage: int, condition: str, key: str) -> str | None:
         """The cached completion text, or None on a miss. Its example is
         the caller's: examples whose requests match share one entry. An
-        unreadable entry is a miss; the next put replaces it."""
+        unreadable entry, or one whose text is not a string, is a miss;
+        the next put replaces it."""
         path = self._path(stage, condition, key)
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))["text"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            logger.warning("unreadable cache entry %s treated as a miss: %s", path, exc)
+            return read_json(path, _entry_text, ValueError)
+        except (OSError, ValueError) as exc:
+            logger.warning("unreadable cache entry treated as a miss: %s", exc)
             return None
 
     def put(self, key: str, record: CompletionRecord) -> None:
@@ -304,15 +312,13 @@ def batch_generate(
 
 
 def import_completions(
-    paths: Sequence[str | Path],
-    prompts: Sequence[RenderedPrompt] | None = None,
-    strict: bool = False,
+    paths: Sequence[str | Path], prompts: Sequence[RenderedPrompt] | None = None
 ) -> list[CompletionRecord]:
     """Load recorded completions from JSONL files, in order (source
     becomes 'imported').
 
-    When rendered prompts are supplied, each record's prompt_hash is
-    validated; mismatches warn by default and raise under strict mode.
+    When rendered prompts are supplied, a record whose prompt_hash does
+    not match its prompt's raises StaleCompletionError.
     """
     hashes = {(p.example_id, p.condition.value): p.prompt_hash for p in prompts or ()}
 
@@ -327,13 +333,10 @@ def import_completions(
         )
         key = (record.example_id, record.condition)
         if key in hashes and hashes[key] != record.prompt_hash:
-            message = (
+            raise StaleCompletionError(
                 f"stale completion for example {record.example_id!r} "
                 f"(condition {record.condition}): prompt hash mismatch"
             )
-            if strict:
-                raise StaleCompletionError(message)
-            logger.warning(message)
         return record
 
     return [record for path in paths for record in read_jsonl(path, completion, ValueError)]

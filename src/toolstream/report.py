@@ -123,12 +123,13 @@ def run_report(
     stages: Sequence[int] = (),
     cache_dir: str | Path | None = None,
     tokenizer_cmd: Sequence[str] | None = None,
-    strict_import: bool = False,
 ) -> Path:
     """End-to-end pipeline: split, render, obtain completions, score, emit.
 
     Completions come either from recorded JSONL files (import_paths) or a
-    live endpoint (endpoint + stages). Returns the output directory.
+    live endpoint (endpoint + stages). A recorded completion whose prompt
+    hash does not match its rendered prompt raises StaleCompletionError
+    before anything is scored. Returns the output directory.
     """
     if bool(import_paths) == (endpoint is not None):
         raise ReportError("exactly one completion source is required: imports or an endpoint")
@@ -160,8 +161,13 @@ def run_report(
 
     completions: list[CompletionRecord] = []
     if import_paths:
-        imported = import_completions(import_paths, prompts=all_prompts, strict=strict_import)
-        completions = [r for r in imported if r.example_id in examples]
+        imported = import_completions(import_paths, prompts=all_prompts)
+        # Records of examples the sample leaves out are skipped; an id
+        # outside the corpus goes on to scoring, which rejects it.
+        corpus_ids = {ex.id for block in blocks for ex in block.examples}
+        completions = [
+            r for r in imported if r.example_id in examples or r.example_id not in corpus_ids
+        ]
     else:
         cache = CompletionCache(cache_dir) if cache_dir else None
         for condition in conditions:
@@ -195,12 +201,7 @@ def run_report(
             rows = stage_rows(scores, stream, metric)
             if rows:
                 rows_by_metric[metric][tag] = rows
-                write_matrix_csv(
-                    out / f"matrix_{metric}_{tag}.csv",
-                    stream.T,
-                    rows,
-                    block_ids=stream.block_order,
-                )
+                write_matrix_csv(out / f"matrix_{metric}_{tag}.csv", rows, stream.block_order)
 
         matrix_rows = rows_by_metric["exact"].get(tag, {})
         if stream.T in matrix_rows:

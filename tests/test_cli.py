@@ -17,12 +17,14 @@ from toolstream.cli import (
     EXIT_ENDPOINT,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_STALE,
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
 )
 from toolstream.clmetrics import write_matrix_csv
 from toolstream.corpus import read_blocks_json
+from toolstream.files import write_jsonl_records
 
 
 @pytest.fixture()
@@ -113,7 +115,6 @@ class TestRenderScorePipeline:
                     str(reference_paths["completions_B"]),
                     "--prompts",
                     str(prompts_path),
-                    "--strict",
                     "--out",
                     str(scores_path),
                     "--categories",
@@ -302,9 +303,9 @@ class TestRenderScorePipeline:
 class TestSummary:
     def test_two_by_two_fixture(self, tmp_path, capsys):
         matrix_path = tmp_path / "m.csv"
-        write_matrix_csv(matrix_path, 2, {1: [0.8, 0.0], 2: [0.6, 0.7]})
+        write_matrix_csv(matrix_path, {1: [0.8, 0.0], 2: [0.6, 0.7]}, [1, 2])
         baseline_path = tmp_path / "b.csv"
-        write_matrix_csv(baseline_path, 2, {0: [0.0, 0.0]})
+        write_matrix_csv(baseline_path, {0: [0.0, 0.0]}, [1, 2])
         assert (
             main(
                 [
@@ -323,20 +324,21 @@ class TestSummary:
 
     def test_incomplete_matrix_is_validation_error(self, tmp_path):
         matrix_path = tmp_path / "m.csv"
-        write_matrix_csv(matrix_path, 2, {2: [0.6, 0.7]})
+        write_matrix_csv(matrix_path, {2: [0.6, 0.7]}, [1, 2])
         assert main(["summary", "--matrix", str(matrix_path)]) == EXIT_VALIDATION
 
     def test_missing_baseline_is_validation_error(self, tmp_path):
         matrix_path = tmp_path / "m.csv"
-        write_matrix_csv(matrix_path, 2, {1: [0.8, 0.0], 2: [0.6, 0.7]})
+        write_matrix_csv(matrix_path, {1: [0.8, 0.0], 2: [0.6, 0.7]}, [1, 2])
         assert main(["summary", "--matrix", str(matrix_path)]) == EXIT_VALIDATION
 
 
 class TestParseSubcommand:
     def test_stdin_lines(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("[GetWeather(city='Paris')]\nnot a call\n")
-        )
+        def stdin(data: bytes):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+        stdin(b"[GetWeather(city='Paris')]\r\nnot a call\n")
         assert main(["parse"]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         first = json.loads(lines[0])
@@ -344,6 +346,12 @@ class TestParseSubcommand:
         assert first["ok"] and first["name"] == "GetWeather"
         assert first["normalized"] == {"city": "Paris"}
         assert not second["ok"] and second["reason"] == "no_bracket"
+
+        stdin(b"[Ping(a=\xff)]\n")
+        assert main(["parse"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: <stdin>: line 1: ")
 
 
 class TestFixturesSubcommand:
@@ -518,7 +526,6 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("exit_codes")
     paths = {name: str(path) for name, path in reference_paths.items()}
     paths["dir"] = str(tmp)
-    paths["out"] = str(tmp / "out")
     corpus = reference_paths["corpus"].read_bytes().split(b"\n")
     corpus[2] = corpus[2].replace(b'"text": "', b'"text": "\xff', 1)
     (tmp / "not_utf8.jsonl").write_bytes(b"\n".join(corpus))
@@ -542,26 +549,49 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
         encoding="utf-8",
     )
     paths["sampled_B"] = str(tmp / "sampled_B.jsonl")
+    paths["prompts_A"] = str(tmp / "prompts_A.jsonl")
+    assert main(["render", "--corpus", paths["corpus"], "--condition", "A",
+                 "--out", paths["prompts_A"]]) == EXIT_OK
+    records_a = [json.loads(line) for line in
+                 reference_paths["completions_A"].read_text(encoding="utf-8").splitlines()]
+    unknown = dict(records_a[0], example_id="nosuch_episode:1")
+    write_jsonl_records(tmp / "unknown_A.jsonl", records_a + [unknown])
+    paths["unknown_A"] = str(tmp / "unknown_A.jsonl")
+    records_a[7]["prompt_hash"] = "0" * 64
+    write_jsonl_records(tmp / "stale_A.jsonl", records_a)
+    paths["stale_A"] = str(tmp / "stale_A.jsonl")
+    (tmp / "not_utf8.csv").write_bytes(b"stage,block_1,block_2\r\n1,0.5,\xff0.1\r\n")
+    paths["not_utf8_csv"] = str(tmp / "not_utf8.csv")
     return paths
 
 
 _SCORE = "score --corpus {corpus} --blocks-file {blocks} --out {out}/scores.jsonl"
+_REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, message",
     [
-        ("split --corpus {not_utf8} --out {out}/b.json", EXIT_INPUT),
-        ("split --corpus {duplicate} --out {out}/b.json", EXIT_INPUT),
-        ("split --corpus {dir} --out {out}/b.json", EXIT_INPUT),
-        ("report --corpus {corpus} --import {dir} --out {out}/r", EXIT_INPUT),
-        (_SCORE + " --completions {truncated_B}", EXIT_VALIDATION),
-        (_SCORE + " --completions {sampled_B}", EXIT_VALIDATION),
-        (_SCORE + " --completions {sampled_B} --prompts {sampled_prompts} --strict", EXIT_OK),
+        ("split --corpus {not_utf8} --out {out}/b.json", EXIT_INPUT, "line 3: "),
+        ("split --corpus {duplicate} --out {out}/b.json", EXIT_INPUT, "duplicate episode id"),
+        ("split --corpus {dir} --out {out}/b.json", EXIT_INPUT, "error: "),
+        ("report --corpus {corpus} --import {dir} --out {out}/r", EXIT_INPUT, "error: "),
+        (_SCORE + " --completions {truncated_B}", EXIT_VALIDATION, "40 of 440 examples"),
+        (_SCORE + " --completions {sampled_B}", EXIT_VALIDATION, "--prompts"),
+        (_SCORE + " --completions {sampled_B} --prompts {sampled_prompts}", EXIT_OK, ""),
+        (_SCORE + " --completions {stale_A} --prompts {prompts_A}", EXIT_STALE, "prompt hash"),
+        (_REPORT + " --import {stale_A}", EXIT_STALE, "prompt hash mismatch"),
+        (_REPORT + " --import {unknown_A}", EXIT_VALIDATION, "unknown example id"),
+        ("summary --matrix {not_utf8_csv}", EXIT_VALIDATION, "not_utf8.csv: line 2: "),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
-         "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts"],
+         "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
+         "score-stale-hash", "report-stale-hash", "report-unknown-id", "matrix-not-utf8"],
 )
-def test_exit_code_table(exit_code_inputs, argv, code):
-    Path(exit_code_inputs["out"]).mkdir(exist_ok=True)
-    assert main(argv.format(**exit_code_inputs).split()) == code
+def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
+    assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code
+    assert message in capsys.readouterr().err
+    if code != EXIT_OK:
+        # A failed run scores nothing it leaves behind.
+        assert not list(tmp_path.rglob("scores*.jsonl"))
+        assert not list(tmp_path.rglob("manifest.json"))

@@ -218,10 +218,9 @@ class TestMatrixCsv:
         for stage in range(1, 5):
             rows[stage] = [rng.random() for _ in range(4)]
         path = tmp_path / "matrix.csv"
-        write_matrix_csv(path, 4, rows)
-        T, loaded, block_ids = read_matrix_csv(path)
+        write_matrix_csv(path, rows, [1, 2, 3, 4])
+        T, loaded = read_matrix_csv(path)
         assert T == 4
-        assert block_ids == [1, 2, 3, 4]
         assert loaded == {s: list(v) for s, v in rows.items()}  # bit-exact floats
 
     def test_matrix_from_rows_requires_all_stages(self):

@@ -229,14 +229,16 @@ class TestCompletionCache:
             cfg = _config(mock.base_url)
             batch_generate([_prompt(1)], cfg, 1, cache)
             (entry,) = (tmp_path / "cache").rglob("*.json")
-            entry.write_text("{trunc", encoding="utf-8")
-            with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
-                result = batch_generate([_prompt(1)], cfg, 1, cache)
-            assert mock.requests == 2
-            assert not result.failures
-            assert result.records[0].text == "[Ping()]"
-            assert entry.name in caplog.text
-            assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "[Ping()]"
+            for requests, corrupt in enumerate(["{trunc", '{"text": 5}'], start=2):
+                entry.write_text(corrupt, encoding="utf-8")
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
+                    result = batch_generate([_prompt(1)], cfg, 1, cache)
+                assert mock.requests == requests
+                assert not result.failures
+                assert result.records[0].text == "[Ping()]"
+                assert entry.name in caplog.text
+                assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "[Ping()]"
 
 
 class TestBatchGenerate:
@@ -306,25 +308,28 @@ class TestImportCompletions:
         assert import_completions([path]) == []
 
     def test_hash_mismatch_warns_by_default(self, tmp_path, caplog):
+        """The default import does not downgrade a mismatch to a logged
+        warning: it raises, and nothing is logged."""
         prompts = [_prompt(0)]
         records = self._records(prompts)
         records[0].prompt_hash = "0" * 64
         path = tmp_path / "stale.jsonl"
         write_completions_jsonl(path, records)
         with caplog.at_level(logging.WARNING):
-            loaded = import_completions([path], prompts=prompts)
-        assert len(loaded) == 1
-        assert any("e:0" in message for message in caplog.messages)
+            with pytest.raises(StaleCompletionError) as excinfo:
+                import_completions([path], prompts=prompts)
+        assert "e:0" in str(excinfo.value)
+        assert not caplog.records
 
     def test_hash_mismatch_strict_raises(self, tmp_path):
-        prompts = [_prompt(0)]
+        prompts = [_prompt(0), _prompt(1)]
         records = self._records(prompts)
-        records[0].prompt_hash = "0" * 64
+        records[1].prompt_hash = "0" * 64
         path = tmp_path / "stale.jsonl"
         write_completions_jsonl(path, records)
         with pytest.raises(StaleCompletionError) as excinfo:
-            import_completions([path], prompts=prompts, strict=True)
-        assert "e:0" in str(excinfo.value)
+            import_completions([path], prompts=prompts)
+        assert "e:1" in str(excinfo.value)
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
