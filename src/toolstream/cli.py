@@ -3,8 +3,9 @@
 Subcommands cover the pipeline stages individually (split, render,
 generate from an endpoint, score, matrix, summary) plus an end-to-end
 `report`, a line parser for debugging, and a deterministic fixture
-writer. Recorded completions are validated against their prompts by
-`score --prompts P` and by `report`. Every option is a command-line flag.
+writer. `score` and `report` render the evaluation examples' prompts
+themselves and check every recorded completion's prompt hash against
+them. Every option is a command-line flag.
 
 Exit codes:
   0  success
@@ -24,14 +25,13 @@ import json
 import shlex
 import sys
 
-from .calls import ParsedCall, normalize_params, parse_first_call, render_call
+from .calls import ParsedCall, normalize_params, parse_first_call
 from .clmetrics import (
     BaselineVector,
     MetricsError,
     matrix_from_rows,
     read_matrix_csv,
     summarize,
-    write_matrix_csv,
 )
 from .corpus import (
     CorpusError,
@@ -59,22 +59,10 @@ from .genclient import (
     import_completions,
     write_completions_jsonl,
 )
-from .report import ReportError, block_scores_by_stage, run_report, stage_rows
-from .scoring import (
-    METRICS,
-    AggregationError,
-    read_scores_jsonl,
-    score_completions,
-    write_category_csv,
-    write_scores_jsonl,
-)
-from .transform import (
-    Condition,
-    StatsError,
-    export_rendered_jsonl,
-    read_rendered_jsonl,
-    render_prompt,
-)
+from .report import ReportError, block_scores_by_stage, render_prompts, run_report
+from .report import score_condition, write_matrix, write_prompts
+from .scoring import METRICS, AggregationError, read_scores_jsonl, write_category_csv
+from .transform import Condition, StatsError, read_rendered_jsonl
 from . import __version__
 
 EXIT_OK = 0
@@ -142,14 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", required=True, help="rendered prompts JSONL")
     p.add_argument("--stage", type=int, required=True, help="trained-through stage label")
     p.add_argument("--out", required=True, help="completions JSONL output path")
-    p.add_argument("--base-url", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--max-tokens", type=int, default=128)
-    p.add_argument("--stop", action="append", help="stop sequence (repeatable; escapes decoded)")
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-parallel", type=int, default=4)
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--cache-dir")
+    _add_endpoint_flags(p, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("score", help="score completions against the corpus ground truth")
@@ -159,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="completions JSONL (repeatable)")
     p.add_argument("--out", required=True, help="score JSONL output path")
     p.add_argument("--categories", help="optional category-count CSV output")
-    p.add_argument("--condition", type=_condition, help="restrict to one condition")
-    p.add_argument("--prompts", help="rendered prompts JSONL: validates hashes, sets the eval set")
+    p.add_argument("--condition", type=_condition,
+                   help="condition to score (default: the one the completions hold)")
+    p.add_argument("--prompts", help="rendered prompts JSONL: its example ids are the eval set")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("matrix", help="assemble stage-by-block accuracy matrices from scores")
@@ -185,15 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conditions", type=_conditions, default="A,B", help="comma-separated tags")
     p.add_argument("--import", dest="imports", action="append",
                    help="recorded completions JSONL (repeatable)")
-    p.add_argument("--base-url")
-    p.add_argument("--model")
     p.add_argument("--stages", type=_int_list, help="stages to generate (endpoint mode)")
-    p.add_argument("--max-tokens", type=int, default=128)
-    p.add_argument("--stop", action="append")
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-parallel", type=int, default=4)
-    p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--cache-dir")
+    _add_endpoint_flags(p, required=False)
     p.add_argument("--sample", type=int, help="per-block eval sample size")
     p.add_argument("--tokenizer-cmd", help="external tokenizer command (shell-split)")
     p.add_argument("--out", required=True, help="output directory")
@@ -207,6 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixtures)
 
     return parser
+
+
+def _add_endpoint_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """The endpoint and cache flags shared by `generate` and `report`."""
+    p.add_argument("--base-url", required=required)
+    p.add_argument("--model", required=required)
+    p.add_argument("--max-tokens", type=int, default=128)
+    p.add_argument("--stop", action="append", help="stop sequence (repeatable; escapes decoded)")
+    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--max-parallel", type=int, default=4)
+    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--cache-dir")
 
 
 def _endpoint_config(args: argparse.Namespace) -> EndpointConfig:
@@ -244,10 +231,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ValueError("--sample requires --blocks-file")
     else:
         examples = {ex.id: ex for ex in corpus_examples}
-    ordered = sorted(examples)
-    prompts = [render_prompt(examples[ex_id], args.condition) for ex_id in ordered]
-    targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered}
-    export_rendered_jsonl(args.out, prompts, targets)
+    prompts = render_prompts(examples, args.condition)
+    write_prompts(args.out, prompts, examples)
     print(f"wrote {args.out} ({len(prompts)} prompts, condition {args.condition.value})")
     return EXIT_OK
 
@@ -268,22 +253,23 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     _, assignment = read_blocks_json(args.blocks_file)
     blocks = assign_blocks(_corpus_examples(args.corpus), assignment)
-    examples = select_examples(blocks, sample_size=None, seed=0)
-    prompts = None
+    examples = corpus = select_examples(blocks, sample_size=None, seed=0)
     if args.prompts:
         # The eval set of a sampled run is the examples it rendered.
-        prompts = read_rendered_jsonl(args.prompts)
-        rendered = {p.example_id for p in prompts}
-        examples = {ex_id: ex for ex_id, ex in examples.items() if ex_id in rendered}
+        rendered = {p.example_id for p in read_rendered_jsonl(args.prompts)}
+        examples = {ex_id: ex for ex_id, ex in corpus.items() if ex_id in rendered}
+    prompts = [p for condition in Condition for p in render_prompts(examples, condition)]
     completions = import_completions(args.completions, prompts=prompts)
-    if args.condition:
-        completions = [c for c in completions if c.condition == args.condition.value]
+    tags = sorted({c.condition for c in completions})
+    if args.condition is None and len(tags) != 1:
+        found = ", ".join(tags) or "none"
+        raise ReportError(f"completions hold conditions {found}; choose one with --condition")
+    condition = args.condition or Condition(tags[0])
     try:
-        records = score_completions(completions, examples)
+        records = score_condition(args.out, completions, condition, examples, corpus)
     except AggregationError as exc:
         hint = "" if args.prompts else " (to score a sampled run, pass its prompts file as --prompts)"
         raise AggregationError(f"{exc}{hint}") from exc
-    write_scores_jsonl(args.out, records)
     if args.categories:
         write_category_csv(args.categories, records)
     print(f"wrote {args.out} ({len(records)} score records)")
@@ -306,11 +292,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         raise AggregationError("no score records found")
     T = args.blocks or max(r.block_id for r in records)
     stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()))
-    scores = block_scores_by_stage(records)
-    rows = stage_rows(scores, stream, args.metric)
-    if not rows:
-        raise MetricsError("no stage has scores for every block; cannot build a matrix")
-    write_matrix_csv(args.out, rows, stream.block_order)
+    rows = write_matrix(args.out, block_scores_by_stage(records), stream, args.metric)
     print(f"wrote {args.out} (metric {args.metric}, stages {sorted(rows)})")
     return EXIT_OK
 

@@ -5,7 +5,7 @@ Input is UTF-8. A line-oriented input (JSON-lines, CSV, standard input)
 is read as bytes and decoded line by line; a line ends with "\\n" or
 "\\r\\n", and readers skip blank lines. A bad line raises the caller's
 own error class as "<path>: line N: <reason>", so each caller keeps its
-exit code.
+exit code; a LineError that a build function raises keeps its class.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
+    "LineError",
     "read_lines",
     "read_jsonl",
     "read_csv",
@@ -31,6 +32,10 @@ _T = TypeVar("_T")
 # csv.Error; a build function rejects a value of the wrong shape with a
 # KeyError, TypeError or ValueError.
 _BAD_VALUE = (KeyError, TypeError, ValueError, csv.Error)
+
+
+class LineError(Exception):
+    """A line that a build function rejects with an exit code of its own."""
 
 
 def _reason(exc: Exception) -> str:
@@ -57,6 +62,8 @@ def read_lines(
                 yield build(parse(text))
         except _BAD_VALUE as exc:
             raise error(f"{name}: line {line_no}: {_reason(exc)}") from exc
+        except LineError as exc:
+            raise type(exc)(f"{name}: line {line_no}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> list[_T]:

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import quote, urlsplit
 
-from .files import read_json, read_jsonl, write_jsonl_records
-from .transform import RenderedPrompt
+from .files import LineError, read_json, read_jsonl, write_jsonl_records
+from .transform import Condition, RenderedPrompt
 
 __all__ = [
     "EndpointConfig",
@@ -59,7 +59,7 @@ class EndpointError(Exception):
         self.body_snippet = body_snippet
 
 
-class StaleCompletionError(Exception):
+class StaleCompletionError(LineError):
     pass
 
 
@@ -317,15 +317,20 @@ def import_completions(
     """Load recorded completions from JSONL files, in order (source
     becomes 'imported').
 
-    When rendered prompts are supplied, a record whose prompt_hash does
-    not match its prompt's raises StaleCompletionError.
+    A record whose condition is not a Condition tag is a ValueError. When
+    rendered prompts are supplied, a record whose prompt_hash does not
+    match its prompt's raises StaleCompletionError; both name the line.
     """
     hashes = {(p.example_id, p.condition.value): p.prompt_hash for p in prompts or ()}
+    # A set lookup: calling Condition(...) per record is several times slower.
+    tags = {c.value for c in Condition}
 
     def completion(raw) -> CompletionRecord:
+        if raw["condition"] not in tags:
+            raise ValueError(f"unknown condition tag {raw['condition']!r}")
         record = CompletionRecord(
             example_id=str(raw["example_id"]),
-            condition=str(raw["condition"]),
+            condition=raw["condition"],
             stage=int(raw["stage"]),
             prompt_hash=str(raw["prompt_hash"]),
             text=str(raw["text"]),

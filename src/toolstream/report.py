@@ -10,11 +10,12 @@ from __future__ import annotations
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from . import __version__
-from .clmetrics import matrix_from_rows, summarize, write_matrix_csv
+from .clmetrics import MetricsError, matrix_from_rows, summarize, write_matrix_csv
 from .corpus import (
+    ScoredExample,
     StreamSpec,
     load_corpus,
     partition_blocks,
@@ -40,11 +41,7 @@ from .scoring import (
     write_scores_jsonl,
 )
 from .transform import (
-    Condition,
-    RenderedPrompt,
-    context_stats,
-    export_rendered_jsonl,
-    render_prompt,
+    Condition, RenderedPrompt, context_stats, export_rendered_jsonl, render_prompt
 )
 from .calls import render_call
 
@@ -53,7 +50,10 @@ __all__ = [
     "format_pct",
     "emit_heatmap_data",
     "block_scores_by_stage",
-    "stage_rows",
+    "render_prompts",
+    "write_prompts",
+    "score_condition",
+    "write_matrix",
     "run_report",
 ]
 
@@ -81,20 +81,57 @@ def block_scores_by_stage(
     return out
 
 
-def stage_rows(
-    scores: Mapping[int, Mapping[int, Mapping[str, float]]],
-    stream: StreamSpec,
-    metric: str,
-) -> dict[int, list[float]]:
-    """Matrix rows (stage -> per-block values) for stages covering every block.
+def render_prompts(
+    examples: Mapping[str, ScoredExample], condition: Condition
+) -> list[RenderedPrompt]:
+    """The render step: the examples' prompts under one condition, in id order."""
+    return [render_prompt(examples[ex_id], condition) for ex_id in sorted(examples)]
 
-    Column order follows the stream's block order so the diagonal is the
-    just-trained block.
-    """
-    rows: dict[int, list[float]] = {}
-    for stage, by_block in scores.items():
-        if all(b in by_block for b in stream.block_order):
-            rows[stage] = [by_block[b][metric] for b in stream.block_order]
+
+def write_prompts(
+    path: str | Path, prompts: Sequence[RenderedPrompt], examples: Mapping[str, ScoredExample]
+) -> None:
+    """Export rendered prompts, each with its example's target call."""
+    targets = {p.example_id: render_call(examples[p.example_id].expected) for p in prompts}
+    export_rendered_jsonl(path, prompts, targets)
+
+
+def score_condition(
+    path: str | Path,
+    completions: Sequence[CompletionRecord],
+    condition: Condition,
+    examples: Mapping[str, ScoredExample],
+    corpus_ids: Container[str],
+) -> list[ScoreRecord]:
+    """The score step: score and write one condition's completions. Records
+    of corpus examples outside the evaluation set (those a sample leaves out)
+    are skipped; an id outside the corpus reaches score_completions, which
+    rejects it."""
+    tag = condition.value
+    kept = [
+        c for c in completions
+        if c.condition == tag and (c.example_id in examples or c.example_id not in corpus_ids)
+    ]
+    records = score_completions(kept, examples)
+    if not records:
+        raise ReportError(f"no completions found for condition {tag}")
+    write_scores_jsonl(path, records)
+    return records
+
+
+def write_matrix(path: str | Path, scores: Mapping, stream: StreamSpec, metric: str) -> dict:
+    """The matrix step: write and return the rows (stage -> per-block
+    values) of the stages in scores (block_scores_by_stage) that cover every
+    block, in the stream's block order: the diagonal is the just-trained block."""
+    order = stream.block_order
+    rows = {
+        stage: [by_block[b][metric] for b in order]
+        for stage, by_block in scores.items()
+        if all(b in by_block for b in order)
+    }
+    if not rows:
+        raise MetricsError("no stage has scores for every block; cannot build a matrix")
+    write_matrix_csv(path, rows, order)
     return rows
 
 
@@ -140,14 +177,12 @@ def run_report(
     blocks = partition_blocks(episodes, stream.T, stream.seed)
     write_blocks_json(out / "blocks.json", blocks)
     examples = select_examples(blocks, stream.sample_size, stream.seed)
-    ordered_ids = sorted(examples)
-    targets = {ex_id: render_call(examples[ex_id].expected) for ex_id in ordered_ids}
 
     prompts_by_condition: dict[str, list[RenderedPrompt]] = {}
     for condition in conditions:
-        prompts = [render_prompt(examples[ex_id], condition) for ex_id in ordered_ids]
+        prompts = render_prompts(examples, condition)
         prompts_by_condition[condition.value] = prompts
-        export_rendered_jsonl(out / f"prompts_{condition.value}.jsonl", prompts, targets)
+        write_prompts(out / f"prompts_{condition.value}.jsonl", prompts, examples)
 
     all_prompts = [p for ps in prompts_by_condition.values() for p in ps]
     # Before any completion is obtained, so a failing tokenizer command
@@ -161,13 +196,7 @@ def run_report(
 
     completions: list[CompletionRecord] = []
     if import_paths:
-        imported = import_completions(import_paths, prompts=all_prompts)
-        # Records of examples the sample leaves out are skipped; an id
-        # outside the corpus goes on to scoring, which rejects it.
-        corpus_ids = {ex.id for block in blocks for ex in block.examples}
-        completions = [
-            r for r in imported if r.example_id in examples or r.example_id not in corpus_ids
-        ]
+        completions = import_completions(import_paths, prompts=all_prompts)
     else:
         cache = CompletionCache(cache_dir) if cache_dir else None
         for condition in conditions:
@@ -183,27 +212,23 @@ def run_report(
                     )
                 completions.extend(batch.ok_records)
 
-    stages_seen: set[int] = set()
+    corpus_ids = {ex.id for block in blocks for ex in block.examples}
     # Condition -> its final-stage macro and micro means and record count.
     final_means: dict[str, dict] = {}
     rows_by_metric: dict[str, dict[str, dict[int, list[float]]]] = {m: {} for m in METRICS}
     for condition in conditions:
         tag = condition.value
-        cond_records = [c for c in completions if c.condition == tag]
-        score_records = score_completions(cond_records, examples)
-        if not score_records:
-            raise ReportError(f"no completions found for condition {tag}")
-        stages_seen.update(r.stage for r in score_records)
-        write_scores_jsonl(out / f"scores_{tag}.jsonl", score_records)
+        score_records = score_condition(
+            out / f"scores_{tag}.jsonl", completions, condition, examples, corpus_ids
+        )
 
         scores = block_scores_by_stage(score_records)
         for metric in METRICS:
-            rows = stage_rows(scores, stream, metric)
-            if rows:
-                rows_by_metric[metric][tag] = rows
-                write_matrix_csv(out / f"matrix_{metric}_{tag}.csv", rows, stream.block_order)
+            rows_by_metric[metric][tag] = write_matrix(
+                out / f"matrix_{metric}_{tag}.csv", scores, stream, metric
+            )
 
-        matrix_rows = rows_by_metric["exact"].get(tag, {})
+        matrix_rows = rows_by_metric["exact"][tag]
         if stream.T in matrix_rows:
             finals = [r for r in score_records if r.stage == stream.T]
             write_category_csv(out / f"categories_{tag}.csv", finals)
@@ -256,7 +281,8 @@ def run_report(
             "sample_size": stream.sample_size,
         },
         "conditions": [c.value for c in conditions],
-        "stages": sorted(stages_seen),
+        # Every scored stage covers every block, so it has a matrix row.
+        "stages": sorted({s for rows in rows_by_metric["exact"].values() for s in rows}),
         "source": (
             {"mode": "import", "paths": [str(p) for p in import_paths]}
             if import_paths

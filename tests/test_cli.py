@@ -131,7 +131,7 @@ class TestRenderScorePipeline:
 
     def test_score_rejects_a_second_completion_per_example(self, split_paths, tmp_path):
         # Both fixture files hold stage-4 completions for the same 440
-        # examples; without --condition they would be scored twice.
+        # examples; without --condition, score cannot tell which to score.
         reference_paths, blocks_path = split_paths
         scores_path = tmp_path / "scores.jsonl"
         argv = [
@@ -557,6 +557,8 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     unknown = dict(records_a[0], example_id="nosuch_episode:1")
     write_jsonl_records(tmp / "unknown_A.jsonl", records_a + [unknown])
     paths["unknown_A"] = str(tmp / "unknown_A.jsonl")
+    write_jsonl_records(tmp / "tagged_C.jsonl", records_a + [dict(records_a[0], condition="C")])
+    paths["tagged_C"] = str(tmp / "tagged_C.jsonl")
     records_a[7]["prompt_hash"] = "0" * 64
     write_jsonl_records(tmp / "stale_A.jsonl", records_a)
     paths["stale_A"] = str(tmp / "stale_A.jsonl")
@@ -579,14 +581,24 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
         (_SCORE + " --completions {truncated_B}", EXIT_VALIDATION, "40 of 440 examples"),
         (_SCORE + " --completions {sampled_B}", EXIT_VALIDATION, "--prompts"),
         (_SCORE + " --completions {sampled_B} --prompts {sampled_prompts}", EXIT_OK, ""),
+        (_SCORE + " --completions {completions_B} --prompts {sampled_prompts}", EXIT_OK, ""),
+        (_SCORE + " --completions {completions_A} --condition B", EXIT_VALIDATION,
+         "no completions found for condition B"),
+        (_SCORE + " --completions {completions_A} --completions {completions_B}",
+         EXIT_VALIDATION, "conditions A, B"),
         (_SCORE + " --completions {stale_A} --prompts {prompts_A}", EXIT_STALE, "prompt hash"),
+        (_SCORE + " --completions {stale_A}", EXIT_STALE, "stale_A.jsonl: line 8: stale"),
         (_REPORT + " --import {stale_A}", EXIT_STALE, "prompt hash mismatch"),
         (_REPORT + " --import {unknown_A}", EXIT_VALIDATION, "unknown example id"),
+        (_REPORT + " --import {tagged_C}", EXIT_VALIDATION, "tagged_C.jsonl: line 441: "),
         ("summary --matrix {not_utf8_csv}", EXIT_VALIDATION, "not_utf8.csv: line 2: "),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
-         "score-stale-hash", "report-stale-hash", "report-unknown-id", "matrix-not-utf8"],
+         "score-all-with-sampled-prompts", "score-condition-without-records",
+         "score-two-conditions", "score-stale-hash", "score-stale-hash-without-prompts",
+         "report-stale-hash", "report-unknown-id", "report-unknown-condition",
+         "matrix-not-utf8"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code

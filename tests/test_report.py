@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from _support import MULTISTAGE_SEED, MULTISTAGE_T, MockEndpoint, write_multistage_inputs
+from toolstream import report
 from toolstream.cli import EXIT_OK, main
 from toolstream.corpus import StreamSpec
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
@@ -21,7 +22,7 @@ from toolstream.report import (
     format_pct,
     run_report,
 )
-from toolstream.scoring import AggregationError
+from toolstream.scoring import METRICS, AggregationError
 from toolstream.transform import Condition, RenderedPrompt
 
 # sha256 over (name, bytes) of each `report` output except manifest.json,
@@ -306,3 +307,74 @@ def test_trace_targets_resolve(monkeypatch):
     for owner, attr, _, _ in spans.TARGETS:
         assert callable(getattr(owner, attr)), f"{owner!r}.{attr}"
     assert isinstance(RenderedPrompt.__dict__["prompt_hash"], property)
+
+
+@pytest.mark.parametrize("inputs", ["multistage", "fixture-sample-5"])
+def test_steps_match_report(reference_paths, tmp_path, inputs):
+    # split -> render -> score -> matrix writes what `report` writes.
+    if inputs == "multistage":
+        corpus, imports = write_multistage_inputs(tmp_path / "in")
+        T, seed, sample = MULTISTAGE_T, MULTISTAGE_SEED, []
+    else:
+        corpus = reference_paths["corpus"]
+        imports = [reference_paths["completions_A"], reference_paths["completions_B"]]
+        T, seed, sample = 4, 42, ["--sample", "5"]
+    corpus, out, steps = str(corpus), tmp_path / "report", tmp_path / "steps"
+    steps.mkdir()
+    argv = ["report", "--corpus", corpus, "--blocks", str(T), "--seed", str(seed)]
+    for path in imports:
+        argv += ["--import", str(path)]
+    assert main(argv + sample + ["--out", str(out)]) == EXIT_OK
+
+    blocks = str(steps / "blocks.json")
+    split = ["split", "--corpus", corpus, "--blocks", str(T), "--seed", str(seed)]
+    assert main(split + ["--out", blocks]) == EXIT_OK
+    names = []
+    for tag, completions in zip("AB", imports):
+        prompts, scores = steps / f"prompts_{tag}.jsonl", steps / f"scores_{tag}.jsonl"
+        render = ["render", "--corpus", corpus, "--condition", tag, "--out", str(prompts)]
+        if sample:
+            render += ["--blocks-file", blocks, "--sample-seed", str(seed)] + sample
+        assert main(render) == EXIT_OK
+        score = ["score", "--corpus", corpus, "--blocks-file", blocks,
+                 "--completions", str(completions), "--out", str(scores)]
+        assert main(score + (["--prompts", str(prompts)] if sample else [])) == EXIT_OK
+        names += [prompts.name, scores.name]
+        for metric in METRICS:
+            matrix = steps / f"matrix_{metric}_{tag}.csv"
+            assert main(["matrix", "--scores", str(scores), "--metric", metric,
+                         "--blocks", str(T), "--out", str(matrix)]) == EXIT_OK
+            names.append(matrix.name)
+    for name in names:
+        assert (steps / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_traced_report_calls_every_import_path_target(monkeypatch, tmp_path):
+    # perfbench's trace mode times `report` through its names in spans.TARGETS;
+    # a step that bypasses one of them drops out of the layer metrics.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    # The multi-stage input writes summaries, which the single-stage fixture skips.
+    corpus, imports = write_multistage_inputs(tmp_path / "in")
+    tracer, called = spans.Tracer(), set()
+    call = tracer.call
+
+    def recording(name, fn, args, kwargs, info):
+        called.add(fn.__name__)
+        return call(name, fn, args, kwargs, info)
+
+    monkeypatch.setattr(tracer, "call", recording)
+    tracer.install()
+    try:
+        run_report(
+            corpus_path=corpus,
+            out_dir=tmp_path / "out",
+            stream=StreamSpec(T=MULTISTAGE_T, seed=MULTISTAGE_SEED),
+            conditions=[Condition.A_STRIPPED, Condition.B_TRAJECTORY],
+            import_paths=imports,
+        )
+    finally:
+        tracer.uninstall()
+    targets = {attr for owner, attr, _, _ in spans.TARGETS if owner is report}
+    assert targets - {"batch_generate"} <= called, targets - called
