@@ -28,32 +28,25 @@ __all__ = [
     "render_call",
 ]
 
-# Scanner tokens (API names and keys, blank runs, and an unquoted value run,
-# which stops at a comma, a closing paren or bracket, or a quote), and the
-# brackets an API name may not contain.
+# Scanner tokens: API names and keys, blank runs, and an unquoted value run,
+# which stops at a comma, a closing paren or bracket, or a quote.
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _WS = re.compile(r"[ \t]*")
 _UNQUOTED = re.compile(r"[^,)'\"\]]*")
-_BRACKETS = re.compile(r"[\[\]()]")
 
 _QUOTES = ("'", '"')
 
 
 @dataclass(frozen=True)
 class ApiCall:
-    """An API name plus an ordered sequence of (key, value) string pairs."""
+    """An API name plus an ordered sequence of (key, value) string pairs.
+
+    Only the scanner checks a call: one parsed from text has identifier
+    name and keys, all distinct. A call built directly is taken as given.
+    """
 
     name: str
     params: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("API name must be nonempty")
-        if _BRACKETS.search(self.name):
-            raise ValueError(f"API name contains bracket characters: {self.name!r}")
-        if len({key for key, _ in self.params}) != len(self.params):
-            keys = [key for key, _ in self.params]
-            raise ValueError(f"duplicate parameter key in call {self.name}: {keys}")
 
 
 class FailureReason(Enum):

@@ -279,6 +279,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     records = []
     seen: set[tuple[int, str]] = set()
+    block_paths: dict[int, str] = {}  # block id -> first file that holds it
     for path in args.scores:
         for record in read_scores_jsonl(path):
             key = (record.stage, record.example_id)
@@ -288,9 +289,13 @@ def cmd_matrix(args: argparse.Namespace) -> int:
                 )
             seen.add(key)
             records.append(record)
+            block_paths.setdefault(record.block_id, path)
     if not records:
         raise AggregationError("no score records found")
-    T = args.blocks or max(r.block_id for r in records)
+    T = args.blocks or max(block_paths)
+    for block_id, path in block_paths.items():
+        if not 1 <= block_id <= T:
+            raise AggregationError(f"{path}: block {block_id} is outside blocks 1..{T}")
     stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()))
     rows = write_matrix(args.out, block_scores_by_stage(records), stream, args.metric)
     print(f"wrote {args.out} (metric {args.metric}, stages {sorted(rows)})")
@@ -300,6 +305,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 def cmd_summary(args: argparse.Namespace) -> int:
     T, rows = read_matrix_csv(args.matrix)
     matrix, baseline = matrix_from_rows(rows, T)
+    if baseline is not None and args.baseline:
+        raise MetricsError(f"{args.matrix}: matrix has a stage 0 row; drop --baseline")
     if baseline is None:
         if not args.baseline:
             raise MetricsError(

@@ -97,13 +97,19 @@ class ScoreRecord:
     category: ErrorCategory
 
 
-def _categorize(predicted: _Pair | None, expected: _Pair) -> ErrorCategory:
-    """Category of a prediction; predicted is None when nothing parsed."""
-    if predicted is None:
+def evaluate_completion(completion: str, expected: ApiCall) -> ErrorCategory:
+    """Category of one raw completion against its expected call."""
+    return _evaluate(completion, (expected.name, normalize_params(expected)))
+
+
+def _evaluate(completion: str, expected: _Pair) -> ErrorCategory:
+    parsed = parse_first_call(completion)
+    if not isinstance(parsed, ParsedCall):
         return ErrorCategory.MALFORMED_NO_CALL
-    if predicted[0] != expected[0]:
+    predicted_map = normalize_params(parsed.call)
+    expected_name, expected_map = expected
+    if parsed.call.name != expected_name:
         return ErrorCategory.WRONG_API
-    predicted_map, expected_map = predicted[1], expected[1]
     if predicted_map == expected_map:
         return ErrorCategory.EXACT_FULL_CALL
     # A zero-parameter expectation has no pair to reproduce, so a
@@ -111,19 +117,6 @@ def _categorize(predicted: _Pair | None, expected: _Pair) -> ErrorCategory:
     if any(predicted_map.get(k) == v for k, v in expected_map.items()):
         return ErrorCategory.CORRECT_API_SOME_PARAMS
     return ErrorCategory.CORRECT_API_WRONG_PARAMS
-
-
-def evaluate_completion(completion: str, expected: ApiCall) -> tuple[ErrorCategory, ApiCall | None]:
-    """Score one raw completion against its expected call: the category
-    and the predicted call (None when nothing parses)."""
-    return _evaluate(completion, (expected.name, normalize_params(expected)))
-
-
-def _evaluate(completion: str, expected: _Pair) -> tuple[ErrorCategory, ApiCall | None]:
-    parsed = parse_first_call(completion)
-    predicted = parsed.call if isinstance(parsed, ParsedCall) else None
-    pair = None if predicted is None else (predicted.name, normalize_params(predicted))
-    return _categorize(pair, expected), predicted
 
 
 def score_completions(completions, examples) -> list[ScoreRecord]:
@@ -162,13 +155,12 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
             expected = expected_by_id[example.id] = (
                 example.expected.name, normalize_params(example.expected)
             )
-        category, _ = _evaluate(completion.text, expected)
         records.append(
             ScoreRecord(
                 example_id=example.id,
                 stage=key[0],
                 block_id=example.block_id,
-                category=category,
+                category=_evaluate(completion.text, expected),
             )
         )
     # Records are unique per (stage, example), so a full count means every

@@ -27,6 +27,7 @@ from _support import (
     random_text,
 )
 from toolstream.calls import (
+    ApiCall,
     ParsedCall,
     ParseFailure,
     normalize_params,
@@ -123,29 +124,77 @@ def test_criterion_2_category_count_replay(reference_paths, reference_blocks):
     _verdict(2, "error-category count replay", failures)
 
 
+def _broken_call_rule(text: str, result) -> str | None:
+    """The call rule a parse of `text` breaks, or None. The scanner is the
+    only check on a call read from text, so each call it returns must have
+    ASCII-identifier name and keys, distinct keys, and a span from '[' to
+    ']' that parses back to the same call."""
+    if not isinstance(result, ParsedCall):
+        return None
+    call = result.call
+    keys = [key for key, _ in call.params]
+    if not all(s.isascii() and s.isidentifier() for s in (call.name, *keys)):
+        return f"non-identifier name or key in {call}"
+    if len(set(keys)) != len(keys):
+        return f"repeated key in {call}"
+    piece = text[slice(*result.span)]
+    if not (
+        piece[:1] == "[" and piece[-1:] == "]"
+        and parse_first_call(piece) == ParsedCall(call, (0, len(piece)))
+    ):
+        return f"span {result.span} of {text!r} does not parse back to {call}"
+    return None
+
+
+_EDIT_CHARS = "[](),='\"\\ \taZ_9é"
+
+
+def _edited_call_text(rng: random.Random) -> str:
+    """A rendered call, sometimes with a repeated key, after a few random
+    one-character edits, behind random text: inputs near the call rules."""
+    call = random_call(rng)
+    if call.params and rng.random() < 0.3:
+        call = ApiCall(call.name, call.params + (rng.choice(call.params),))
+    chars = list(render_call(call))
+    for _ in range(rng.randrange(0, 4)):
+        pos = rng.randrange(len(chars))
+        if rng.random() < 0.5:
+            del chars[pos]
+        else:
+            chars.insert(pos, rng.choice(_EDIT_CHARS))
+    return random_text(rng, 12).replace("[", "") + "".join(chars)
+
+
 def test_criterion_3_parser_properties():
     started = time.perf_counter()
     failures: list[str] = []
 
     rng = random.Random(1_000_003)
     roundtrip_failures = 0
+    broken_rules: list[str] = []
     for _ in range(1000):
         call = random_call(rng)
-        parsed = parse_first_call(render_call(call))
+        text = render_call(call)
+        parsed = parse_first_call(text)
         if not (
             isinstance(parsed, ParsedCall)
             and parsed.call.name == call.name
             and normalize_params(parsed.call) == normalize_params(call)
         ):
             roundtrip_failures += 1
+        elif broken := _broken_call_rule(text, parsed):
+            broken_rules.append(broken)
     if roundtrip_failures:
         failures.append(f"{roundtrip_failures}/1000 round-trips failed")
 
-    crashes = 0
-    for i in range(10_000):
-        raw = rng.randbytes(rng.randrange(0, 64)).decode("latin-1")
-        if i % 3 == 0:
-            raw = random_text(rng)  # bracket-heavy mix to reach deep scanner paths
+    crashes = parsed_calls = 0
+    for i in range(12_000):
+        if i < 10_000:
+            raw = rng.randbytes(rng.randrange(0, 64)).decode("latin-1")
+            if i % 3 == 0:
+                raw = random_text(rng)  # bracket-heavy mix to reach deep scanner paths
+        else:
+            raw = _edited_call_text(rng)  # near-calls, to reach the call rules
         try:
             result = parse_first_call(raw)
         except Exception:  # noqa: BLE001 - totality is the property under test
@@ -153,8 +202,17 @@ def test_criterion_3_parser_properties():
             continue
         if not isinstance(result, (ParsedCall, ParseFailure)):
             crashes += 1
+        elif broken := _broken_call_rule(raw, result):
+            broken_rules.append(broken)
+        parsed_calls += isinstance(result, ParsedCall)
     if crashes:
-        failures.append(f"{crashes}/10000 fuzz inputs crashed or mistyped")
+        failures.append(f"{crashes}/12000 fuzz inputs crashed or mistyped")
+    if parsed_calls < 200:
+        failures.append(f"only {parsed_calls} fuzz inputs parsed to a call")
+    if broken_rules:
+        failures.append(
+            f"{len(broken_rules)} parsed calls break a call rule; first: {broken_rules[0]}"
+        )
 
     if len(MALFORMED_CASES) < 20:
         failures.append(f"malformed corpus holds only {len(MALFORMED_CASES)} cases")
@@ -315,7 +373,7 @@ def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
     for i in range(2000):
         expected = expected_pool[i % len(expected_pool)]
         completion = random_text(rng) if i % 2 else render_call(random_call(rng))
-        category, _ = evaluate_completion(completion, expected)
+        category = evaluate_completion(completion, expected)
         fuzz_records.append(
             ScoreRecord(
                 example_id=f"fuzz:{i}",

@@ -564,6 +564,13 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["stale_A"] = str(tmp / "stale_A.jsonl")
     (tmp / "not_utf8.csv").write_bytes(b"stage,block_1,block_2\r\n1,0.5,\xff0.1\r\n")
     paths["not_utf8_csv"] = str(tmp / "not_utf8.csv")
+    (tmp / "with_stage_0.csv").write_bytes(
+        b"stage,block_1,block_2\r\n0,0.1,0.2\r\n1,0.5,0.3\r\n2,0.6,0.7\r\n"
+    )
+    paths["with_stage_0_csv"] = str(tmp / "with_stage_0.csv")
+    paths["scores_A"] = str(tmp / "scores_A.jsonl")
+    assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
+                 "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
     return paths
 
 
@@ -592,13 +599,17 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
         (_REPORT + " --import {unknown_A}", EXIT_VALIDATION, "unknown example id"),
         (_REPORT + " --import {tagged_C}", EXIT_VALIDATION, "tagged_C.jsonl: line 441: "),
         ("summary --matrix {not_utf8_csv}", EXIT_VALIDATION, "not_utf8.csv: line 2: "),
+        ("summary --matrix {with_stage_0_csv} --baseline {dir}/nonexistent.csv",
+         EXIT_VALIDATION, "with_stage_0.csv: matrix has a stage 0 row"),
+        ("matrix --scores {scores_A} --blocks 3 --out {out}/m.csv", EXIT_VALIDATION,
+         "scores_A.jsonl: block 4 is outside blocks 1..3"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
          "score-all-with-sampled-prompts", "score-condition-without-records",
          "score-two-conditions", "score-stale-hash", "score-stale-hash-without-prompts",
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
-         "matrix-not-utf8"],
+         "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code

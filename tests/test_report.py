@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from _support import MULTISTAGE_SEED, MULTISTAGE_T, MockEndpoint, write_multistage_inputs
-from toolstream import report
+from toolstream import report, scoring
 from toolstream.cli import EXIT_OK, main
 from toolstream.corpus import StreamSpec
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
@@ -311,7 +311,7 @@ def test_trace_targets_resolve(monkeypatch):
 
 @pytest.mark.parametrize("inputs", ["multistage", "fixture-sample-5"])
 def test_steps_match_report(reference_paths, tmp_path, inputs):
-    # split -> render -> score -> matrix writes what `report` writes.
+    # split -> render -> score -> matrix -> summary writes what `report` writes.
     if inputs == "multistage":
         corpus, imports = write_multistage_inputs(tmp_path / "in")
         T, seed, sample = MULTISTAGE_T, MULTISTAGE_SEED, []
@@ -329,7 +329,7 @@ def test_steps_match_report(reference_paths, tmp_path, inputs):
     blocks = str(steps / "blocks.json")
     split = ["split", "--corpus", corpus, "--blocks", str(T), "--seed", str(seed)]
     assert main(split + ["--out", blocks]) == EXIT_OK
-    names = []
+    names = ["blocks.json"]
     for tag, completions in zip("AB", imports):
         prompts, scores = steps / f"prompts_{tag}.jsonl", steps / f"scores_{tag}.jsonl"
         render = ["render", "--corpus", corpus, "--condition", tag, "--out", str(prompts)]
@@ -345,6 +345,11 @@ def test_steps_match_report(reference_paths, tmp_path, inputs):
             assert main(["matrix", "--scores", str(scores), "--metric", metric,
                          "--blocks", str(T), "--out", str(matrix)]) == EXIT_OK
             names.append(matrix.name)
+        if inputs == "multistage":  # the fixture's one stage gives no summary
+            summary = steps / f"summary_{tag}.json"
+            assert main(["summary", "--matrix", str(steps / f"matrix_exact_{tag}.csv"),
+                         "--out", str(summary)]) == EXIT_OK
+            names.append(summary.name)
     for name in names:
         assert (steps / name).read_bytes() == (out / name).read_bytes(), name
 
@@ -376,5 +381,8 @@ def test_traced_report_calls_every_import_path_target(monkeypatch, tmp_path):
         )
     finally:
         tracer.uninstall()
-    targets = {attr for owner, attr, _, _ in spans.TARGETS if owner is report}
+    # Scoring must parse and normalize through `scoring`'s names, which the
+    # calls.parse_* and calls.normalize_* metrics count.
+    targets = {attr for owner, attr, _, _ in spans.TARGETS if owner in (report, scoring)}
+    assert {"parse_first_call", "normalize_params"} <= targets
     assert targets - {"batch_generate"} <= called, targets - called

@@ -35,7 +35,7 @@ WEATHER = ApiCall("GetWeather", (("city", "Paris"),))
 
 
 def _flags(completion, expected):
-    return FLAGS[evaluate_completion(completion, expected)[0]]
+    return FLAGS[evaluate_completion(completion, expected)]
 
 
 class TestScoreExample:
@@ -84,7 +84,7 @@ class TestScoreExample:
 )
 def test_value_equality_golden(completion, expected_text, exact):
     expected = parse_first_call(expected_text).call
-    category, _ = evaluate_completion(completion, expected)
+    category = evaluate_completion(completion, expected)
     flags = FLAGS[category]
     assert flags.parsed and flags.name_ok
     assert flags.exact_ok is exact
@@ -95,35 +95,33 @@ def test_value_equality_golden(completion, expected_text, exact):
 
 class TestClassifyError:
     def test_malformed(self):
-        category, predicted = evaluate_completion("nope", WEATHER)
-        assert category is ErrorCategory.MALFORMED_NO_CALL
-        assert predicted is None
+        assert evaluate_completion("nope", WEATHER) is ErrorCategory.MALFORMED_NO_CALL
 
     def test_wrong_api(self):
-        category, _ = evaluate_completion("[GetNews(city='Paris')]", WEATHER)
+        category = evaluate_completion("[GetNews(city='Paris')]", WEATHER)
         assert category is ErrorCategory.WRONG_API
 
     def test_exact(self):
-        category, _ = evaluate_completion("[GetWeather(city='Paris')]", WEATHER)
+        category = evaluate_completion("[GetWeather(city='Paris')]", WEATHER)
         assert category is ErrorCategory.EXACT_FULL_CALL
 
     def test_some_params(self):
         expected = ApiCall("Book", (("origin", "LHR"), ("dest", "CDG")))
-        category, _ = evaluate_completion("[Book(origin='LHR', dest='AMS')]", expected)
+        category = evaluate_completion("[Book(origin='LHR', dest='AMS')]", expected)
         assert category is ErrorCategory.CORRECT_API_SOME_PARAMS
 
     def test_wrong_params(self):
-        category, _ = evaluate_completion("[GetWeather(city='Lyon')]", WEATHER)
+        category = evaluate_completion("[GetWeather(city='Lyon')]", WEATHER)
         assert category is ErrorCategory.CORRECT_API_WRONG_PARAMS
 
     def test_empty_expected_with_extra_params_is_wrong_params(self):
         ping = ApiCall("Ping")
-        category, _ = evaluate_completion("[Ping(x='1')]", ping)
+        category = evaluate_completion("[Ping(x='1')]", ping)
         assert not FLAGS[category].name_any_ok
         assert category is ErrorCategory.CORRECT_API_WRONG_PARAMS
 
     def test_empty_expected_exact(self):
-        category, _ = evaluate_completion("[Ping()]", ApiCall("Ping"))
+        category = evaluate_completion("[Ping()]", ApiCall("Ping"))
         assert category is ErrorCategory.EXACT_FULL_CALL
 
 
@@ -215,7 +213,7 @@ class TestCategoryProperties:
                     tuple((k, v + "_x") for k, v in expected.params),
                 )
                 completion = render_call(mutated)
-            category, _ = evaluate_completion(completion, expected)
+            category = evaluate_completion(completion, expected)
             records.append(
                 ScoreRecord(
                     example_id=f"f:{i}",
@@ -342,4 +340,4 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
     ] * 3
     for r, c in zip(records, completions):
         expected = examples[c.example_id].expected
-        assert r.category is evaluate_completion(c.text, expected)[0]
+        assert r.category is evaluate_completion(c.text, expected)
