@@ -151,7 +151,8 @@ def write_matrix_csv(
 
 
 def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]]]:
-    """Read a matrix CSV back as (T, stage -> row values)."""
+    """Read a matrix CSV back as (T, stage -> row values). A stage outside
+    0..T, or one that appears twice, is an error naming the line."""
     header: list[str] = []
     rows: dict[int, list[float]] = {}
 
@@ -165,7 +166,12 @@ def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]]]:
         elif len(fields) != len(header):
             raise ValueError(f"row has {len(fields) - 1} values, expected {len(header) - 1}")
         else:
-            rows[int(fields[0])] = [float(v) for v in fields[1:]]
+            stage, T = int(fields[0]), len(header) - 1
+            if not 0 <= stage <= T:
+                raise ValueError(f"stage {stage} is outside stages 0..{T}")
+            if stage in rows:
+                raise ValueError(f"stage {stage} appears more than once")
+            rows[stage] = [float(v) for v in fields[1:]]
 
     read_csv(path, row, MetricsError)
     if not header:

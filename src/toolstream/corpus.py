@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -75,17 +75,25 @@ class Turn:
 class Episode:
     id: str
     turns: list[Turn]
+    # Condition -> transform's rendering of these turns, built on first use,
+    # so it lives and dies with the episode.
+    renderings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
 class ScoredExample:
-    """A next-call prediction target: the context before one api_request turn."""
+    """A next-call prediction target: the turns of an episode before one
+    api_request turn, which is at cut_index."""
 
     id: str
+    episode: Episode = field(repr=False)
     cut_index: int
-    context: list[Turn]
     expected: ApiCall
     block_id: int | None = None
+
+    @property
+    def context(self) -> list[Turn]:
+        return self.episode.turns[: self.cut_index]
 
 
 @dataclass
@@ -184,8 +192,8 @@ def extract_examples(episode: Episode) -> list[ScoredExample]:
         examples.append(
             ScoredExample(
                 id=f"{episode.id}:{idx}",
+                episode=episode,
                 cut_index=idx,
-                context=list(episode.turns[:idx]),
                 expected=turn.call,
             )
         )

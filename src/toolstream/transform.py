@@ -3,6 +3,12 @@
 Condition A strips prior API-Request/API-Response lines from the context
 before rendering; Condition B keeps the full action-observation trace.
 Both renderings end with the same next-action cue line.
+
+Each episode is rendered once per condition, as one text in which every
+kept turn is a line ended by a newline. An example's prompt is the prefix
+of that text up to its cut, then the cue. Its whitespace-token count is
+the sum of the counts of those lines plus the cue's: no token spans a
+newline, so the sum equals len(prompt.split()).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Role, ScoredExample, Turn
+from .corpus import Episode, Role, ScoredExample
 from .files import read_jsonl, write_jsonl_records
 
 __all__ = [
@@ -23,7 +29,7 @@ __all__ = [
     "StatsError",
     "PREFIXES",
     "CUE",
-    "strip_trajectory",
+    "KEPT_ROLES",
     "render_prompt",
     "context_stats",
     "export_rendered_jsonl",
@@ -50,6 +56,14 @@ PREFIXES: dict[Role, str] = {
     Role.API_RESPONSE: "API-Response: ",
 }
 CUE = "API-Request:"
+_CUE_TOKENS = len(CUE.split())
+
+# The roles whose turns each condition keeps: A strips the action-observation
+# trace, B keeps every turn.
+KEPT_ROLES: dict[Condition, frozenset[Role]] = {
+    Condition.A_STRIPPED: frozenset({Role.USER, Role.ASSISTANT_TEXT}),
+    Condition.B_TRAJECTORY: frozenset(Role),
+}
 
 
 @dataclass
@@ -57,26 +71,44 @@ class RenderedPrompt:
     example_id: str
     condition: Condition
     text: str
+    # len(text.split()), as render_prompt counts it; None on a prompt read
+    # back from a file.
+    ws_token: int | None = None
 
     @property
     def prompt_hash(self) -> str:
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
-def strip_trajectory(context: Sequence[Turn]) -> list[Turn]:
-    """Drop api_request/api_response turns, keeping user and assistant text."""
-    return [t for t in context if t.role in (Role.USER, Role.ASSISTANT_TEXT)]
+def _rendering(episode: Episode, condition: Condition) -> tuple[str, list[int], list[int]]:
+    """The episode's kept turns as one text of newline-ended lines, with the end
+    offset of the lines before each cut index 0..len(turns) and their
+    whitespace-token count. Built on first use and kept on the episode."""
+    rendering = episode.renderings.get(condition)
+    if rendering is None:
+        kept = KEPT_ROLES[condition]
+        lines: list[str] = []
+        ends, tokens = [0], [0]
+        end = count = 0
+        for turn in episode.turns:
+            if turn.role in kept:
+                line = PREFIXES[turn.role] + turn.text + "\n"
+                lines.append(line)
+                end += len(line)
+                count += len(line.split())
+            ends.append(end)
+            tokens.append(count)
+        rendering = episode.renderings[condition] = ("".join(lines), ends, tokens)
+    return rendering
 
 
 def render_prompt(example: ScoredExample, condition: Condition) -> RenderedPrompt:
     """Render one example's context under the given condition."""
-    if condition is Condition.A_STRIPPED:
-        turns = strip_trajectory(example.context)
-    else:
-        turns = example.context
-    lines = [PREFIXES[t.role] + t.text for t in turns]
-    lines.append(CUE)
-    return RenderedPrompt(example_id=example.id, condition=condition, text="\n".join(lines))
+    text, ends, tokens = _rendering(example.episode, condition)
+    cut = example.cut_index
+    return RenderedPrompt(
+        example.id, condition, text[: ends[cut]] + CUE, tokens[cut] + _CUE_TOKENS
+    )
 
 
 def _run_tokenizer(command: Sequence[str], text: str) -> int:
@@ -99,14 +131,14 @@ def context_stats(
     tokenizer_cmd: Sequence[str] | None = None,
 ) -> dict[str, dict[str, int]]:
     """Per-condition totals of char, whitespace-token, and optional
-    external-tokenizer counts. External counts appear only when a
-    tokenizer command is configured."""
+    external-tokenizer counts of prompts as render_prompt returns them.
+    External counts appear only when a tokenizer command is configured."""
     totals: dict[str, dict[str, int]] = {}
     for prompt in prompts:
         tag = prompt.condition.value
         bucket = totals.setdefault(tag, {"char": 0, "ws_token": 0})
         bucket["char"] += len(prompt.text)
-        bucket["ws_token"] += len(prompt.text.split())
+        bucket["ws_token"] += prompt.ws_token
         if tokenizer_cmd is not None:
             bucket["ext_token"] = bucket.get("ext_token", 0) + _run_tokenizer(
                 tokenizer_cmd, prompt.text

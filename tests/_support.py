@@ -211,16 +211,25 @@ def _planted_completion(rng: random.Random, expected: ApiCall, p_exact: float) -
     return f"[{expected.name}({k1}='{v1}'"
 
 
-def write_multistage_inputs(directory, seed: int = 11) -> tuple[Path, list[Path]]:
-    """Write a corpus and stage 0-4 completions under both conditions for a
-    StreamSpec(T=MULTISTAGE_T, seed=MULTISTAGE_SEED) report; returns the
-    corpus path and the two completion files. A block scores better once
-    its stage has trained it, and B a little better than A, so every
-    matrix, summary and heatmap has distinct rows."""
+def write_multistage_inputs(
+    directory,
+    seed: int = 11,
+    n_episodes: int = 40,
+    calls_per_episode: int = 3,
+    stages: tuple[int, ...] = tuple(range(MULTISTAGE_T + 1)),
+) -> tuple[Path, list[Path]]:
+    """Write a trace-heavy corpus and completions at the given stages (by
+    default 0-4) under both conditions for a StreamSpec(T=MULTISTAGE_T,
+    seed=MULTISTAGE_SEED) report; returns the corpus path and the two
+    completion files. A block scores better once its stage has trained it,
+    and B a little better than A, so every matrix, summary and heatmap has
+    distinct rows."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     corpus = out / "corpus.jsonl"
-    write_jsonl_records(corpus, trace_heavy_corpus_records(40, 3, n_apis=8))
+    write_jsonl_records(
+        corpus, trace_heavy_corpus_records(n_episodes, calls_per_episode, n_apis=8)
+    )
     blocks = partition_blocks(load_corpus(corpus), MULTISTAGE_T, MULTISTAGE_SEED)
     examples = sorted((ex for b in blocks for ex in b.examples), key=lambda ex: ex.id)
     rng = random.Random(seed)
@@ -229,7 +238,7 @@ def write_multistage_inputs(directory, seed: int = 11) -> tuple[Path, list[Path]
         records = []
         for ex in examples:
             prompt_hash = render_prompt(ex, condition).prompt_hash
-            for stage in range(MULTISTAGE_T + 1):
+            for stage in stages:
                 p_exact = (0.6 if ex.block_id <= stage else 0.2) + bonus
                 text = _planted_completion(rng, ex.expected, p_exact)
                 records.append(CompletionRecord(ex.id, condition.value, stage, prompt_hash, text))

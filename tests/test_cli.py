@@ -568,6 +568,14 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
         b"stage,block_1,block_2\r\n0,0.1,0.2\r\n1,0.5,0.3\r\n2,0.6,0.7\r\n"
     )
     paths["with_stage_0_csv"] = str(tmp / "with_stage_0.csv")
+    (tmp / "repeated_stage.csv").write_bytes(
+        b"stage,block_1,block_2\r\n0,0.1,0.2\r\n1,0.5,0.3\r\n2,0.6,0.4\r\n2,0.9,0.9\r\n"
+    )
+    paths["repeated_stage_csv"] = str(tmp / "repeated_stage.csv")
+    (tmp / "stage_5.csv").write_bytes(
+        b"stage,block_1,block_2\r\n0,0.1,0.2\r\n1,0.5,0.3\r\n2,0.6,0.4\r\n5,0.9,0.9\r\n"
+    )
+    paths["stage_5_csv"] = str(tmp / "stage_5.csv")
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
@@ -603,13 +611,18 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          EXIT_VALIDATION, "with_stage_0.csv: matrix has a stage 0 row"),
         ("matrix --scores {scores_A} --blocks 3 --out {out}/m.csv", EXIT_VALIDATION,
          "scores_A.jsonl: block 4 is outside blocks 1..3"),
+        ("summary --matrix {repeated_stage_csv}", EXIT_VALIDATION,
+         "repeated_stage.csv: line 5: stage 2 appears more than once"),
+        ("summary --matrix {stage_5_csv}", EXIT_VALIDATION,
+         "stage_5.csv: line 5: stage 5 is outside stages 0..2"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
          "score-all-with-sampled-prompts", "score-condition-without-records",
          "score-two-conditions", "score-stale-hash", "score-stale-hash-without-prompts",
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
-         "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t"],
+         "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t",
+         "summary-repeated-stage", "summary-stage-outside-t"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code

@@ -30,13 +30,19 @@ from toolstream.transform import Condition, RenderedPrompt
 # multi-stage input of _support.write_multistage_inputs.
 REFERENCE_REPORT_SHA256 = "264111b1ce56252304c091130689f2425877becca06215e2e888537663b244a9"
 MULTISTAGE_REPORT_SHA256 = "2c5b72766d40274d4ee5cc45998c48d5295838b18d87753a4f2777b2bd206a77"
+# The same over the prompt files and context_stats.json of a report on 6
+# episodes of 40 calls each (see test_long_trace_report_golden_digest).
+LONG_TRACE_RENDER_SHA256 = "fb53bf83f93ed2a7b7180d83c281d46aba065d18a795db8a5dda0cdd66a570b4"
+LONG_TRACE_RENDER_FILES = ("context_stats.json", "prompts_A.jsonl", "prompts_B.jsonl")
 
 
-def _report_digest(out: Path) -> str:
-    # manifest.json holds paths, so it is left out.
+def _report_digest(out: Path, names: tuple[str, ...] = ()) -> str:
+    """Digest of the named outputs, or by default of every output but
+    manifest.json, which holds paths."""
     digest = hashlib.sha256()
     for path in sorted(out.iterdir()):
-        if path.name != "manifest.json":
+        keep = path.name in names if names else path.name != "manifest.json"
+        if keep:
             digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
     return digest.hexdigest()
 
@@ -175,6 +181,22 @@ class TestRunReport:
         )
         assert (out / "summary_A.json").exists() and (out / "summary_B.json").exists()
         assert _report_digest(out) == MULTISTAGE_REPORT_SHA256
+
+    def test_long_trace_report_golden_digest(self, tmp_path):
+        # Up to 157 context turns per prompt, where the multi-stage input
+        # has at most 9: pins the rendered prompts and their length totals
+        # on long action-observation traces.
+        corpus, imports = write_multistage_inputs(
+            tmp_path / "in", n_episodes=6, calls_per_episode=40, stages=(MULTISTAGE_T,)
+        )
+        out = run_report(
+            corpus_path=corpus,
+            out_dir=tmp_path / "out",
+            stream=StreamSpec(T=MULTISTAGE_T, seed=MULTISTAGE_SEED),
+            conditions=[Condition.A_STRIPPED, Condition.B_TRAJECTORY],
+            import_paths=imports,
+        )
+        assert _report_digest(out, LONG_TRACE_RENDER_FILES) == LONG_TRACE_RENDER_SHA256
 
     def test_import_given_twice_is_rejected(self, reference_paths, tmp_path):
         with pytest.raises(AggregationError, match="more than one completion"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 import sys
 from collections import Counter
@@ -9,7 +11,7 @@ from collections import Counter
 import pytest
 
 from toolstream.calls import ApiCall
-from toolstream.corpus import Role, ScoredExample, Turn, extract_examples
+from toolstream.corpus import Episode, Role, ScoredExample, Turn, extract_examples
 from _support import load_episodes_from_records
 from toolstream.fixtures import trace_heavy_corpus_records
 from toolstream.transform import (
@@ -22,7 +24,6 @@ from toolstream.transform import (
     export_rendered_jsonl,
     read_rendered_jsonl,
     render_prompt,
-    strip_trajectory,
 )
 
 CALL = ApiCall("F", (("x", "1"),))
@@ -35,9 +36,9 @@ def _turn(role: Role, text: str = "t") -> Turn:
 
 
 def _example(context: list[Turn], ex_id: str = "e:1") -> ScoredExample:
-    return ScoredExample(
-        id=ex_id, cut_index=len(context), context=context, expected=CALL
-    )
+    """The example whose context is `context`, cut before one more call."""
+    episode = Episode(id="e", turns=context + [_turn(Role.API_REQUEST)])
+    return ScoredExample(id=ex_id, episode=episode, cut_index=len(context), expected=CALL)
 
 
 class TestStripTrajectory:
@@ -48,17 +49,18 @@ class TestStripTrajectory:
             _turn(Role.API_RESPONSE, "r"),
             _turn(Role.ASSISTANT_TEXT, "a"),
         ]
-        stripped = strip_trajectory(context)
-        assert [t.role for t in stripped] == [Role.USER, Role.ASSISTANT_TEXT]
-        assert [t.text for t in stripped] == ["u", "a"]
+        text = render_prompt(_example(context), Condition.A_STRIPPED).text
+        assert text == "User: u\nAssistant: a\nAPI-Request:"
 
     def test_no_trace_is_identity(self):
         context = [_turn(Role.USER, "u"), _turn(Role.ASSISTANT_TEXT, "a")]
-        assert strip_trajectory(context) == context
+        text = render_prompt(_example(context), Condition.A_STRIPPED).text
+        assert text == "User: u\nAssistant: a\nAPI-Request:"
 
     def test_only_trace_becomes_empty(self):
         context = [_turn(Role.API_REQUEST), _turn(Role.API_RESPONSE)]
-        assert strip_trajectory(context) == []
+        prompt = render_prompt(_example(context), Condition.A_STRIPPED)
+        assert (prompt.text, prompt.ws_token) == (CUE, 1)
 
 
 class TestRenderPrompt:
@@ -147,11 +149,13 @@ class TestContextStats:
 
     def test_token_arithmetic(self):
         prompts = [
-            RenderedPrompt("a", Condition.A_STRIPPED, "one two three"),
-            RenderedPrompt("b", Condition.A_STRIPPED, "a b c d e"),
+            # "User: one two three\nAPI-Request:": 32 chars, 5 tokens
+            render_prompt(_example([_turn(Role.USER, "one two three")]), Condition.A_STRIPPED),
+            # "Assistant: a b c d e\nAPI-Request:": 33 chars, 7 tokens
+            render_prompt(_example([_turn(Role.ASSISTANT_TEXT, "a b c d e")]), Condition.A_STRIPPED),
         ]
         stats = context_stats(prompts)
-        assert stats == {"A": {"char": 22, "ws_token": 8}}
+        assert stats == {"A": {"char": 65, "ws_token": 12}}
 
     def test_trace_heavy_totals_and_ratio(self, tmp_path):
         examples, pairs = _trace_heavy_prompts(tmp_path)
@@ -168,8 +172,8 @@ class TestContextStats:
 
     def test_external_tokenizer(self):
         prompts = [
-            RenderedPrompt("a", Condition.A_STRIPPED, "one two three"),
-            RenderedPrompt("b", Condition.B_TRAJECTORY, "a b"),
+            RenderedPrompt("a", Condition.A_STRIPPED, "one two three", ws_token=3),
+            RenderedPrompt("b", Condition.B_TRAJECTORY, "a b", ws_token=2),
         ]
         cmd = [sys.executable, "-c", "import sys; print(len(sys.stdin.read().split()))"]
         stats = context_stats(prompts, tokenizer_cmd=cmd)
@@ -177,7 +181,7 @@ class TestContextStats:
         assert stats["B"]["ext_token"] == 2
 
     def test_external_tokenizer_failure_names_command(self):
-        prompts = [RenderedPrompt("a", Condition.A_STRIPPED, "x")]
+        prompts = [RenderedPrompt("a", Condition.A_STRIPPED, "x", ws_token=1)]
         cmd = [sys.executable, "-c", "import sys; sys.exit(3)"]
         with pytest.raises(StatsError) as excinfo:
             context_stats(prompts, tokenizer_cmd=cmd)
@@ -194,3 +198,61 @@ class TestRenderedExport:
         assert [p.text for p in loaded] == [p.text for p in prompts]
         assert [p.condition for p in loaded] == [p.condition for p in prompts]
         assert loaded[0].prompt_hash == prompts[0].prompt_hash
+
+
+# Characters of the random texts: str.split() whitespace of several kinds,
+# including newline, NBSP and the \x1c separator, among word characters.
+_PARITY_ALPHABET = "ab[]()='" + " \n\t\r\x1c\u00a0\u2028" + "é漢"
+
+
+def _reference_prompt(turns: list[Turn], condition: Condition) -> str:
+    """The naive rendering: each kept turn's line, then the cue, joined by "\n"."""
+    if condition is Condition.A_STRIPPED:
+        turns = [t for t in turns if t.role in (Role.USER, Role.ASSISTANT_TEXT)]
+    return "\n".join([PREFIXES[t.role] + t.text for t in turns] + [CUE])
+
+
+def _random_episode(rng: random.Random, ep_id: str) -> Episode:
+    turns = []
+    for _ in range(rng.randrange(0, 12)):
+        role = rng.choice(list(Role))
+        length = rng.choice((0, 0, 1, 3, 12))
+        text = "".join(rng.choice(_PARITY_ALPHABET) for _ in range(length))
+        turns.append(Turn(role=role, text=text, call=CALL if role is Role.API_REQUEST else None))
+    return Episode(id=ep_id, turns=turns)
+
+
+class TestRenderParity:
+    def test_every_cut_matches_the_naive_rendering(self):
+        rng = random.Random(2026)
+        # The first episode opens with a request and a response, so condition
+        # A keeps no turn at its cuts 1 and 2.
+        episodes = [
+            Episode("lead", [_turn(Role.API_REQUEST), _turn(Role.API_RESPONSE, "r\n s"),
+                             _turn(Role.USER, "")]),
+        ] + [_random_episode(rng, f"ep{i}") for i in range(200)]
+        assert {t.role for ep in episodes for t in ep.turns} == set(Role)
+        assert any(t.text == "" for ep in episodes for t in ep.turns)
+        assert any("\x1c" in t.text for ep in episodes for t in ep.turns)
+
+        examples = [
+            ScoredExample(id=f"{ep.id}:{cut}", episode=ep, cut_index=cut, expected=CALL)
+            for ep in episodes
+            for cut in range(len(ep.turns) + 1)
+        ]
+        prompts, references = [], {}
+        for condition in Condition:
+            for ex in examples:
+                prompt = render_prompt(ex, condition)
+                reference = _reference_prompt(ex.episode.turns[: ex.cut_index], condition)
+                assert prompt.text == reference, (ex.id, condition)
+                assert prompt.prompt_hash == hashlib.sha256(reference.encode("utf-8")).hexdigest()
+                assert prompt.ws_token == len(reference.split()), (ex.id, condition)
+                prompts.append(prompt)
+                references.setdefault(condition.value, []).append(reference)
+        assert render_prompt(examples[2], Condition.A_STRIPPED).text == CUE  # "lead:2"
+
+        stats = context_stats(prompts)
+        for tag, texts in references.items():
+            assert stats[tag]["char"] == sum(len(t) for t in texts)
+            assert stats[tag]["ws_token"] == sum(len(t.split()) for t in texts)
