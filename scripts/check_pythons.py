@@ -7,10 +7,12 @@ For each interpreter found under ~/.pyenv/versions (3.10.*, 3.11.*,
 interpreter, with the sources under src/ and no installed package:
 
 - the reference-fixture `report` (fixtures, then report with both
-  conditions imported) and the multi-stage `report` on the seeded input
-  of tests/_support.py's write_multistage_inputs (stages 0-4, so it also
-  writes the summaries and full matrices); each output directory is
-  hashed with sha256 and compared with the 3.11 hash;
+  conditions imported), the multi-stage `report` on the seeded input of
+  tests/_support.py's write_multistage_inputs (stages 0-4, so it also
+  writes the summaries and full matrices) and the long-trace `report` on
+  that function's 6 episodes of 40 calls each (up to 157 context turns per
+  prompt); each output directory is hashed with sha256 and compared with
+  the 3.11 hash;
 - the continual-learning statistics against the brute-force oracles of
   tests/_support.py on the random matrices of
   tests/test_clmetrics.py::test_oracle_equivalence_random_matrices
@@ -43,12 +45,19 @@ REPORT_ARGS = [
     "--out", "run",
 ]
 
+# Report name -> (input directory, write_multistage_inputs' keyword
+# arguments); the report is written to "<input directory>_run". The
+# manifest records the corpus path, so these names are part of the digest.
+MULTISTAGE_RUNS = {
+    "multi-stage": ("multistage", ""),
+    "long-trace": ("long_trace", "n_episodes=6, calls_per_episode=40, stages=(MULTISTAGE_T,)"),
+}
 MULTISTAGE_CODE = """
 from _support import MULTISTAGE_SEED, MULTISTAGE_T, write_multistage_inputs
 from toolstream.cli import main
-corpus, imports = write_multistage_inputs("multistage")
+corpus, imports = write_multistage_inputs("{inputs}", {kwargs})
 args = ["report", "--corpus", str(corpus), "--blocks", str(MULTISTAGE_T),
-        "--seed", str(MULTISTAGE_SEED), "--out", "multistage_run"]
+        "--seed", str(MULTISTAGE_SEED), "--out", "{inputs}_run"]
 for path in imports:
     args += ["--import", str(path)]
 raise SystemExit(main(args))
@@ -106,21 +115,24 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, str], int, int]:
-    """((fixture report digest, multi-stage report digest), oracle values
+def check(python: Path) -> tuple[tuple[str, ...], int, int]:
+    """((fixture, multi-stage and long-trace report digests), oracle values
     checked, oracle mismatches) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
         _run(python, ["-m", "toolstream.cli", *REPORT_ARGS], work)
-        _run(python, ["-c", MULTISTAGE_CODE], work)
-        digests = (tree_digest(work / "run"), tree_digest(work / "multistage_run"))
+        outputs = ["run"]
+        for inputs, kwargs in MULTISTAGE_RUNS.values():
+            _run(python, ["-c", MULTISTAGE_CODE.format(inputs=inputs, kwargs=kwargs)], work)
+            outputs.append(f"{inputs}_run")
+        digests = tuple(tree_digest(work / out) for out in outputs)
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
     return digests, checked, mismatches
 
 
 def main() -> int:
-    results: dict[str, tuple[str, tuple[str, str], int, int] | None] = {}
+    results: dict[str, tuple[str, tuple[str, ...], int, int] | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -130,7 +142,8 @@ def main() -> int:
         results[minor] = (version.strip(), *check(python))
 
     reference = results[REFERENCE]
-    reference_digests = reference[1] if reference else (None, None)
+    names = ["fixture", *MULTISTAGE_RUNS]
+    reference_digests = reference[1] if reference else (None,) * len(names)
     ok = True
     for minor in MINORS:
         result = results[minor]
@@ -143,7 +156,7 @@ def main() -> int:
         ok = ok and matched
         shown = ", ".join(
             f"{name} report sha256 {digest[:16]} ({REFERENCE}: {str(ref)[:16]})"
-            for name, digest, ref in zip(("fixture", "multi-stage"), digests, reference_digests)
+            for name, digest, ref in zip(names, digests, reference_digests)
         )
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}")

@@ -60,9 +60,9 @@ from .genclient import (
     write_completions_jsonl,
 )
 from .report import ReportError, block_scores_by_stage, render_prompts, run_report
-from .report import score_condition, write_matrix, write_prompts
+from .report import score_condition, write_matrix
 from .scoring import METRICS, AggregationError, read_scores_jsonl, write_category_csv
-from .transform import Condition, StatsError, read_rendered_jsonl
+from .transform import Condition, StatsError, export_rendered_jsonl, read_rendered_jsonl
 from . import __version__
 
 EXIT_OK = 0
@@ -232,7 +232,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         examples = {ex.id: ex for ex in corpus_examples}
     prompts = render_prompts(examples, args.condition)
-    write_prompts(args.out, prompts, examples)
+    export_rendered_jsonl(args.out, prompts, examples)
     print(f"wrote {args.out} ({len(prompts)} prompts, condition {args.condition.value})")
     return EXIT_OK
 
@@ -313,13 +313,9 @@ def cmd_summary(args: argparse.Namespace) -> int:
                 "matrix has no stage 0 row; provide --baseline for forward transfer"
             )
         _, baseline_rows = read_matrix_csv(args.baseline)
-        if 0 in baseline_rows:
-            values = baseline_rows[0]
-        elif len(baseline_rows) == 1:
-            values = next(iter(baseline_rows.values()))
-        else:
-            raise MetricsError("baseline CSV must hold exactly one row (stage 0)")
-        baseline = BaselineVector(tuple(values))
+        if list(baseline_rows) != [0]:
+            raise MetricsError(f"{args.baseline}: baseline CSV must hold exactly one row (stage 0)")
+        baseline = BaselineVector(tuple(baseline_rows[0]))
     summary = summarize(matrix, baseline)
     if args.out:
         write_json(args.out, summary)

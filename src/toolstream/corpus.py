@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
-from .files import read_json, read_jsonl, write_json
+from .files import check_utf8, read_json, read_jsonl, write_json
 
 __all__ = [
     "Role",
@@ -75,8 +75,9 @@ class Turn:
 class Episode:
     id: str
     turns: list[Turn]
-    # Condition -> transform's rendering of these turns, built on first use,
-    # so it lives and dies with the episode.
+    # Condition -> transform's rendering of these turns (text, cut offsets,
+    # token counts, prompt digests), built on first use, so it lives and dies
+    # with the episode.
     renderings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -158,6 +159,7 @@ def _episode_from_record(record: object) -> Episode:
             raise ValueError(f"turn {idx} has unknown role {role_raw!r}") from None
         if not isinstance(text, str):
             raise ValueError(f"turn {idx} has missing or non-string text")
+        check_utf8(text, f"turn {idx} text")
         turns.append(_build_turn(role, text, ep_id, idx))
     return Episode(id=ep_id, turns=turns)
 

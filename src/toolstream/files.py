@@ -21,6 +21,8 @@ __all__ = [
     "read_jsonl",
     "read_csv",
     "read_json",
+    "check_utf8",
+    "write_lines",
     "write_jsonl_records",
     "write_json",
     "write_csv",
@@ -92,10 +94,26 @@ def read_json(path: str | Path, build: Callable[[object], _T], error: type[Excep
         raise error(f"{path}: {_reason(exc)}") from exc
 
 
-def write_jsonl_records(path: str | Path, records: Iterable[object]) -> None:
+def check_utf8(text: str, what: str) -> None:
+    """Reject a decoded string that has no UTF-8 form: a JSON escape such as
+    "\\ud800" decodes to a lone surrogate, which cannot be hashed or sent."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"{what} holds a lone surrogate {text[exc.start]!r} at offset {exc.start}"
+            ) from None
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write lines that each end with "\\n", as UTF-8."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(lines)
+
+
+def write_jsonl_records(path: str | Path, records: Iterable[object]) -> None:
+    write_lines(path, (json.dumps(record) + "\n" for record in records))
 
 
 def write_json(path: str | Path, payload: object) -> None:

@@ -84,7 +84,7 @@ class EndpointConfig:
         url.port  # raises ValueError unless the port is a number in 0-65535
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletionRecord:
     example_id: str
     condition: str

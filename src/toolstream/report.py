@@ -43,7 +43,6 @@ from .scoring import (
 from .transform import (
     Condition, RenderedPrompt, context_stats, export_rendered_jsonl, render_prompt
 )
-from .calls import render_call
 
 __all__ = [
     "ReportError",
@@ -51,7 +50,6 @@ __all__ = [
     "emit_heatmap_data",
     "block_scores_by_stage",
     "render_prompts",
-    "write_prompts",
     "score_condition",
     "write_matrix",
     "run_report",
@@ -86,14 +84,6 @@ def render_prompts(
 ) -> list[RenderedPrompt]:
     """The render step: the examples' prompts under one condition, in id order."""
     return [render_prompt(examples[ex_id], condition) for ex_id in sorted(examples)]
-
-
-def write_prompts(
-    path: str | Path, prompts: Sequence[RenderedPrompt], examples: Mapping[str, ScoredExample]
-) -> None:
-    """Export rendered prompts, each with its example's target call."""
-    targets = {p.example_id: render_call(examples[p.example_id].expected) for p in prompts}
-    export_rendered_jsonl(path, prompts, targets)
 
 
 def score_condition(
@@ -182,7 +172,7 @@ def run_report(
     for condition in conditions:
         prompts = render_prompts(examples, condition)
         prompts_by_condition[condition.value] = prompts
-        write_prompts(out / f"prompts_{condition.value}.jsonl", prompts, examples)
+        export_rendered_jsonl(out / f"prompts_{condition.value}.jsonl", prompts, examples)
 
     all_prompts = [p for ps in prompts_by_condition.values() for p in ps]
     # Before any completion is obtained, so a failing tokenizer command

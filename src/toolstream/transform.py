@@ -8,20 +8,26 @@ Each episode is rendered once per condition, as one text in which every
 kept turn is a line ended by a newline. An example's prompt is the prefix
 of that text up to its cut, then the cue. Its whitespace-token count is
 the sum of the counts of those lines plus the cue's: no token spans a
-newline, so the sum equals len(prompt.split()).
+newline, so the sum equals len(prompt.split()). The same pass keeps a
+running sha256 of the text, so the digest of the prompt at each
+api_request cut is a copy of the running hash updated with the cue. The
+export JSON-escapes each rendering once and slices every prompt's escaped
+form from it, which is exact because JSON escapes each character on its
+own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Episode, Role, ScoredExample
-from .files import read_jsonl, write_jsonl_records
+from .files import check_utf8, read_jsonl, write_lines
 
 __all__ = [
     "Condition",
@@ -57,6 +63,8 @@ PREFIXES: dict[Role, str] = {
 }
 CUE = "API-Request:"
 _CUE_TOKENS = len(CUE.split())
+_CUE_BYTES = CUE.encode("utf-8")
+_ESCAPED_CUE = _escape(CUE)[1:-1]
 
 # The roles whose turns each condition keeps: A strips the action-observation
 # trace, B keeps every turn.
@@ -66,7 +74,7 @@ KEPT_ROLES: dict[Condition, frozenset[Role]] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class RenderedPrompt:
     example_id: str
     condition: Condition
@@ -74,40 +82,67 @@ class RenderedPrompt:
     # len(text.split()), as render_prompt counts it; None on a prompt read
     # back from a file.
     ws_token: int | None = None
+    # The sha256 digest of text, as render_prompt takes it from the
+    # rendering at an api_request cut; None on other prompts.
+    digest: bytes | None = field(default=None, repr=False, compare=False)
 
     @property
     def prompt_hash(self) -> str:
+        if self.digest is not None:
+            return self.digest.hex()
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
-def _rendering(episode: Episode, condition: Condition) -> tuple[str, list[int], list[int]]:
+def _rendering(
+    episode: Episode, condition: Condition
+) -> tuple[str, list[int], list[int], dict[int, bytes]]:
     """The episode's kept turns as one text of newline-ended lines, with the end
-    offset of the lines before each cut index 0..len(turns) and their
-    whitespace-token count. Built on first use and kept on the episode."""
+    offset of the lines before each cut index 0..len(turns), their
+    whitespace-token count, and, at each api_request turn's index, the sha256
+    digest of those lines and the cue. Built on first use and kept on the
+    episode."""
     rendering = episode.renderings.get(condition)
     if rendering is None:
-        kept = KEPT_ROLES[condition]
+        # Kept roles' prefixes by wire value, and the request role in a local:
+        # an Enum member's class attribute and its __hash__ run Python code,
+        # which would cost more per turn than the line itself.
+        prefixes = {role.value: PREFIXES[role] for role in KEPT_ROLES[condition]}
+        request = Role.API_REQUEST
         lines: list[str] = []
         ends, tokens = [0], [0]
-        end = count = 0
-        for turn in episode.turns:
-            if turn.role in kept:
-                line = PREFIXES[turn.role] + turn.text + "\n"
+        digests: dict[int, bytes] = {}
+        end = count = hashed = 0
+        running = hashlib.sha256()
+        for index, turn in enumerate(episode.turns):
+            if turn.role is request:
+                # The lines since the last cut, hashed as one chunk.
+                running.update("".join(lines[hashed:]).encode("utf-8"))
+                hashed = len(lines)
+                at_cut = running.copy()
+                at_cut.update(_CUE_BYTES)
+                digests[index] = at_cut.digest()
+            prefix = prefixes.get(turn.role._value_)
+            if prefix is not None:
+                line = prefix + turn.text + "\n"
                 lines.append(line)
                 end += len(line)
                 count += len(line.split())
             ends.append(end)
             tokens.append(count)
-        rendering = episode.renderings[condition] = ("".join(lines), ends, tokens)
+        rendering = episode.renderings[condition] = ("".join(lines), ends, tokens, digests)
     return rendering
 
 
 def render_prompt(example: ScoredExample, condition: Condition) -> RenderedPrompt:
     """Render one example's context under the given condition."""
-    text, ends, tokens = _rendering(example.episode, condition)
+    text, ends, tokens, digests = _rendering(example.episode, condition)
     cut = example.cut_index
     return RenderedPrompt(
-        example.id, condition, text[: ends[cut]] + CUE, tokens[cut] + _CUE_TOKENS
+        example.id,
+        condition,
+        text[: ends[cut]] + CUE,
+        tokens[cut] + _CUE_TOKENS,
+        digests.get(cut),
     )
 
 
@@ -149,23 +184,63 @@ def context_stats(
 def read_rendered_jsonl(path: str | Path) -> list[RenderedPrompt]:
     """Read a rendered-prompt export back."""
     def prompt(raw) -> RenderedPrompt:
-        return RenderedPrompt(str(raw["example_id"]), Condition(raw["condition"]), str(raw["prompt"]))
+        text = str(raw["prompt"])
+        check_utf8(text, "prompt")
+        return RenderedPrompt(str(raw["example_id"]), Condition(raw["condition"]), text)
 
     return read_jsonl(path, prompt, ValueError)
 
 
+def _escaped_rendering(
+    text: str, ends: Sequence[int], cuts: Iterable[int]
+) -> tuple[str, dict[int, int]]:
+    """A rendering's text up to its last cut as JSON escapes it, without the
+    quotes, and the offset in it of each cut's end (cuts in increasing order),
+    escaped from cut to cut."""
+    chunks: list[str] = []
+    escaped_ends: dict[int, int] = {}
+    start = length = 0
+    for cut in cuts:
+        chunk = _escape(text[start : ends[cut]])[1:-1]
+        chunks.append(chunk)
+        length += len(chunk)
+        escaped_ends[cut] = length
+        start = ends[cut]
+    return "".join(chunks), escaped_ends
+
+
+def _export_lines(
+    prompts: Iterable[RenderedPrompt], examples: Mapping[str, ScoredExample]
+) -> Iterator[str]:
+    held = None  # (episode, condition, escaped text, escaped ends) last sliced
+    for prompt in prompts:
+        example = examples[prompt.example_id]
+        episode, cut, condition = example.episode, example.cut_index, prompt.condition
+        text, ends, _, digests = _rendering(episode, condition)
+        if prompt.digest is not None and prompt.digest == digests.get(cut):
+            # The prompt is its rendering's prefix up to the cut, then the cue.
+            if held is None or held[0] is not episode or held[1] is not condition:
+                held = (episode, condition, *_escaped_rendering(text, ends, digests))
+            _, _, escaped, escaped_ends = held
+            prompt_json = f'"{escaped[: escaped_ends[cut]]}{_ESCAPED_CUE}"'
+        else:
+            prompt_json = _escape(prompt.text)
+        yield (
+            f'{{"example_id": {_escape(prompt.example_id)}, '
+            f'"condition": {_escape(condition.value)}, '
+            f'"prompt": {prompt_json}, '
+            f'"target": {_escape(episode.turns[cut].text)}}}\n'
+        )
+
+
 def export_rendered_jsonl(
     path: str | Path,
-    prompts: Sequence[RenderedPrompt],
-    targets_by_id: Mapping[str, str],
+    prompts: Iterable[RenderedPrompt],
+    examples: Mapping[str, ScoredExample],
 ) -> None:
-    """Write the rendered-prompt export, one JSON object per prompt."""
-    write_jsonl_records(path, (
-        {
-            "example_id": prompt.example_id,
-            "condition": prompt.condition.value,
-            "prompt": prompt.text,
-            "target": targets_by_id[prompt.example_id],
-        }
-        for prompt in prompts
-    ))
+    """Write the rendered-prompt export: for each prompt, the line
+    json.dumps gives for {"example_id", "condition", "prompt", "target"},
+    where the target is the text of the api_request turn at its example's
+    cut. The JSON-escaped text of one rendering at a time is held while its
+    prompts are written."""
+    write_lines(path, _export_lines(prompts, examples))

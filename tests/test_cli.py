@@ -527,6 +527,10 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths = {name: str(path) for name, path in reference_paths.items()}
     paths["dir"] = str(tmp)
     corpus = reference_paths["corpus"].read_bytes().split(b"\n")
+    surrogate = list(corpus)
+    surrogate[2] = surrogate[2].replace(b'"text": "', b'"text": "\\ud800', 1)
+    (tmp / "surrogate.jsonl").write_bytes(b"\n".join(surrogate))
+    paths["surrogate"] = str(tmp / "surrogate.jsonl")
     corpus[2] = corpus[2].replace(b'"text": "', b'"text": "\xff', 1)
     (tmp / "not_utf8.jsonl").write_bytes(b"\n".join(corpus))
     paths["not_utf8"] = str(tmp / "not_utf8.jsonl")
@@ -552,6 +556,10 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["prompts_A"] = str(tmp / "prompts_A.jsonl")
     assert main(["render", "--corpus", paths["corpus"], "--condition", "A",
                  "--out", paths["prompts_A"]]) == EXIT_OK
+    prompts = Path(paths["prompts_A"]).read_bytes().split(b"\n")
+    prompts[1] = prompts[1].replace(b'"prompt": "', b'"prompt": "\\udfff', 1)
+    (tmp / "surrogate_prompts.jsonl").write_bytes(b"\n".join(prompts))
+    paths["surrogate_prompts"] = str(tmp / "surrogate_prompts.jsonl")
     records_a = [json.loads(line) for line in
                  reference_paths["completions_A"].read_text(encoding="utf-8").splitlines()]
     unknown = dict(records_a[0], example_id="nosuch_episode:1")
@@ -576,6 +584,10 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
         b"stage,block_1,block_2\r\n0,0.1,0.2\r\n1,0.5,0.3\r\n2,0.6,0.4\r\n5,0.9,0.9\r\n"
     )
     paths["stage_5_csv"] = str(tmp / "stage_5.csv")
+    (tmp / "stages_1_2.csv").write_bytes(b"stage,block_1,block_2\r\n1,0.5,0.3\r\n2,0.6,0.4\r\n")
+    paths["stages_1_2_csv"] = str(tmp / "stages_1_2.csv")
+    (tmp / "stage_2_only.csv").write_bytes(b"stage,block_1,block_2\r\n2,0.9,0.9\r\n")
+    paths["stage_2_only_csv"] = str(tmp / "stage_2_only.csv")
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
@@ -615,6 +627,16 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          "repeated_stage.csv: line 5: stage 2 appears more than once"),
         ("summary --matrix {stage_5_csv}", EXIT_VALIDATION,
          "stage_5.csv: line 5: stage 5 is outside stages 0..2"),
+        ("summary --matrix {stages_1_2_csv} --baseline {stage_2_only_csv}", EXIT_VALIDATION,
+         "stage_2_only.csv: baseline CSV must hold exactly one row (stage 0)"),
+        ("summary --matrix {stages_1_2_csv} --baseline {with_stage_0_csv}", EXIT_VALIDATION,
+         "with_stage_0.csv: baseline CSV must hold exactly one row (stage 0)"),
+        ("render --corpus {surrogate} --condition B --out {out}/p.jsonl", EXIT_INPUT,
+         "surrogate.jsonl: line 3: turn 0 text holds a lone surrogate"),
+        (_REPORT.replace("{corpus}", "{surrogate}"), EXIT_INPUT,
+         "surrogate.jsonl: line 3: turn 0 text holds a lone surrogate"),
+        (_SCORE + " --completions {completions_A} --prompts {surrogate_prompts}", EXIT_VALIDATION,
+         "surrogate_prompts.jsonl: line 2: prompt holds a lone surrogate"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
@@ -622,7 +644,9 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          "score-two-conditions", "score-stale-hash", "score-stale-hash-without-prompts",
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
          "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t",
-         "summary-repeated-stage", "summary-stage-outside-t"],
+         "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
+         "summary-baseline-extra-row", "render-lone-surrogate", "report-lone-surrogate",
+         "score-prompts-lone-surrogate"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code
@@ -631,3 +655,6 @@ def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message
         # A failed run scores nothing it leaves behind.
         assert not list(tmp_path.rglob("scores*.jsonl"))
         assert not list(tmp_path.rglob("manifest.json"))
+        if "lone surrogate" in message:
+            # Rejected while the input is read, before any output is written.
+            assert not list(tmp_path.rglob("*.jsonl"))

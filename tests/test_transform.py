@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 import random
 import re
 import sys
@@ -193,7 +195,7 @@ class TestRenderedExport:
         example = _example([_turn(Role.USER, "u"), _turn(Role.API_REQUEST)], ex_id="ep:9")
         prompts = [render_prompt(example, c) for c in Condition]
         path = tmp_path / "prompts.jsonl"
-        export_rendered_jsonl(path, prompts, {"ep:9": "[F(x='1')]"})
+        export_rendered_jsonl(path, prompts, {"ep:9": example})
         loaded = read_rendered_jsonl(path)
         assert [p.text for p in loaded] == [p.text for p in prompts]
         assert [p.condition for p in loaded] == [p.condition for p in prompts]
@@ -201,8 +203,10 @@ class TestRenderedExport:
 
 
 # Characters of the random texts: str.split() whitespace of several kinds,
-# including newline, NBSP and the \x1c separator, among word characters.
-_PARITY_ALPHABET = "ab[]()='" + " \n\t\r\x1c\u00a0\u2028" + "é漢"
+# including newline, NBSP and the \x1c separator, among word characters,
+# and characters that JSON escapes: quote, backslash, non-ASCII and a
+# character outside the BMP (escaped as a surrogate pair).
+_PARITY_ALPHABET = "ab[]()='" + " \n\t\r\x1c\u00a0\u2028" + "é漢" + '"\\' + "\U0001f600"
 
 
 def _reference_prompt(turns: list[Turn], condition: Condition) -> str:
@@ -222,15 +226,19 @@ def _random_episode(rng: random.Random, ep_id: str) -> Episode:
     return Episode(id=ep_id, turns=turns)
 
 
+def _parity_episodes() -> list[Episode]:
+    rng = random.Random(2026)
+    # The first episode opens with a request and a response, so condition
+    # A keeps no turn at its cuts 1 and 2.
+    return [
+        Episode("lead", [_turn(Role.API_REQUEST), _turn(Role.API_RESPONSE, "r\n s"),
+                         _turn(Role.USER, "")]),
+    ] + [_random_episode(rng, f"ep{i}") for i in range(200)]
+
+
 class TestRenderParity:
     def test_every_cut_matches_the_naive_rendering(self):
-        rng = random.Random(2026)
-        # The first episode opens with a request and a response, so condition
-        # A keeps no turn at its cuts 1 and 2.
-        episodes = [
-            Episode("lead", [_turn(Role.API_REQUEST), _turn(Role.API_RESPONSE, "r\n s"),
-                             _turn(Role.USER, "")]),
-        ] + [_random_episode(rng, f"ep{i}") for i in range(200)]
+        episodes = _parity_episodes()
         assert {t.role for ep in episodes for t in ep.turns} == set(Role)
         assert any(t.text == "" for ep in episodes for t in ep.turns)
         assert any("\x1c" in t.text for ep in episodes for t in ep.turns)
@@ -256,3 +264,54 @@ class TestRenderParity:
         for tag, texts in references.items():
             assert stats[tag]["char"] == sum(len(t) for t in texts)
             assert stats[tag]["ws_token"] == sum(len(t.split()) for t in texts)
+
+    def test_every_export_line_matches_json_dumps(self, tmp_path):
+        # Every cut that has a turn, whose text is the target. The slice path
+        # serves the api_request cuts, which carry a digest; the others are
+        # escaped whole.
+        episodes = _parity_episodes() + [
+            Episode('q"\\é', [_turn(Role.USER, 'say "hi" \\ \x1c\u2028 \U0001f600'),
+                              _turn(Role.API_REQUEST)]),
+        ]
+        examples = {
+            f"{ep.id}:{cut}": ScoredExample(
+                id=f"{ep.id}:{cut}", episode=ep, cut_index=cut, expected=CALL
+            )
+            for ep in episodes
+            for cut in range(len(ep.turns))
+        }
+        by_condition = [[render_prompt(ex, c) for ex in examples.values()] for c in Condition]
+        mixed = [p for prompts in by_condition for p in prompts]
+        random.Random(7).shuffle(mixed)
+        # In id order each episode's prompts are adjacent; shuffled across both
+        # conditions, they are not, so the export escapes renderings again.
+        for name, prompts in [("A", by_condition[0]), ("B", by_condition[1]), ("mixed", mixed)]:
+            assert {p.digest is None for p in prompts} == {True, False}
+            path = tmp_path / f"prompts_{name}.jsonl"
+            export_rendered_jsonl(path, prompts, examples)
+            expected = "".join(
+                json.dumps({
+                    "example_id": ex.id,
+                    "condition": p.condition.value,
+                    "prompt": _reference_prompt(ex.episode.turns[: ex.cut_index], p.condition),
+                    "target": ex.episode.turns[ex.cut_index].text,
+                }) + "\n"
+                for p, ex in ((p, examples[p.example_id]) for p in prompts)
+            )
+            assert path.read_bytes() == expected.encode("utf-8")
+
+            # A prompt read back from the export carries no digest; it
+            # exports and hashes as the rendered prompt does.
+            loaded = read_rendered_jsonl(path)
+            assert all(p.digest is None for p in loaded)
+            assert [p.prompt_hash for p in loaded] == [p.prompt_hash for p in prompts]
+            again = tmp_path / f"again_{name}.jsonl"
+            export_rendered_jsonl(again, loaded, examples)
+            assert again.read_bytes() == path.read_bytes()
+
+        # A prompt exported under another example's id keeps its own text.
+        prompt = render_prompt(examples["ep1:1"], Condition.B_TRAJECTORY)
+        assert prompt.digest is not None
+        prompt.example_id = "lead:0"
+        export_rendered_jsonl(tmp_path / "moved.jsonl", [prompt], examples)
+        assert read_rendered_jsonl(tmp_path / "moved.jsonl")[0].text == prompt.text
