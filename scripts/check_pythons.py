@@ -16,11 +16,16 @@ interpreter, with the sources under src/ and no installed package:
 - the continual-learning statistics against the brute-force oracles of
   tests/_support.py on the random matrices of
   tests/test_clmetrics.py::test_oracle_equivalence_random_matrices
-  (seed 7), counting the values that differ.
+  (seed 7), counting the values that differ;
+- the differential parser check of
+  tests/test_calls.py::test_parse_equals_scanner_on_seeded_strings:
+  parse_first_call against the scanner alone on 100,000 seeded strings,
+  counting the strings on which they differ, so the whole-call pattern is
+  checked on every interpreter's `re` engine.
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's and no oracle value differs.
+report hash equals 3.11's, no oracle value differs and no parse differs.
 """
 
 from __future__ import annotations
@@ -91,6 +96,12 @@ for T in (2, 4, 8, 12):
 print(checked, mismatches)
 """
 
+PARSER_SEED, PARSER_TEXTS = 20261019, 100_000
+PARSER_CODE = f"""
+from _support import differential_mismatches
+print(len(differential_mismatches({PARSER_SEED}, {PARSER_TEXTS})))
+"""
+
 
 def find_interpreter(minor: str) -> Path | None:
     found = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python3"))
@@ -115,9 +126,9 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int]:
     """((fixture, multi-stage and long-trace report digests), oracle values
-    checked, oracle mismatches) for one interpreter."""
+    checked, oracle mismatches, parser mismatches) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -128,11 +139,12 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int]:
             outputs.append(f"{inputs}_run")
         digests = tuple(tree_digest(work / out) for out in outputs)
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
-    return digests, checked, mismatches
+        parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
+    return digests, checked, mismatches, parse_mismatches
 
 
 def main() -> int:
-    results: dict[str, tuple[str, tuple[str, ...], int, int] | None] = {}
+    results: dict[str, tuple[str, tuple[str, ...], int, int, int] | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -151,15 +163,16 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        version, digests, checked, mismatches = result
-        matched = digests == reference_digests and mismatches == 0
+        version, digests, checked, mismatches, parse_mismatches = result
+        matched = digests == reference_digests and mismatches == 0 and parse_mismatches == 0
         ok = ok and matched
         shown = ", ".join(
             f"{name} report sha256 {digest[:16]} ({REFERENCE}: {str(ref)[:16]})"
             for name, digest, ref in zip(names, digests, reference_digests)
         )
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
-              f"oracle mismatches {mismatches}/{checked}")
+              f"oracle mismatches {mismatches}/{checked}, "
+              f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}")
     return 0 if ok else 1
 
 

@@ -7,8 +7,11 @@ A call is a single bracketed expression of the shape
 Values may be single- or double-quoted strings with backslash escapes,
 or bare unquoted runs. Parsing is total: every input maps to either a
 ParsedCall or a ParseFailure, never an exception. A small scanner over
-token patterns reads a call, because quoted commas and escape sequences
-make a single pattern for the whole call fragile.
+token patterns defines what a call is, and it alone reads escapes and
+reports failures. Most texts hold a well-formed call without escapes at
+their first '[', so one linear pattern for such a call is tried there
+first; any other input goes to the scanner, which gives the same result
+the pattern would have.
 """
 
 from __future__ import annotations
@@ -30,11 +33,27 @@ __all__ = [
 
 # Scanner tokens: API names and keys, blank runs, and an unquoted value run,
 # which stops at a comma, a closing paren or bracket, or a quote.
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_RUN = r"[^,)'\"\]]*"
+_IDENT = re.compile(_NAME)
 _WS = re.compile(r"[ \t]*")
-_UNQUOTED = re.compile(r"[^,)'\"\]]*")
+_UNQUOTED = re.compile(_RUN)
 
 _QUOTES = ("'", '"')
+
+# The fast path: a whole call whose quoted values hold no backslash, read as
+# the scanner reads it. Every branch is decided by the next character, so a
+# failed match takes linear time: blanks after '=' cannot start a bare value,
+# and a bare value holds the blanks after it, so none may follow it. A bare
+# value starts with a non-blank (\s is exactly str.isspace), so it is never
+# blank. _PAIR reads the (key, value) pairs back from the parameter span.
+_QUOTED = "|".join([r"'[^'\\]*'", r'"[^"\\]*"'])
+_BARE = r"[^\s,)'\"\]]" + _RUN
+_PARAM = rf"{_NAME}[ \t]*=[ \t]*(?:(?:{_QUOTED})[ \t]*|{_BARE})"
+_CALL = re.compile(
+    rf"\[({_NAME})\([ \t]*(?:\)|({_PARAM}(?:,[ \t]*{_PARAM})*)\))[ \t]*\]"
+)
+_PAIR = re.compile(rf"({_NAME})[ \t]*=[ \t]*({_QUOTED}|{_BARE})")
 
 
 @dataclass(frozen=True)
@@ -78,13 +97,26 @@ def parse_first_call(text: str) -> ParseResult:
     """Scan left to right and return the first well-formed bracketed call.
 
     Later calls in the same text are ignored. When no candidate parses,
-    the failure reported is the one diagnosed at the leftmost '['.
+    the failure reported is the one diagnosed at the leftmost '['. A text
+    that holds a '[' is never blank. A call at the first '[' that _CALL
+    matches, with distinct keys, is read from the match; the scanner reads
+    every other text.
     """
-    if not text or not text.strip():
-        return ParseFailure(FailureReason.EMPTY_OUTPUT, 0)
     pos = text.find("[")
     if pos < 0:
-        return ParseFailure(FailureReason.NO_BRACKET, 0)
+        reason = FailureReason.NO_BRACKET if text.strip() else FailureReason.EMPTY_OUTPUT
+        return ParseFailure(reason, 0)
+    m = _CALL.match(text, pos)
+    if m is not None:
+        name, body = m.groups()
+        if body is None:
+            return ParsedCall(ApiCall(name), m.span())
+        params = tuple(
+            [(key, value[1:-1] if value[0] in _QUOTES else value)
+             for key, value in _PAIR.findall(body)]
+        )
+        if len(dict(params)) == len(params):
+            return ParsedCall(ApiCall(name, params), m.span())
     first_failure: ParseFailure | None = None
     while pos >= 0:
         result = _parse_candidate(text, pos)

@@ -303,8 +303,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_summary(args: argparse.Namespace) -> int:
-    T, rows = read_matrix_csv(args.matrix)
-    matrix, baseline = matrix_from_rows(rows, T)
+    blocks, rows = read_matrix_csv(args.matrix)
+    matrix, baseline = matrix_from_rows(rows, len(blocks))
     if baseline is not None and args.baseline:
         raise MetricsError(f"{args.matrix}: matrix has a stage 0 row; drop --baseline")
     if baseline is None:
@@ -312,9 +312,13 @@ def cmd_summary(args: argparse.Namespace) -> int:
             raise MetricsError(
                 "matrix has no stage 0 row; provide --baseline for forward transfer"
             )
-        _, baseline_rows = read_matrix_csv(args.baseline)
+        baseline_blocks, baseline_rows = read_matrix_csv(args.baseline)
         if list(baseline_rows) != [0]:
             raise MetricsError(f"{args.baseline}: baseline CSV must hold exactly one row (stage 0)")
+        if baseline_blocks != blocks:
+            raise MetricsError(
+                f"{args.baseline}: blocks {baseline_blocks} differ from the matrix's {blocks}"
+            )
         baseline = BaselineVector(tuple(baseline_rows[0]))
     summary = summarize(matrix, baseline)
     if args.out:

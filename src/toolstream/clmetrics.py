@@ -150,18 +150,19 @@ def write_matrix_csv(
     write_csv(path, ["stage"] + [f"block_{b}" for b in block_ids], table)
 
 
-def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]]]:
-    """Read a matrix CSV back as (T, stage -> row values). A stage outside
-    0..T, or one that appears twice, is an error naming the line."""
+def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]]:
+    """Read a matrix CSV back as (the block id of each column, stage -> row
+    values); T is the number of columns. A stage outside 0..T, or one that
+    appears twice, is an error naming the line."""
     header: list[str] = []
+    blocks: list[int] = []
     rows: dict[int, list[float]] = {}
 
     def row(fields: list[str]) -> None:
         if not header:
             if fields[0] != "stage":
                 raise ValueError("matrix header must start with 'stage'")
-            for column in fields[1:]:
-                int(column.removeprefix("block_"))
+            blocks.extend(int(column.removeprefix("block_")) for column in fields[1:])
             header.extend(fields)
         elif len(fields) != len(header):
             raise ValueError(f"row has {len(fields) - 1} values, expected {len(header) - 1}")
@@ -176,7 +177,7 @@ def read_matrix_csv(path: str | Path) -> tuple[int, dict[int, list[float]]]:
     read_csv(path, row, MetricsError)
     if not header:
         raise MetricsError(f"{path}: empty matrix file")
-    return len(header) - 1, rows
+    return blocks, rows
 
 
 def matrix_from_rows(

@@ -63,6 +63,9 @@ class Role(Enum):
     API_REQUEST = "api_request"
     API_RESPONSE = "api_response"
 
+    # Members are singletons, so identity hashing is exact and runs no Python.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Turn:
@@ -148,6 +151,7 @@ def _episode_from_record(record: object) -> Episode:
     if not isinstance(turns_raw, list):
         raise ValueError("missing or invalid 'turns'")
     turns: list[Turn] = []
+    request = Role.API_REQUEST
     for idx, turn_raw in enumerate(turns_raw):
         if not isinstance(turn_raw, dict):
             raise ValueError(f"turn {idx} must be a JSON object")
@@ -160,35 +164,34 @@ def _episode_from_record(record: object) -> Episode:
         if not isinstance(text, str):
             raise ValueError(f"turn {idx} has missing or non-string text")
         check_utf8(text, f"turn {idx} text")
-        turns.append(_build_turn(role, text, ep_id, idx))
+        turns.append(_request_turn(text, ep_id, idx) if role is request else Turn(role, text))
     return Episode(id=ep_id, turns=turns)
 
 
-def _build_turn(role: Role, text: str, ep_id: str, idx: int) -> Turn:
-    if role is Role.API_REQUEST:
-        parsed = parse_first_call(text)
-        if not isinstance(parsed, ParsedCall):
-            raise ValueError(
-                f"episode {ep_id!r} turn {idx}: api_request text "
-                f"contains no parseable call ({parsed.reason.value})"
-            )
-        trailing = parse_first_call(text[parsed.span[1]:])
-        if isinstance(trailing, ParsedCall):
-            raise ValueError(
-                f"episode {ep_id!r} turn {idx}: api_request text "
-                "contains more than one call"
-            )
-        # Store the canonical rendering so the turn text and the parsed
-        # call can never drift apart.
-        return Turn(role=role, text=render_call(parsed.call), call=parsed.call)
-    return Turn(role=role, text=text)
+def _request_turn(text: str, ep_id: str, idx: int) -> Turn:
+    parsed = parse_first_call(text)
+    if not isinstance(parsed, ParsedCall):
+        raise ValueError(
+            f"episode {ep_id!r} turn {idx}: api_request text "
+            f"contains no parseable call ({parsed.reason.value})"
+        )
+    trailing = parse_first_call(text[parsed.span[1]:])
+    if isinstance(trailing, ParsedCall):
+        raise ValueError(
+            f"episode {ep_id!r} turn {idx}: api_request text "
+            "contains more than one call"
+        )
+    # Store the canonical rendering so the turn text and the parsed
+    # call can never drift apart.
+    return Turn(Role.API_REQUEST, render_call(parsed.call), parsed.call)
 
 
 def extract_examples(episode: Episode) -> list[ScoredExample]:
     """One scored example per api_request turn; context is all prior turns."""
     examples: list[ScoredExample] = []
+    request = Role.API_REQUEST
     for idx, turn in enumerate(episode.turns):
-        if turn.role is not Role.API_REQUEST:
+        if turn.role is not request:
             continue
         assert turn.call is not None
         examples.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -55,6 +56,9 @@ class ErrorCategory(Enum):
     CORRECT_API_WRONG_PARAMS = "correct_api_wrong_params"
     WRONG_API = "wrong_api"
     MALFORMED_NO_CALL = "malformed_no_call"
+
+    # Members are singletons, so identity hashing is exact and runs no Python.
+    __hash__ = object.__hash__
 
 
 CATEGORY_ORDER: tuple[ErrorCategory, ...] = tuple(ErrorCategory)
@@ -156,12 +160,7 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
                 example.expected.name, normalize_params(example.expected)
             )
         records.append(
-            ScoreRecord(
-                example_id=example.id,
-                stage=key[0],
-                block_id=example.block_id,
-                category=_evaluate(completion.text, expected),
-            )
+            ScoreRecord(example.id, key[0], example.block_id, _evaluate(completion.text, expected))
         )
     # Records are unique per (stage, example), so a full count means every
     # example is scored at every stage seen. A gap means the loop ran, so
@@ -212,11 +211,12 @@ _LINE_TAIL = {
 
 def write_scores_jsonl(path: str | Path, records: Sequence[ScoreRecord]) -> None:
     """One JSON object per line, byte-equal to json.dumps of the record's
-    dict in the key order below; the flags are those of the category."""
+    dict in the key order below; the flags are those of the category. The
+    id is escaped by the function json.dumps calls for a str."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for r in records:
             fh.write(
-                f'{{"example_id": {json.dumps(r.example_id)}, "stage": {r.stage:d}, '
+                f'{{"example_id": {_escape(r.example_id)}, "stage": {r.stage:d}, '
                 f'"block": {r.block_id:d}{_LINE_TAIL[r.category]}'
             )
 

@@ -53,6 +53,9 @@ class Condition(Enum):
     A_STRIPPED = "A"
     B_TRAJECTORY = "B"
 
+    # Members are singletons, so identity hashing is exact and runs no Python.
+    __hash__ = object.__hash__
+
 
 # Line prefix for each turn role, and the cue line that ends every prompt.
 PREFIXES: dict[Role, str] = {
@@ -103,10 +106,7 @@ def _rendering(
     episode."""
     rendering = episode.renderings.get(condition)
     if rendering is None:
-        # Kept roles' prefixes by wire value, and the request role in a local:
-        # an Enum member's class attribute and its __hash__ run Python code,
-        # which would cost more per turn than the line itself.
-        prefixes = {role.value: PREFIXES[role] for role in KEPT_ROLES[condition]}
+        prefixes = {role: PREFIXES[role] for role in KEPT_ROLES[condition]}
         request = Role.API_REQUEST
         lines: list[str] = []
         ends, tokens = [0], [0]
@@ -121,7 +121,7 @@ def _rendering(
                 at_cut = running.copy()
                 at_cut.update(_CUE_BYTES)
                 digests[index] = at_cut.digest()
-            prefix = prefixes.get(turn.role._value_)
+            prefix = prefixes.get(turn.role)
             if prefix is not None:
                 line = prefix + turn.text + "\n"
                 lines.append(line)

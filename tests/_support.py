@@ -16,7 +16,15 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from toolstream.calls import ApiCall, FailureReason, ParsedCall, parse_first_call, render_call
+from toolstream.calls import (
+    ApiCall,
+    FailureReason,
+    ParsedCall,
+    ParseFailure,
+    _parse_candidate,
+    parse_first_call,
+    render_call,
+)
 from toolstream.corpus import Episode, load_corpus, partition_blocks
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
 from toolstream.genclient import CompletionRecord, write_completions_jsonl
@@ -179,6 +187,65 @@ _FUZZ_ALPHABET = (
 
 def random_text(rng: random.Random, max_len: int = 80) -> str:
     return "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randrange(0, max_len)))
+
+
+# ---------------------------------------------------------------------------
+# Differential parsing: parse_first_call against the scanner alone
+
+
+def scanner_parse(text: str):
+    """parse_first_call as the character scanner alone gives it: the
+    _parse_candidate loop from the leftmost '['."""
+    if not text or not text.strip():
+        return ParseFailure(FailureReason.EMPTY_OUTPUT, 0)
+    pos = text.find("[")
+    if pos < 0:
+        return ParseFailure(FailureReason.NO_BRACKET, 0)
+    first_failure = None
+    while pos >= 0:
+        result = _parse_candidate(text, pos)
+        if isinstance(result, ParsedCall):
+            return result
+        first_failure = first_failure or result
+        pos = text.find("[", pos + 1)
+    return first_failure
+
+
+# Single characters, with a no-break space and a file separator (both blank
+# to str.strip, neither a scanner blank), and the pieces of call-shaped
+# strings: empty, blank, escaped and bare values, keys that repeat, and
+# separators and endings both good and bad.
+_DIFF_CHARS = "[]()=,'\"\\ \t\n\u00a0\x1cabxyzAB_09"
+_DIFF_PARAMS = (
+    "a=1", "b = 2 ", "a='x'", 'b="y"', "c=''", 'c=""', "d='it\\'s'", 'd="q\\"q"',
+    "e=x\\n", "e= \t", "e=\u00a0", "e=\x1cz", "f=v w", "g=", "h= 'x,y)' ", "k=[1]",
+)
+_DIFF_JOINS = (", ", ",", " ,\t", "", ",,")
+_DIFF_ENDS = (")]", ") ]", ")\t]x", ")", "]", "", ")] [k(a=1)]", ") [k()]")
+
+
+def differential_text(rng: random.Random) -> str:
+    """A random string for the differential parser check. Half are runs of
+    _DIFF_CHARS; half are '[name(', some parameters, a separator between
+    them and an ending, with one character of _DIFF_CHARS put in after the
+    '(' in half of those."""
+    if rng.random() < 0.5:
+        return "".join(rng.choices(_DIFF_CHARS, k=rng.randrange(0, 40)))
+    head = f"[{random_identifier(rng, 4)}("
+    params = rng.choice(_DIFF_JOINS).join(rng.choices(_DIFF_PARAMS, k=rng.randrange(0, 4)))
+    tail = params + rng.choice(_DIFF_ENDS)
+    if rng.random() < 0.5:
+        i = rng.randrange(len(tail) + 1)
+        tail = tail[:i] + rng.choice(_DIFF_CHARS) + tail[i:]
+    return head + tail
+
+
+def differential_mismatches(seed: int, n: int) -> list[str]:
+    """The texts, of n seeded differential_text strings, on which
+    parse_first_call differs from scanner_parse."""
+    rng = random.Random(seed)
+    texts = (differential_text(rng) for _ in range(n))
+    return [t for t in texts if parse_first_call(t) != scanner_parse(t)]
 
 
 def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:

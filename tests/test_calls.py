@@ -5,17 +5,26 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _support import MALFORMED_CASES, random_call, random_text
+from _support import (
+    MALFORMED_CASES,
+    differential_mismatches,
+    differential_text,
+    random_call,
+    random_text,
+    scanner_parse,
+)
 from toolstream.calls import (
     ApiCall,
     FailureReason,
     ParsedCall,
     ParseFailure,
+    _CALL,
     normalize_params,
     parse_first_call,
     render_call,
@@ -212,3 +221,75 @@ def test_scanner_golden_digest():
     assert digest.hexdigest() == (
         "e44683159c30b1e17916314c693f29750cb099065977bc7d340600713bac5b86"
     )
+
+
+# Inputs on each side of the whole-call pattern's edges: zero parameters,
+# empty quoted values, blank bare values (blank to str.strip but not scanner
+# blanks too), repeated keys, backslashes, and a good call after a bad one.
+_EDGE_CASES = [
+    "[F()]", "[F( \t)]", "[F() ]", "[F()\t] tail", "[F ()]", "[F()", "[F())]",
+    "[F(a='')]", '[F(a="")]', "[F(a='', b=\"\")]", "[F(a = '' , b=\"\" )]",
+    "[F(a= )]", "[F(a=\t)]", "[F(a=\u00a0)]", "[F(a=\x1c)]", "[F(a=\n)]", "[F(a=\u00a0x)]",
+    "[F(a=\nx)]", "[F(a=x\u00a0)]", "[F(a=x y \t)]", "[F(a=1,b=2)]", "[F(a=1 ,b=2)]",
+    "[F(a=1, a=2)]", "[F(a='1', b='2', a='3')]", "[F(a=1, a=2)] [G(b=1)]",
+    "[F(a='x\\'y')]", '[F(a="x\\"y")]', "[F(a='x\\\\')]", "[F(a=x\\y)]", "[F(a='x\\",
+    "[F(a='x')\\]", "[F(a='x'y')]", "[F(a=x'y')]", "[F(a=[1])]", "[F(a=x]y)]",
+    "[F(a='x'),]", "[F(a='x',)]", "[F(,a='x')]", "[F(a=='x')]", "[] [F(a='x')]",
+    "[F(a=x] [G(b='y')]", "[F(a='1')] [G(b='2')]", "x [F(a='x, y)')] y",
+]
+
+
+def _roundtrip_texts():
+    rng = random.Random(20_240_811)
+    for _ in range(300):
+        call = random_call(rng)
+        yield render_call(call)
+        yield "[{}({})]".format(call.name, ", ".join(f'{k}="{v}"' for k, v in call.params))
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [[case[0] for case in MALFORMED_CASES], _EDGE_CASES, list(_roundtrip_texts())],
+    ids=["malformed", "edges", "roundtrip"],
+)
+def test_parse_equals_scanner_on_fixed_cases(texts):
+    # Equal results carry the same span, or the same reason and offset.
+    for text in texts:
+        assert parse_first_call(text) == scanner_parse(text), text
+
+
+def test_parse_equals_scanner_on_seeded_strings():
+    assert differential_mismatches(20261019, 100_000) == []
+    # The strings reach both paths: many are whole calls the pattern reads,
+    # many others parse only through the scanner.
+    rng = random.Random(20261019)
+    pattern = scanner_only = 0
+    for _ in range(20_000):
+        text = differential_text(rng)
+        start = text.find("[")
+        if start >= 0 and _CALL.match(text, start):
+            pattern += 1
+        elif isinstance(scanner_parse(text), ParsedCall):
+            scanner_only += 1
+    assert pattern > 1_000 and scanner_only > 1_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[f(a=x" + " " * 50_000,
+        "[f(a='x'" + " " * 50_000,
+        "[f(a=" + " " * 50_000,
+        "[f(a=x" + " \t" * 25_000,
+        "[f(" + "a=b, " * 10_000,
+    ],
+    ids=["blanks-after-bare", "blanks-after-quoted", "blanks-after-equals", "blank-tab-run",
+         "repeated-params"],
+)
+def test_failed_match_is_linear(text):
+    # A pattern with two ways to split a blank run takes quadratic time here.
+    start = time.perf_counter()
+    result = parse_first_call(text)
+    assert time.perf_counter() - start < 0.5
+    assert isinstance(result, ParseFailure)
+    assert result == scanner_parse(text)

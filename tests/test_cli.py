@@ -588,6 +588,8 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["stages_1_2_csv"] = str(tmp / "stages_1_2.csv")
     (tmp / "stage_2_only.csv").write_bytes(b"stage,block_1,block_2\r\n2,0.9,0.9\r\n")
     paths["stage_2_only_csv"] = str(tmp / "stage_2_only.csv")
+    (tmp / "swapped_blocks.csv").write_bytes(b"stage,block_2,block_1\r\n0,0.1,0.2\r\n")
+    paths["swapped_blocks_csv"] = str(tmp / "swapped_blocks.csv")
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
@@ -631,6 +633,8 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          "stage_2_only.csv: baseline CSV must hold exactly one row (stage 0)"),
         ("summary --matrix {stages_1_2_csv} --baseline {with_stage_0_csv}", EXIT_VALIDATION,
          "with_stage_0.csv: baseline CSV must hold exactly one row (stage 0)"),
+        ("summary --matrix {stages_1_2_csv} --baseline {swapped_blocks_csv}", EXIT_VALIDATION,
+         "swapped_blocks.csv: blocks [2, 1] differ from the matrix's [1, 2]"),
         ("render --corpus {surrogate} --condition B --out {out}/p.jsonl", EXIT_INPUT,
          "surrogate.jsonl: line 3: turn 0 text holds a lone surrogate"),
         (_REPORT.replace("{corpus}", "{surrogate}"), EXIT_INPUT,
@@ -645,8 +649,8 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
          "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t",
          "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
-         "summary-baseline-extra-row", "render-lone-surrogate", "report-lone-surrogate",
-         "score-prompts-lone-surrogate"],
+         "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
+         "report-lone-surrogate", "score-prompts-lone-surrogate"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code

@@ -219,8 +219,8 @@ class TestMatrixCsv:
             rows[stage] = [rng.random() for _ in range(4)]
         path = tmp_path / "matrix.csv"
         write_matrix_csv(path, rows, [1, 2, 3, 4])
-        T, loaded = read_matrix_csv(path)
-        assert T == 4
+        blocks, loaded = read_matrix_csv(path)
+        assert blocks == [1, 2, 3, 4]
         assert loaded == {s: list(v) for s, v in rows.items()}  # bit-exact floats
 
     def test_matrix_from_rows_requires_all_stages(self):
