@@ -21,11 +21,18 @@ interpreter, with the sources under src/ and no installed package:
   tests/test_calls.py::test_parse_equals_scanner_on_seeded_strings:
   parse_first_call against the scanner alone on 100,000 seeded strings,
   counting the strings on which they differ, so the whole-call pattern is
-  checked on every interpreter's `re` engine.
+  checked on every interpreter's `re` engine;
+- the import check of
+  tests/test_cli.py::test_cli_import_leaves_http_libraries_out: the
+  modules of tests/_support.py's DEFERRED_IMPORTS (HTTP, TLS, sockets,
+  thread pools, logging, subprocess, decimal, the fixture writer) that
+  `import toolstream.cli` loads in a fresh interpreter, since which of
+  them the rest of the standard library pulls in differs by version.
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's, no oracle value differs and no parse differs.
+report hash equals 3.11's, no oracle value differs, no parse differs and
+the CLI import loads none of the deferred modules.
 """
 
 from __future__ import annotations
@@ -102,6 +109,11 @@ from _support import differential_mismatches
 print(len(differential_mismatches({PARSER_SEED}, {PARSER_TEXTS})))
 """
 
+IMPORT_CODE = """
+from _support import cli_deferred_imports
+print(*cli_deferred_imports())
+"""
+
 
 def find_interpreter(minor: str) -> Path | None:
     found = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python3"))
@@ -126,9 +138,10 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int, int]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str]]:
     """((fixture, multi-stage and long-trace report digests), oracle values
-    checked, oracle mismatches, parser mismatches) for one interpreter."""
+    checked, oracle mismatches, parser mismatches, deferred modules that the
+    CLI import loads) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -140,11 +153,12 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int, int]:
         digests = tuple(tree_digest(work / out) for out in outputs)
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
         parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
-    return digests, checked, mismatches, parse_mismatches
+        loaded = _run(python, ["-c", IMPORT_CODE], work).split()
+    return digests, checked, mismatches, parse_mismatches, loaded
 
 
 def main() -> int:
-    results: dict[str, tuple[str, tuple[str, ...], int, int, int] | None] = {}
+    results: dict[str, tuple[str, tuple[str, ...], int, int, int, list[str]] | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -163,8 +177,11 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        version, digests, checked, mismatches, parse_mismatches = result
-        matched = digests == reference_digests and mismatches == 0 and parse_mismatches == 0
+        version, digests, checked, mismatches, parse_mismatches, loaded = result
+        matched = (
+            digests == reference_digests and mismatches == 0 and parse_mismatches == 0
+            and not loaded
+        )
         ok = ok and matched
         shown = ", ".join(
             f"{name} report sha256 {digest[:16]} ({REFERENCE}: {str(ref)[:16]})"
@@ -172,7 +189,8 @@ def main() -> int:
         )
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}, "
-              f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}")
+              f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
+              f"deferred modules loaded by the CLI import: {' '.join(loaded) or 'none'}")
     return 0 if ok else 1
 
 

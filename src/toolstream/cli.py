@@ -48,7 +48,6 @@ from .corpus import (
     write_blocks_json,
 )
 from .files import read_lines, write_json
-from .fixtures import write_reference_fixture
 from .genclient import (
     CompletionCache,
     EndpointConfig,
@@ -61,7 +60,9 @@ from .genclient import (
 )
 from .report import ReportError, block_scores_by_stage, render_prompts, run_report
 from .report import score_condition, write_matrix
-from .scoring import METRICS, AggregationError, read_scores_jsonl, write_category_csv
+from .scoring import (
+    METRICS, AggregationError, read_scores_jsonl, write_category_csv, write_scores_jsonl
+)
 from .transform import Condition, StatsError, export_rendered_jsonl, read_rendered_jsonl
 from . import __version__
 
@@ -97,7 +98,11 @@ def _int_list(value: str) -> list[int]:
 def _decode_stop(values: list[str] | None) -> tuple[str, ...]:
     if not values:
         return ("\n",)
-    return tuple(v.encode("utf-8").decode("unicode_escape") for v in values)
+    # Latin-1 bytes, with a \uXXXX escape for any other character, decode
+    # back to the characters typed; only the typed backslash escapes change.
+    return tuple(
+        v.encode("latin-1", "backslashreplace").decode("unicode_escape") for v in values
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +256,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    _, assignment = read_blocks_json(args.blocks_file)
+    T, assignment = read_blocks_json(args.blocks_file)
     blocks = assign_blocks(_corpus_examples(args.corpus), assignment)
     examples = corpus = select_examples(blocks, sample_size=None, seed=0)
     if args.prompts:
@@ -266,10 +271,11 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ReportError(f"completions hold conditions {found}; choose one with --condition")
     condition = args.condition or Condition(tags[0])
     try:
-        records = score_condition(args.out, completions, condition, examples, corpus)
+        records = score_condition(completions, condition, examples, corpus, T)
     except AggregationError as exc:
         hint = "" if args.prompts else " (to score a sampled run, pass its prompts file as --prompts)"
         raise AggregationError(f"{exc}{hint}") from exc
+    write_scores_jsonl(args.out, records)
     if args.categories:
         write_category_csv(args.categories, records)
     print(f"wrote {args.out} ({len(records)} score records)")
@@ -385,6 +391,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import write_reference_fixture
+
     paths = write_reference_fixture(args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")

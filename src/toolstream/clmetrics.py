@@ -152,8 +152,8 @@ def write_matrix_csv(
 
 def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]]:
     """Read a matrix CSV back as (the block id of each column, stage -> row
-    values); T is the number of columns. A stage outside 0..T, or one that
-    appears twice, is an error naming the line."""
+    values); T is the number of columns. A block outside 1..T or a stage
+    outside 0..T, or either appearing twice, is an error naming the line."""
     header: list[str] = []
     blocks: list[int] = []
     rows: dict[int, list[float]] = {}
@@ -162,7 +162,14 @@ def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]
         if not header:
             if fields[0] != "stage":
                 raise ValueError("matrix header must start with 'stage'")
-            blocks.extend(int(column.removeprefix("block_")) for column in fields[1:])
+            T = len(fields) - 1
+            for column in fields[1:]:
+                block = int(column.removeprefix("block_"))
+                if not 1 <= block <= T:
+                    raise ValueError(f"block {block} is outside blocks 1..{T}")
+                if block in blocks:
+                    raise ValueError(f"block {block} appears more than once")
+                blocks.append(block)
             header.extend(fields)
         elif len(fields) != len(header):
             raise ValueError(f"row has {len(fields) - 1} values, expected {len(header) - 1}")

@@ -5,24 +5,22 @@ The wire shape is the widely served chat-completions POST; decoding is
 pinned greedy (temperature 0). Completions are cached by the request they
 answer (endpoint URL, model, prompt and decoding settings), so a change
 to any of these misses the cache instead of serving a stale entry.
+
+The HTTP, TLS, URL, thread-pool, temp-file and logging modules are
+imported inside the functions that use them, so commands that never reach
+an endpoint (every replay, `summary`, `parse`) start without loading them.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import json
-import logging
 import os
-import ssl
-import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-from urllib.parse import quote, urlsplit
 
 from .files import LineError, read_json, read_jsonl, write_jsonl_records
 from .transform import Condition, RenderedPrompt
@@ -42,8 +40,6 @@ __all__ = [
     "write_completions_jsonl",
     "API_KEY_ENV",
 ]
-
-logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "TOOLSTREAM_API_KEY"
 
@@ -75,6 +71,8 @@ class EndpointConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self):
+        from urllib.parse import urlsplit
+
         self.stop_sequences = tuple(self.stop_sequences)
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
@@ -136,10 +134,16 @@ class CompletionCache:
         try:
             return read_json(path, _entry_text, ValueError)
         except (OSError, ValueError) as exc:
-            logger.warning("unreadable cache entry treated as a miss: %s", exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "unreadable cache entry treated as a miss: %s", exc
+            )
             return None
 
     def put(self, key: str, record: CompletionRecord) -> None:
+        import tempfile
+
         path = self._path(record.stage, record.condition, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = dict(record.to_json_obj(), source=record.source)
@@ -168,6 +172,8 @@ def _payload(cfg: EndpointConfig, prompt_text: str) -> dict:
 def _tls_context() -> ssl.SSLContext:
     """One verifying context (system CA store) per process: building it
     reads the CA bundle, which costs tens of milliseconds."""
+    import ssl
+
     return ssl.create_default_context()
 
 
@@ -178,6 +184,9 @@ def _request_once(cfg: EndpointConfig, payload: dict) -> str:
     writes headers and body in two sends, a reused socket waits on Nagle's
     algorithm for the client's delayed ACK on every response.
     """
+    import http.client
+    from urllib.parse import quote, urlsplit
+
     url = urlsplit(cfg.base_url)
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
@@ -260,8 +269,12 @@ def generate_completion(
         try:
             cache.put(key, record)
         except OSError as exc:
-            logger.warning("could not write cache entry %s; keeping the completion: %s",
-                           cache._path(stage, condition, key), exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "could not write cache entry %s; keeping the completion: %s",
+                cache._path(stage, condition, key), exc,
+            )
     return record
 
 
@@ -293,6 +306,8 @@ def batch_generate(
     Output index i always corresponds to input prompt i; items that fail
     after retries are enumerated rather than aborting the batch.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     result = BatchResult(records=[None] * len(prompts))
 
     def run(index: int) -> None:

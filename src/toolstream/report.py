@@ -8,7 +8,6 @@ completion source, so reruns are byte-identical.
 from __future__ import annotations
 
 import sys
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Container, Mapping, Sequence
 
@@ -61,6 +60,8 @@ class ReportError(Exception):
 
 def format_pct(fraction: float) -> str:
     """Percentage with one decimal place, half-up rounding."""
+    from decimal import ROUND_HALF_UP, Decimal
+
     return str(
         Decimal(repr(fraction * 100)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
     )
@@ -87,16 +88,16 @@ def render_prompts(
 
 
 def score_condition(
-    path: str | Path,
     completions: Sequence[CompletionRecord],
     condition: Condition,
     examples: Mapping[str, ScoredExample],
     corpus_ids: Container[str],
+    T: int,
 ) -> list[ScoreRecord]:
-    """The score step: score and write one condition's completions. Records
-    of corpus examples outside the evaluation set (those a sample leaves out)
-    are skipped; an id outside the corpus reaches score_completions, which
-    rejects it."""
+    """The score step: score one condition's completions. Records of corpus
+    examples outside the evaluation set (those a sample leaves out) are
+    skipped; an id outside the corpus reaches score_completions, which
+    rejects it. A completion at a stage outside 0..T is an error."""
     tag = condition.value
     kept = [
         c for c in completions
@@ -105,7 +106,12 @@ def score_condition(
     records = score_completions(kept, examples)
     if not records:
         raise ReportError(f"no completions found for condition {tag}")
-    write_scores_jsonl(path, records)
+    # Records come sorted by stage, so the first and last hold the extremes.
+    for stage in (records[0].stage, records[-1].stage):
+        if not 0 <= stage <= T:
+            raise ReportError(
+                f"condition {tag} has completions at stage {stage}, outside stages 0..{T}"
+            )
     return records
 
 
@@ -160,6 +166,11 @@ def run_report(
     """
     if bool(import_paths) == (endpoint is not None):
         raise ReportError("exactly one completion source is required: imports or an endpoint")
+    for i, stage in enumerate(stages):
+        if not 0 <= stage <= stream.T:
+            raise ReportError(f"stage {stage} is outside stages 0..{stream.T}")
+        if stage in stages[:i]:
+            raise ReportError(f"stage {stage} appears more than once")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -203,15 +214,17 @@ def run_report(
                 completions.extend(batch.ok_records)
 
     corpus_ids = {ex.id for block in blocks for ex in block.examples}
+    # Every condition is scored, and its stages checked, before any score
+    # file is written.
+    scored = {
+        condition.value: score_condition(completions, condition, examples, corpus_ids, stream.T)
+        for condition in conditions
+    }
     # Condition -> its final-stage macro and micro means and record count.
     final_means: dict[str, dict] = {}
     rows_by_metric: dict[str, dict[str, dict[int, list[float]]]] = {m: {} for m in METRICS}
-    for condition in conditions:
-        tag = condition.value
-        score_records = score_condition(
-            out / f"scores_{tag}.jsonl", completions, condition, examples, corpus_ids
-        )
-
+    for tag, score_records in scored.items():
+        write_scores_jsonl(out / f"scores_{tag}.jsonl", score_records)
         scores = block_scores_by_stage(score_records)
         for metric in METRICS:
             rows_by_metric[metric][tag] = write_matrix(

@@ -19,7 +19,6 @@ own.
 from __future__ import annotations
 
 import hashlib
-import subprocess
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
@@ -147,6 +146,8 @@ def render_prompt(example: ScoredExample, condition: Condition) -> RenderedPromp
 
 
 def _run_tokenizer(command: Sequence[str], text: str) -> int:
+    import subprocess
+
     try:
         proc = subprocess.run(
             list(command),

@@ -9,13 +9,17 @@ the library implementation.
 from __future__ import annotations
 
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import toolstream
 from toolstream.calls import (
     ApiCall,
     FailureReason,
@@ -253,6 +257,32 @@ def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:
     path = Path(tmp_path) / "synthetic_corpus.jsonl"
     write_jsonl_records(path, records)
     return load_corpus(path)
+
+
+# ---------------------------------------------------------------------------
+# What importing the CLI loads
+
+# Modules that only some commands use, by name; a command that never uses
+# one must not pay for loading it (or any of its submodules) at launch.
+DEFERRED_IMPORTS = (
+    "http", "email", "ssl", "socket", "concurrent.futures", "logging", "subprocess",
+    "decimal", "toolstream.fixtures", "requests", "urllib3",
+)
+
+
+def cli_deferred_imports() -> list[str]:
+    """The modules under DEFERRED_IMPORTS that `import toolstream.cli` adds,
+    in a fresh interpreter, to those it starts with (`site` may load some)."""
+    code = (
+        "import sys; before = set(sys.modules); import toolstream.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(toolstream.__file__).resolve().parents[1])}
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout.split()
+    return [m for m in added if any(m == d or m.startswith(d + ".") for d in DEFERRED_IMPORTS)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import toolstream
+from _support import MockEndpoint, cli_deferred_imports
 from toolstream.cli import (
     EXIT_ENDPOINT,
     EXIT_INPUT,
@@ -464,6 +465,23 @@ class TestReportSubcommand:
         assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("stages, message", [
+        ("0,5", "stage 5 is outside stages 0..4"),
+        ("4,0,4", "stage 4 appears more than once"),
+    ], ids=["stage-above-t", "repeated-stage"])
+    def test_bad_stages_are_rejected_before_any_request(
+        self, reference_paths, tmp_path, capsys, stages, message
+    ):
+        out = tmp_path / "r"
+        with MockEndpoint() as mock:
+            code = main(["report", "--corpus", str(reference_paths["corpus"]),
+                         "--base-url", mock.base_url, "--model", "m", "--stages", stages,
+                         "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert mock.requests == 0
+        assert not out.exists()
+
     def test_missing_completion_is_validation_error(self, reference_paths, tmp_path, capsys):
         lines = reference_paths["completions_B"].read_text(encoding="utf-8").splitlines(True)
         assert len(lines) == 440
@@ -485,6 +503,20 @@ class TestReportSubcommand:
 
 
 class TestGenerate:
+    def test_stop_sequences_reach_the_request_as_typed(self, tmp_path):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text(
+            json.dumps({"example_id": "e:0", "condition": "A", "prompt": "p", "target": "[F()]"})
+            + "\n",
+            encoding="utf-8",
+        )
+        with MockEndpoint() as mock:
+            assert main(["generate", "--prompts", str(prompts), "--stage", "1",
+                         "--base-url", mock.base_url, "--model", "m",
+                         "--stop", "é", "--stop", "漢", "--stop", "\\n\\t",
+                         "--out", str(tmp_path / "out.jsonl")]) == EXIT_OK
+        assert mock.last_payload["stop"] == ["é", "漢", "\n\t"]
+
     def test_base_url_without_scheme_is_validation_error(self, tmp_path):
         prompts = tmp_path / "prompts.jsonl"
         prompts.write_text(
@@ -514,10 +546,9 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_http_libraries_out():
-    src = Path(toolstream.__file__).resolve().parents[1]
-    code = "import sys, toolstream.cli; sys.exit(bool({'requests', 'urllib3'} & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    # Also the TLS, thread-pool, subprocess, logging and decimal modules,
+    # and the fixture writer: each loads on first use.
+    assert cli_deferred_imports() == []
 
 
 @pytest.fixture(scope="module")
@@ -590,6 +621,17 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["stage_2_only_csv"] = str(tmp / "stage_2_only.csv")
     (tmp / "swapped_blocks.csv").write_bytes(b"stage,block_2,block_1\r\n0,0.1,0.2\r\n")
     paths["swapped_blocks_csv"] = str(tmp / "swapped_blocks.csv")
+    rows = b"0,0.1,0.2\r\n1,0.5,0.3\r\n2,0.6,0.4\r\n"
+    (tmp / "repeated_block.csv").write_bytes(b"stage,block_1,block_1\r\n" + rows)
+    paths["repeated_block_csv"] = str(tmp / "repeated_block.csv")
+    (tmp / "blocks_7_9.csv").write_bytes(b"stage,block_7,block_9\r\n" + rows)
+    paths["blocks_7_9_csv"] = str(tmp / "blocks_7_9.csv")
+    # The fixture's completions are all at stage T=4; move them to another stage.
+    for name, condition, stage in (("stage_9_B", "B", 9), ("stage_neg_A", "A", -1)):
+        lines = reference_paths[f"completions_{condition}"].read_text(encoding="utf-8")
+        moved = [dict(json.loads(line), stage=stage) for line in lines.splitlines()]
+        write_jsonl_records(tmp / f"{name}.jsonl", moved)
+        paths[name] = str(tmp / f"{name}.jsonl")
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
@@ -641,6 +683,16 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          "surrogate.jsonl: line 3: turn 0 text holds a lone surrogate"),
         (_SCORE + " --completions {completions_A} --prompts {surrogate_prompts}", EXIT_VALIDATION,
          "surrogate_prompts.jsonl: line 2: prompt holds a lone surrogate"),
+        ("summary --matrix {repeated_block_csv}", EXIT_VALIDATION,
+         "repeated_block.csv: line 1: block 1 appears more than once"),
+        ("summary --matrix {blocks_7_9_csv}", EXIT_VALIDATION,
+         "blocks_7_9.csv: line 1: block 7 is outside blocks 1..2"),
+        ("report --corpus {corpus} --import {completions_A} --import {stage_9_B} --out {out}/r",
+         EXIT_VALIDATION, "condition B has completions at stage 9, outside stages 0..4"),
+        ("report --corpus {corpus} --conditions A --import {stage_neg_A} --out {out}/r",
+         EXIT_VALIDATION, "condition A has completions at stage -1, outside stages 0..4"),
+        (_SCORE + " --completions {stage_neg_A}", EXIT_VALIDATION,
+         "condition A has completions at stage -1, outside stages 0..4"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
@@ -650,7 +702,9 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t",
          "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
-         "report-lone-surrogate", "score-prompts-lone-surrogate"],
+         "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",
+         "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
+         "score-stage-below-0"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code
