@@ -27,17 +27,23 @@ interpreter, with the sources under src/ and no installed package:
   modules of tests/_support.py's DEFERRED_IMPORTS (HTTP, TLS, sockets,
   thread pools, logging, subprocess, decimal, the fixture writer) that
   `import toolstream.cli` loads in a fresh interpreter, since which of
-  them the rest of the standard library pulls in differs by version.
+  them the rest of the standard library pulls in differs by version;
+- the `--stop` decoding: `a\\` (a trailing backslash) and `a\\q` (an
+  unknown escape) must be usage errors (exit 2) and `\\n` must decode to a
+  newline, since the codec reports the two bad escapes differently by
+  version.
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's, no oracle value differs, no parse differs and
-the CLI import loads none of the deferred modules.
+report hash equals 3.11's, no oracle value differs, no parse differs,
+the CLI import loads none of the deferred modules and every `--stop`
+probe gives its expected result.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -114,6 +120,24 @@ from _support import cli_deferred_imports
 print(*cli_deferred_imports())
 """
 
+# Each --stop value -> its exit code (2 for a usage error), or the decoded
+# stop sequence when it parses.
+STOP_PROBES = {"a\\": 2, "a\\q": 2, "\\n": "\n"}
+STOP_CODE = f"""
+import contextlib, io, json
+from toolstream.cli import build_parser
+argv = ["generate", "--prompts", "p", "--stage", "1", "--out", "o",
+        "--base-url", "http://localhost", "--model", "m", "--stop"]
+results = {{}}
+for value in {list(STOP_PROBES)!r}:
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            results[value] = build_parser().parse_args(argv + [value]).stop[0]
+    except SystemExit as exc:
+        results[value] = exc.code
+print(json.dumps(results))
+"""
+
 
 def find_interpreter(minor: str) -> Path | None:
     found = sorted(PYENV_VERSIONS.glob(f"{minor}.*/bin/python3"))
@@ -138,10 +162,10 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str]]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str], dict]:
     """((fixture, multi-stage and long-trace report digests), oracle values
     checked, oracle mismatches, parser mismatches, deferred modules that the
-    CLI import loads) for one interpreter."""
+    CLI import loads, --stop probe results) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -154,11 +178,12 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str]]:
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
         parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
         loaded = _run(python, ["-c", IMPORT_CODE], work).split()
-    return digests, checked, mismatches, parse_mismatches, loaded
+        stops = json.loads(_run(python, ["-c", STOP_CODE], work))
+    return digests, checked, mismatches, parse_mismatches, loaded, stops
 
 
 def main() -> int:
-    results: dict[str, tuple[str, tuple[str, ...], int, int, int, list[str]] | None] = {}
+    results: dict[str, tuple[str, tuple[str, ...], int, int, int, list[str], dict] | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -177,10 +202,10 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        version, digests, checked, mismatches, parse_mismatches, loaded = result
+        version, digests, checked, mismatches, parse_mismatches, loaded, stops = result
         matched = (
             digests == reference_digests and mismatches == 0 and parse_mismatches == 0
-            and not loaded
+            and not loaded and stops == STOP_PROBES
         )
         ok = ok and matched
         shown = ", ".join(
@@ -190,7 +215,8 @@ def main() -> int:
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}, "
               f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
-              f"deferred modules loaded by the CLI import: {' '.join(loaded) or 'none'}")
+              f"deferred modules loaded by the CLI import: {' '.join(loaded) or 'none'}, "
+              f"--stop probes {stops}")
     return 0 if ok else 1
 
 

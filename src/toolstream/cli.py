@@ -95,14 +95,18 @@ def _int_list(value: str) -> list[int]:
     return [int(v) for v in value.split(",") if v.strip()]
 
 
-def _decode_stop(values: list[str] | None) -> tuple[str, ...]:
-    if not values:
-        return ("\n",)
+def _stop(value: str) -> str:
+    import warnings
+
     # Latin-1 bytes, with a \uXXXX escape for any other character, decode
     # back to the characters typed; only the typed backslash escapes change.
-    return tuple(
-        v.encode("latin-1", "backslashreplace").decode("unicode_escape") for v in values
-    )
+    # The codec warns on an unknown escape and raises on a trailing backslash.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return value.encode("latin-1", "backslashreplace").decode("unicode_escape")
+        except (UnicodeDecodeError, DeprecationWarning) as exc:
+            raise argparse.ArgumentTypeError(f"bad escape in {value!r}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="assemble stage-by-block accuracy matrices from scores")
     p.add_argument("--scores", action="append", required=True, help="score JSONL (repeatable)")
     p.add_argument("--metric", default="exact", choices=METRICS)
-    p.add_argument("--blocks", type=int, help="block count T (default: max block id seen)")
     p.add_argument("--block-order", type=_int_list, help="comma-separated block ids")
     p.add_argument("--out", required=True, help="matrix CSV output path")
     p.set_defaults(func=cmd_matrix)
@@ -194,7 +197,8 @@ def _add_endpoint_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--base-url", required=required)
     p.add_argument("--model", required=required)
     p.add_argument("--max-tokens", type=int, default=128)
-    p.add_argument("--stop", action="append", help="stop sequence (repeatable; escapes decoded)")
+    p.add_argument("--stop", type=_stop, action="append",
+                   help="stop sequence (repeatable; escapes decoded)")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--max-parallel", type=int, default=4)
     p.add_argument("--retries", type=int, default=2)
@@ -206,7 +210,7 @@ def _endpoint_config(args: argparse.Namespace) -> EndpointConfig:
         base_url=args.base_url,
         model_id=args.model,
         max_new_tokens=args.max_tokens,
-        stop_sequences=_decode_stop(args.stop),
+        stop_sequences=args.stop or ("\n",),
         timeout=args.timeout,
         max_parallel=args.max_parallel,
         retries=args.retries,
@@ -236,9 +240,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ValueError("--sample requires --blocks-file")
     else:
         examples = {ex.id: ex for ex in corpus_examples}
-    prompts = render_prompts(examples, args.condition)
-    export_rendered_jsonl(args.out, prompts, examples)
-    print(f"wrote {args.out} ({len(prompts)} prompts, condition {args.condition.value})")
+    export_rendered_jsonl(args.out, examples, args.condition)
+    print(f"wrote {args.out} ({len(examples)} prompts, condition {args.condition.value})")
     return EXIT_OK
 
 
@@ -246,12 +249,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     prompts = read_rendered_jsonl(args.prompts)
     cache = CompletionCache(args.cache_dir) if args.cache_dir else None
     result = batch_generate(prompts, _endpoint_config(args), args.stage, cache)
-    write_completions_jsonl(args.out, result.ok_records)
+    write_completions_jsonl(args.out, result.records)
     if result.failures:
         for failure in result.failures:
             print(f"failed: {failure.example_id}: {failure.error}", file=sys.stderr)
         raise TransportError(f"{len(result.failures)} of {len(prompts)} completions failed")
-    print(f"wrote {args.out} ({len(result.ok_records)} completions)")
+    print(f"wrote {args.out} ({len(result.records)} completions)")
     return EXIT_OK
 
 
@@ -298,9 +301,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             block_paths.setdefault(record.block_id, path)
     if not records:
         raise AggregationError("no score records found")
-    T = args.blocks or max(block_paths)
+    T = max(block_paths)
     for block_id, path in block_paths.items():
-        if not 1 <= block_id <= T:
+        if block_id < 1:
             raise AggregationError(f"{path}: block {block_id} is outside blocks 1..{T}")
     stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()))
     rows = write_matrix(args.out, block_scores_by_stage(records), stream, args.metric)
@@ -349,6 +352,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ValueError("endpoint mode needs --model")
         endpoint = _endpoint_config(args)
         stages = stages or [stream.T]
+    else:
+        flags = {"--stages": args.stages, "--model": args.model, "--cache-dir": args.cache_dir}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} only apply in endpoint mode (--base-url)")
     tokenizer_cmd = shlex.split(args.tokenizer_cmd) if args.tokenizer_cmd else None
     out = run_report(
         corpus_path=args.corpus,

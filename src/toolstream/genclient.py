@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -80,6 +80,12 @@ class EndpointConfig:
                 f"base_url must be an http:// or https:// URL with a host: {self.base_url!r}"
             )
         url.port  # raises ValueError unless the port is a number in 0-65535
+        for name, least in (("max_new_tokens", 1), ("max_parallel", 1), ("retries", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
 
 @dataclass(slots=True)
@@ -89,16 +95,14 @@ class CompletionRecord:
     stage: int
     prompt_hash: str
     text: str
+    # Read by nothing in the package; perfbench's workloads still pass it.
     source: str = "http"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "condition": self.condition,
-            "stage": self.stage,
-            "prompt_hash": self.prompt_hash,
-            "text": self.text,
-        }
+
+def _warn(message: str, *args: object) -> None:
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _entry_text(entry: object) -> str:
@@ -110,7 +114,8 @@ def _entry_text(entry: object) -> str:
 
 class CompletionCache:
     """One file per completion under stage_<s>/<condition>/, named by the
-    sha256 of the endpoint URL and the exact request body.
+    sha256 of the endpoint URL and the exact request body, holding
+    {"text": completion}.
 
     Each write goes to its own temp file beside the entry and is renamed
     into place, so concurrent writers, in this process or in others sharing
@@ -134,27 +139,27 @@ class CompletionCache:
         try:
             return read_json(path, _entry_text, ValueError)
         except (OSError, ValueError) as exc:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "unreadable cache entry treated as a miss: %s", exc
-            )
+            _warn("unreadable cache entry treated as a miss: %s", exc)
             return None
 
-    def put(self, key: str, record: CompletionRecord) -> None:
+    def put(self, stage: int, condition: str, key: str, text: str) -> None:
+        """Store a completion's text. A failed write is logged, and the
+        caller keeps its completion."""
         import tempfile
 
-        path = self._path(record.stage, record.condition, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = dict(record.to_json_obj(), source=record.source)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        path = self._path(stage, condition, key)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps({"text": text}) + "\n")
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            _warn("could not write cache entry %s; keeping the completion: %s", path, exc)
 
 
 def _payload(cfg: EndpointConfig, prompt_text: str) -> dict:
@@ -254,45 +259,25 @@ def generate_completion(
         json.dumps([cfg.base_url, payload], sort_keys=True).encode("utf-8")
     ).hexdigest()
     text = cache.get(stage, condition, key) if cache is not None else None
-    hit = text is not None
-    if not hit:
+    if text is None:
         text = _request_with_retries(cfg, payload)
-    record = CompletionRecord(
-        example_id=prompt.example_id,
-        condition=condition,
-        stage=stage,
-        prompt_hash=prompt.prompt_hash,
-        text=text,
-        source="http",
-    )
-    if cache is not None and not hit:
-        try:
-            cache.put(key, record)
-        except OSError as exc:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "could not write cache entry %s; keeping the completion: %s",
-                cache._path(stage, condition, key), exc,
-            )
-    return record
+        if cache is not None:
+            cache.put(stage, condition, key, text)
+    return CompletionRecord(prompt.example_id, condition, stage, prompt.prompt_hash, text)
 
 
 @dataclass(frozen=True)
 class BatchFailure:
-    index: int
     example_id: str
     error: str
 
 
 @dataclass
 class BatchResult:
-    records: list[CompletionRecord | None] = field(default_factory=list)
-    failures: list[BatchFailure] = field(default_factory=list)
+    """The completions, and the failures, each in prompt order."""
 
-    @property
-    def ok_records(self) -> list[CompletionRecord]:
-        return [r for r in self.records if r is not None]
+    records: list[CompletionRecord]
+    failures: list[BatchFailure]
 
 
 def batch_generate(
@@ -301,28 +286,23 @@ def batch_generate(
     stage: int,
     cache: CompletionCache | None = None,
 ) -> BatchResult:
-    """Complete all prompts with at most max_parallel in flight.
-
-    Output index i always corresponds to input prompt i; items that fail
-    after retries are enumerated rather than aborting the batch.
-    """
+    """Complete all prompts with at most max_parallel in flight. Items that
+    fail after retries are enumerated rather than aborting the batch."""
     from concurrent.futures import ThreadPoolExecutor
 
-    result = BatchResult(records=[None] * len(prompts))
-
-    def run(index: int) -> None:
+    def run(prompt: RenderedPrompt) -> CompletionRecord | BatchFailure:
         try:
-            result.records[index] = generate_completion(prompts[index], cfg, stage, cache)
+            return generate_completion(prompt, cfg, stage, cache)
         except (TransportError, EndpointError) as exc:
-            result.failures.append(
-                BatchFailure(index=index, example_id=prompts[index].example_id, error=str(exc))
-            )
+            return BatchFailure(prompt.example_id, str(exc))
 
-    with ThreadPoolExecutor(max_workers=max(1, cfg.max_parallel)) as pool:
-        futures = [pool.submit(run, i) for i in range(len(prompts))]
-        for future in futures:
-            future.result()
-    result.failures.sort(key=lambda f: f.index)
+    result = BatchResult([], [])
+    with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
+        for outcome in pool.map(run, prompts):
+            if isinstance(outcome, BatchFailure):
+                result.failures.append(outcome)
+            else:
+                result.records.append(outcome)
     return result
 
 
@@ -363,4 +343,8 @@ def import_completions(
 
 
 def write_completions_jsonl(path: str | Path, records: Sequence[CompletionRecord]) -> None:
-    write_jsonl_records(path, (record.to_json_obj() for record in records))
+    write_jsonl_records(path, (
+        {"example_id": r.example_id, "condition": r.condition, "stage": r.stage,
+         "prompt_hash": r.prompt_hash, "text": r.text}
+        for r in records
+    ))

@@ -181,9 +181,8 @@ def run_report(
 
     prompts_by_condition: dict[str, list[RenderedPrompt]] = {}
     for condition in conditions:
-        prompts = render_prompts(examples, condition)
-        prompts_by_condition[condition.value] = prompts
-        export_rendered_jsonl(out / f"prompts_{condition.value}.jsonl", prompts, examples)
+        prompts_by_condition[condition.value] = render_prompts(examples, condition)
+        export_rendered_jsonl(out / f"prompts_{condition.value}.jsonl", examples, condition)
 
     all_prompts = [p for ps in prompts_by_condition.values() for p in ps]
     # Before any completion is obtained, so a failing tokenizer command
@@ -211,7 +210,7 @@ def run_report(
                         f"{len(batch.failures)} completions failed at stage {stage} "
                         f"(condition {condition.value}): {failed}"
                     )
-                completions.extend(batch.ok_records)
+                completions.extend(batch.records)
 
     corpus_ids = {ex.id for block in blocks for ex in block.examples}
     # Every condition is scored, and its stages checked, before any score

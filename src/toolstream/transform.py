@@ -210,38 +210,33 @@ def _escaped_rendering(
     return "".join(chunks), escaped_ends
 
 
-def _export_lines(
-    prompts: Iterable[RenderedPrompt], examples: Mapping[str, ScoredExample]
-) -> Iterator[str]:
-    held = None  # (episode, condition, escaped text, escaped ends) last sliced
-    for prompt in prompts:
-        example = examples[prompt.example_id]
-        episode, cut, condition = example.episode, example.cut_index, prompt.condition
-        text, ends, _, digests = _rendering(episode, condition)
-        if prompt.digest is not None and prompt.digest == digests.get(cut):
-            # The prompt is its rendering's prefix up to the cut, then the cue.
-            if held is None or held[0] is not episode or held[1] is not condition:
-                held = (episode, condition, *_escaped_rendering(text, ends, digests))
-            _, _, escaped, escaped_ends = held
-            prompt_json = f'"{escaped[: escaped_ends[cut]]}{_ESCAPED_CUE}"'
-        else:
-            prompt_json = _escape(prompt.text)
+def _export_lines(examples: Mapping[str, ScoredExample], condition: Condition) -> Iterator[str]:
+    tag = _escape(condition.value)
+    held = None  # (episode, escaped text, escaped ends) last sliced
+    for ex_id in sorted(examples):
+        example = examples[ex_id]
+        episode, cut = example.episode, example.cut_index
+        if held is None or held[0] is not episode:
+            text, ends, _, digests = _rendering(episode, condition)
+            held = (episode, *_escaped_rendering(text, ends, digests))
+        _, escaped, escaped_ends = held
+        # The prompt is its rendering's prefix up to the cut, then the cue.
         yield (
-            f'{{"example_id": {_escape(prompt.example_id)}, '
-            f'"condition": {_escape(condition.value)}, '
-            f'"prompt": {prompt_json}, '
+            f'{{"example_id": {_escape(example.id)}, '
+            f'"condition": {tag}, '
+            f'"prompt": "{escaped[: escaped_ends[cut]]}{_ESCAPED_CUE}", '
             f'"target": {_escape(episode.turns[cut].text)}}}\n'
         )
 
 
 def export_rendered_jsonl(
-    path: str | Path,
-    prompts: Iterable[RenderedPrompt],
-    examples: Mapping[str, ScoredExample],
+    path: str | Path, examples: Mapping[str, ScoredExample], condition: Condition
 ) -> None:
-    """Write the rendered-prompt export: for each prompt, the line
-    json.dumps gives for {"example_id", "condition", "prompt", "target"},
-    where the target is the text of the api_request turn at its example's
-    cut. The JSON-escaped text of one rendering at a time is held while its
-    prompts are written."""
-    write_lines(path, _export_lines(prompts, examples))
+    """Write the rendered-prompt export of the examples under one condition,
+    in id order: for each, the line json.dumps gives for {"example_id",
+    "condition", "prompt", "target"}, where the prompt is render_prompt's
+    text and the target is the text of the api_request turn at the cut
+    (every cut sits at one, as extract_examples builds them). The
+    JSON-escaped text of one episode's rendering at a time is held while
+    its prompts are written."""
+    write_lines(path, _export_lines(examples, condition))

@@ -418,10 +418,10 @@ def test_criterion_8_mock_endpoint_integration(tmp_path):
         if mock.requests != 11:  # 10 prompts + 1 retry of the injected failure
             failures.append(f"expected 11 requests after retry, saw {mock.requests}")
         second = batch_generate(prompts, cfg, stage=1, cache=cache)
-        if second.failures or len(second.ok_records) != 10:
+        if second.failures or len(second.records) != 10:
             failures.append("second pass did not return all records")
         if mock.requests != 11:
             failures.append(f"cache miss on second pass: {mock.requests} requests")
-        if [r.text for r in first.ok_records] != [r.text for r in second.ok_records]:
+        if [r.text for r in first.records] != [r.text for r in second.records]:
             failures.append("cached texts differ from first pass")
     _verdict(8, "mock endpoint: parallelism, retry, cache", failures)

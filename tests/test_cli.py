@@ -635,11 +635,17 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
+    scores = [json.loads(line) for line in Path(paths["scores_A"]).read_text().splitlines()]
+    write_jsonl_records(tmp / "block_0.jsonl", [dict(scores[0], block=0)] + scores[1:])
+    paths["block_0"] = str(tmp / "block_0.jsonl")
     return paths
 
 
 _SCORE = "score --corpus {corpus} --blocks-file {blocks} --out {out}/scores.jsonl"
 _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
+# Nothing listens on the discard port, and no retry waits.
+_GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl"
+             " --base-url http://127.0.0.1:9 --model m --retries 0")
 
 
 @pytest.mark.parametrize(
@@ -665,8 +671,8 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
         ("summary --matrix {not_utf8_csv}", EXIT_VALIDATION, "not_utf8.csv: line 2: "),
         ("summary --matrix {with_stage_0_csv} --baseline {dir}/nonexistent.csv",
          EXIT_VALIDATION, "with_stage_0.csv: matrix has a stage 0 row"),
-        ("matrix --scores {scores_A} --blocks 3 --out {out}/m.csv", EXIT_VALIDATION,
-         "scores_A.jsonl: block 4 is outside blocks 1..3"),
+        ("matrix --scores {block_0} --out {out}/m.csv", EXIT_VALIDATION,
+         "block_0.jsonl: block 0 is outside blocks 1..4"),
         ("summary --matrix {repeated_stage_csv}", EXIT_VALIDATION,
          "repeated_stage.csv: line 5: stage 2 appears more than once"),
         ("summary --matrix {stage_5_csv}", EXIT_VALIDATION,
@@ -693,21 +699,37 @@ _REPORT = "report --corpus {corpus} --import {completions_B} --out {out}/r"
          EXIT_VALIDATION, "condition A has completions at stage -1, outside stages 0..4"),
         (_SCORE + " --completions {stage_neg_A}", EXIT_VALIDATION,
          "condition A has completions at stage -1, outside stages 0..4"),
+        (_GENERATE + " --stop a\\", EXIT_USAGE, "argument --stop: bad escape in 'a\\\\'"),
+        (_GENERATE + " --stop a\\q", EXIT_USAGE, "argument --stop: bad escape in 'a\\\\q'"),
+        (_GENERATE + " --retries -1", EXIT_VALIDATION, "retries must be at least 0, got -1"),
+        (_GENERATE + " --max-parallel 0", EXIT_VALIDATION,
+         "max_parallel must be at least 1, got 0"),
+        (_GENERATE + " --timeout -1", EXIT_VALIDATION, "timeout must be positive, got -1.0"),
+        (_GENERATE + " --max-tokens 0", EXIT_VALIDATION,
+         "max_new_tokens must be at least 1, got 0"),
+        (_REPORT + " --stages 0,1 --model x --cache-dir {dir}/nonexistent/zz", EXIT_VALIDATION,
+         "--stages, --model, --cache-dir only apply in endpoint mode (--base-url)"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
          "score-all-with-sampled-prompts", "score-condition-without-records",
          "score-two-conditions", "score-stale-hash", "score-stale-hash-without-prompts",
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
-         "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-outside-t",
+         "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-0",
          "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
          "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
-         "score-stage-below-0"],
+         "score-stage-below-0", "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
+         "generate-retries-negative", "generate-max-parallel-0", "generate-timeout-negative",
+         "generate-max-tokens-0", "report-import-with-endpoint-flags"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
-    assert main(argv.format(**exit_code_inputs, out=tmp_path).split()) == code
+    try:
+        exit_code = main(argv.format(**exit_code_inputs, out=tmp_path).split())
+    except SystemExit as exc:  # a usage error, raised by argparse
+        exit_code = exc.code
+    assert exit_code == code
     assert message in capsys.readouterr().err
     if code != EXIT_OK:
         # A failed run scores nothing it leaves behind.

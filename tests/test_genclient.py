@@ -209,9 +209,26 @@ class TestCompletionCache:
         h = _prompt(9).prompt_hash
         entry_dir = tmp_path / "cache" / "stage_1" / "A"
         (entry_dir / f"{h}.tmp").mkdir(parents=True)
-        cache.put(h, CompletionRecord("e:9", "A", 1, h, "[Ping()]"))
+        cache.put(1, "A", h, "[Ping()]")
         assert cache.get(1, "A", h) == "[Ping()]"
         assert sorted(p.name for p in entry_dir.iterdir()) == [f"{h}.json", f"{h}.tmp"]
+
+    def test_entry_holds_only_the_text(self, tmp_path):
+        # A new entry is {"text": ...}. An entry in the six-key shape written
+        # before entries held only the text is still a hit, whatever its other
+        # keys say.
+        cache = CompletionCache(tmp_path / "cache")
+        with MockEndpoint() as mock:
+            cfg = _config(mock.base_url)
+            batch_generate([_prompt(1)], cfg, 1, cache)
+            (entry,) = (tmp_path / "cache").rglob("*.json")
+            assert entry.read_text(encoding="utf-8") == '{"text": "[Ping()]"}\n'
+            old = {"example_id": "e:0", "condition": "B", "stage": 3, "prompt_hash": "0" * 64,
+                   "text": "[Old()]", "source": "imported"}
+            entry.write_text(json.dumps(old) + "\n", encoding="utf-8")
+            result = batch_generate([_prompt(1)], cfg, 1, cache)
+            assert mock.requests == 1
+            assert [(r.example_id, r.text) for r in result.records] == [("e:1", "[Old()]")]
 
     def test_keyed_by_model(self, tmp_path):
         cache = CompletionCache(tmp_path / "cache")
@@ -264,10 +281,10 @@ class TestBatchGenerate:
             mock.fail_always.add("request number 5")
             prompts = [_prompt(i) for i in range(10)]
             result = batch_generate(prompts, _config(mock.base_url), stage=1)
-            assert len(result.ok_records) == 9
-            assert len(result.failures) == 1
-            assert result.failures[0].example_id == "e:5"
-            assert result.records[5] is None
+            assert [r.example_id for r in result.records] == [
+                f"e:{i}" for i in range(10) if i != 5
+            ]
+            assert [f.example_id for f in result.failures] == ["e:5"]
 
     def test_all_cached_means_no_network(self, tmp_path):
         cache = CompletionCache(tmp_path / "cache")
@@ -278,7 +295,7 @@ class TestBatchGenerate:
             first_pass = mock.requests
             result = batch_generate(prompts, cfg, stage=3, cache=cache)
             assert mock.requests == first_pass
-            assert len(result.ok_records) == len(prompts)
+            assert len(result.records) == len(prompts)
 
 
 class TestImportCompletions:

@@ -365,7 +365,7 @@ def test_steps_match_report(reference_paths, tmp_path, inputs):
         for metric in METRICS:
             matrix = steps / f"matrix_{metric}_{tag}.csv"
             assert main(["matrix", "--scores", str(scores), "--metric", metric,
-                         "--blocks", str(T), "--out", str(matrix)]) == EXIT_OK
+                         "--out", str(matrix)]) == EXIT_OK
             names.append(matrix.name)
         if inputs == "multistage":  # the fixture's one stage gives no summary
             summary = steps / f"summary_{tag}.json"

@@ -193,13 +193,15 @@ class TestContextStats:
 class TestRenderedExport:
     def test_roundtrip(self, tmp_path):
         example = _example([_turn(Role.USER, "u"), _turn(Role.API_REQUEST)], ex_id="ep:9")
-        prompts = [render_prompt(example, c) for c in Condition]
-        path = tmp_path / "prompts.jsonl"
-        export_rendered_jsonl(path, prompts, {"ep:9": example})
-        loaded = read_rendered_jsonl(path)
-        assert [p.text for p in loaded] == [p.text for p in prompts]
-        assert [p.condition for p in loaded] == [p.condition for p in prompts]
-        assert loaded[0].prompt_hash == prompts[0].prompt_hash
+        for condition in Condition:
+            path = tmp_path / f"prompts_{condition.value}.jsonl"
+            export_rendered_jsonl(path, {"ep:9": example}, condition)
+            (loaded,) = read_rendered_jsonl(path)
+            prompt = render_prompt(example, condition)
+            assert (loaded.example_id, loaded.condition, loaded.text) == (
+                "ep:9", condition, prompt.text
+            )
+            assert loaded.prompt_hash == prompt.prompt_hash
 
 
 # Characters of the random texts: str.split() whitespace of several kinds,
@@ -266,52 +268,39 @@ class TestRenderParity:
             assert stats[tag]["ws_token"] == sum(len(t.split()) for t in texts)
 
     def test_every_export_line_matches_json_dumps(self, tmp_path):
-        # Every cut that has a turn, whose text is the target. The slice path
-        # serves the api_request cuts, which carry a digest; the others are
-        # escaped whole.
+        # Every api_request cut, as extract_examples builds them; the target is
+        # the request's text. Ids of the first kind keep each episode's examples
+        # adjacent in id order; ids of the second interleave the episodes, so
+        # the export escapes renderings again.
         episodes = _parity_episodes() + [
             Episode('q"\\é', [_turn(Role.USER, 'say "hi" \\ \x1c\u2028 \U0001f600'),
                               _turn(Role.API_REQUEST)]),
         ]
-        examples = {
-            f"{ep.id}:{cut}": ScoredExample(
-                id=f"{ep.id}:{cut}", episode=ep, cut_index=cut, expected=CALL
-            )
-            for ep in episodes
-            for cut in range(len(ep.turns))
-        }
-        by_condition = [[render_prompt(ex, c) for ex in examples.values()] for c in Condition]
-        mixed = [p for prompts in by_condition for p in prompts]
-        random.Random(7).shuffle(mixed)
-        # In id order each episode's prompts are adjacent; shuffled across both
-        # conditions, they are not, so the export escapes renderings again.
-        for name, prompts in [("A", by_condition[0]), ("B", by_condition[1]), ("mixed", mixed)]:
-            assert {p.digest is None for p in prompts} == {True, False}
-            path = tmp_path / f"prompts_{name}.jsonl"
-            export_rendered_jsonl(path, prompts, examples)
-            expected = "".join(
-                json.dumps({
-                    "example_id": ex.id,
-                    "condition": p.condition.value,
-                    "prompt": _reference_prompt(ex.episode.turns[: ex.cut_index], p.condition),
-                    "target": ex.episode.turns[ex.cut_index].text,
-                }) + "\n"
-                for p, ex in ((p, examples[p.example_id]) for p in prompts)
-            )
-            assert path.read_bytes() == expected.encode("utf-8")
+        cuts = [
+            (ep, cut) for ep in episodes
+            for cut, turn in enumerate(ep.turns) if turn.role is Role.API_REQUEST
+        ]
+        for name, ex_id in [("grouped", "{ep}:{cut}"), ("interleaved", "{cut}@{ep}")]:
+            examples = {}
+            for ep, cut in cuts:
+                ex = ScoredExample(ex_id.format(ep=ep.id, cut=cut), ep, cut, expected=CALL)
+                examples[ex.id] = ex
+            for condition in Condition:
+                path = tmp_path / f"prompts_{name}_{condition.value}.jsonl"
+                export_rendered_jsonl(path, examples, condition)
+                expected = "".join(
+                    json.dumps({
+                        "example_id": ex.id,
+                        "condition": condition.value,
+                        "prompt": _reference_prompt(ex.episode.turns[: ex.cut_index], condition),
+                        "target": ex.episode.turns[ex.cut_index].text,
+                    }) + "\n"
+                    for ex in (examples[ex_id] for ex_id in sorted(examples))
+                )
+                assert path.read_bytes() == expected.encode("utf-8")
 
-            # A prompt read back from the export carries no digest; it
-            # exports and hashes as the rendered prompt does.
-            loaded = read_rendered_jsonl(path)
-            assert all(p.digest is None for p in loaded)
-            assert [p.prompt_hash for p in loaded] == [p.prompt_hash for p in prompts]
-            again = tmp_path / f"again_{name}.jsonl"
-            export_rendered_jsonl(again, loaded, examples)
-            assert again.read_bytes() == path.read_bytes()
-
-        # A prompt exported under another example's id keeps its own text.
-        prompt = render_prompt(examples["ep1:1"], Condition.B_TRAJECTORY)
-        assert prompt.digest is not None
-        prompt.example_id = "lead:0"
-        export_rendered_jsonl(tmp_path / "moved.jsonl", [prompt], examples)
-        assert read_rendered_jsonl(tmp_path / "moved.jsonl")[0].text == prompt.text
+                # A prompt read back from the export hashes as the rendered one.
+                loaded = read_rendered_jsonl(path)
+                assert [p.prompt_hash for p in loaded] == [
+                    render_prompt(examples[p.example_id], condition).prompt_hash for p in loaded
+                ]
