@@ -19,9 +19,10 @@ interpreter, with the sources under src/ and no installed package:
   (seed 7), counting the values that differ;
 - the differential parser check of
   tests/test_calls.py::test_parse_equals_scanner_on_seeded_strings:
-  parse_first_call against the scanner alone on 100,000 seeded strings,
-  counting the strings on which they differ, so the whole-call pattern is
-  checked on every interpreter's `re` engine;
+  parse_first_call and the scoring view (calls.scoring_view) against the
+  scanner alone on 100,000 seeded strings, counting the strings on which
+  either differs, so the whole-call pattern is checked on every
+  interpreter's `re` engine;
 - the import check of
   tests/test_cli.py::test_cli_import_leaves_http_libraries_out: the
   modules of tests/_support.py's DEFERRED_IMPORTS (HTTP, TLS, sockets,

@@ -11,7 +11,8 @@ token patterns defines what a call is, and it alone reads escapes and
 reports failures. Most texts hold a well-formed call without escapes at
 their first '[', so one linear pattern for such a call is tried there
 first; any other input goes to the scanner, which gives the same result
-the pattern would have.
+the pattern would have. Scoring reads a matched call's name and normalized
+parameters straight from that match (scoring_view).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "ParseFailure",
     "FailureReason",
     "parse_first_call",
+    "scoring_view",
     "normalize_params",
     "render_call",
 ]
@@ -127,6 +129,28 @@ def parse_first_call(text: str) -> ParseResult:
         pos = text.find("[", pos + 1)
     assert first_failure is not None
     return first_failure
+
+
+def scoring_view(text: str) -> tuple[str, dict[str, str]] | None:
+    """The name and normalized parameters of the call that _CALL matches at
+    the first '[' with distinct keys, as parse_first_call and then
+    normalize_params would give them; None for every other text, which
+    only parse_first_call can read."""
+    pos = text.find("[")
+    if pos < 0:
+        return None
+    m = _CALL.match(text, pos)
+    if m is None:
+        return None
+    name, body = m.groups()
+    if body is None:
+        return name, {}
+    # The pairs are unquoted as in parse_first_call, then trimmed as in
+    # normalize_params; dict equality and .get ignore key order, so no sort.
+    pairs = _PAIR.findall(body)
+    params = {key: (value[1:-1] if value[0] in _QUOTES else value).strip()
+              for key, value in pairs}
+    return (name, params) if len(params) == len(pairs) else None
 
 
 def _parse_candidate(text: str, open_idx: int) -> ParseResult:

@@ -353,7 +353,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         endpoint = _endpoint_config(args)
         stages = stages or [stream.T]
     else:
-        flags = {"--stages": args.stages, "--model": args.model, "--cache-dir": args.cache_dir}
+        flags = {"--stages": args.stages, "--model": args.model, "--cache-dir": args.cache_dir,
+                 "--stop": args.stop}
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ValueError(f"{', '.join(given)} only apply in endpoint mode (--base-url)")

@@ -321,21 +321,19 @@ def import_completions(
     tags = {c.value for c in Condition}
 
     def completion(raw) -> CompletionRecord:
-        if raw["condition"] not in tags:
-            raise ValueError(f"unknown condition tag {raw['condition']!r}")
+        condition = raw["condition"]
+        if condition not in tags:
+            raise ValueError(f"unknown condition tag {condition!r}")
+        # Positional fields, in CompletionRecord's order: keywords cost more.
         record = CompletionRecord(
-            example_id=str(raw["example_id"]),
-            condition=raw["condition"],
-            stage=int(raw["stage"]),
-            prompt_hash=str(raw["prompt_hash"]),
-            text=str(raw["text"]),
-            source="imported",
+            str(raw["example_id"]), condition, int(raw["stage"]), str(raw["prompt_hash"]),
+            str(raw["text"]), "imported",
         )
-        key = (record.example_id, record.condition)
-        if key in hashes and hashes[key] != record.prompt_hash:
+        expected_hash = hashes.get((record.example_id, condition))
+        if expected_hash is not None and expected_hash != record.prompt_hash:
             raise StaleCompletionError(
                 f"stale completion for example {record.example_id!r} "
-                f"(condition {record.condition}): prompt hash mismatch"
+                f"(condition {condition}): prompt hash mismatch"
             )
         return record
 

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call
+from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call, scoring_view
 from .clmetrics import _mean
 from .files import read_jsonl, write_csv
 
@@ -107,12 +107,16 @@ def evaluate_completion(completion: str, expected: ApiCall) -> ErrorCategory:
 
 
 def _evaluate(completion: str, expected: _Pair) -> ErrorCategory:
-    parsed = parse_first_call(completion)
-    if not isinstance(parsed, ParsedCall):
-        return ErrorCategory.MALFORMED_NO_CALL
-    predicted_map = normalize_params(parsed.call)
+    predicted = scoring_view(completion)
+    if predicted is None:
+        # The scanner reads every text the view declines.
+        parsed = parse_first_call(completion)
+        if not isinstance(parsed, ParsedCall):
+            return ErrorCategory.MALFORMED_NO_CALL
+        predicted = (parsed.call.name, normalize_params(parsed.call))
+    predicted_name, predicted_map = predicted
     expected_name, expected_map = expected
-    if parsed.call.name != expected_name:
+    if predicted_name != expected_name:
         return ErrorCategory.WRONG_API
     if predicted_map == expected_map:
         return ErrorCategory.EXACT_FULL_CALL

@@ -26,8 +26,10 @@ from toolstream.calls import (
     ParsedCall,
     ParseFailure,
     _parse_candidate,
+    normalize_params,
     parse_first_call,
     render_call,
+    scoring_view,
 )
 from toolstream.corpus import Episode, load_corpus, partition_blocks
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
@@ -194,7 +196,7 @@ def random_text(rng: random.Random, max_len: int = 80) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Differential parsing: parse_first_call against the scanner alone
+# Differential parsing: parse_first_call and scoring_view against the scanner alone
 
 
 def scanner_parse(text: str):
@@ -244,12 +246,25 @@ def differential_text(rng: random.Random) -> str:
     return head + tail
 
 
+def agrees_with_scanner(text: str) -> bool:
+    """Whether both views of text match scanner_parse: parse_first_call
+    equals it, and scoring_view is either None or the name and normalized
+    parameters of its ParsedCall (never a call where the scanner fails)."""
+    want = scanner_parse(text)
+    if parse_first_call(text) != want:
+        return False
+    view = scoring_view(text)
+    return view is None or (
+        isinstance(want, ParsedCall) and view == (want.call.name, normalize_params(want.call))
+    )
+
+
 def differential_mismatches(seed: int, n: int) -> list[str]:
-    """The texts, of n seeded differential_text strings, on which
-    parse_first_call differs from scanner_parse."""
+    """The texts, of n seeded differential_text strings, on which either
+    view disagrees with scanner_parse (agrees_with_scanner)."""
     rng = random.Random(seed)
     texts = (differential_text(rng) for _ in range(n))
-    return [t for t in texts if parse_first_call(t) != scanner_parse(t)]
+    return [t for t in texts if not agrees_with_scanner(t)]
 
 
 def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:

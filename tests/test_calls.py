@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _support import (
     MALFORMED_CASES,
+    agrees_with_scanner,
     differential_mismatches,
     differential_text,
     random_call,
@@ -28,6 +29,7 @@ from toolstream.calls import (
     normalize_params,
     parse_first_call,
     render_call,
+    scoring_view,
 )
 
 
@@ -253,17 +255,19 @@ def _roundtrip_texts():
     ids=["malformed", "edges", "roundtrip"],
 )
 def test_parse_equals_scanner_on_fixed_cases(texts):
-    # Equal results carry the same span, or the same reason and offset.
+    # Equal results carry the same span, or the same reason and offset; the
+    # scoring view is declined or the scanner's name and normalized params.
     for text in texts:
-        assert parse_first_call(text) == scanner_parse(text), text
+        assert agrees_with_scanner(text), text
 
 
 def test_parse_equals_scanner_on_seeded_strings():
     assert differential_mismatches(20261019, 100_000) == []
     # The strings reach both paths: many are whole calls the pattern reads,
-    # many others parse only through the scanner.
+    # many others parse only through the scanner. The scoring view both
+    # matches and declines many, some of them calls the scanner parses.
     rng = random.Random(20261019)
-    pattern = scanner_only = 0
+    pattern = scanner_only = matched = declined = declined_calls = 0
     for _ in range(20_000):
         text = differential_text(rng)
         start = text.find("[")
@@ -271,7 +275,13 @@ def test_parse_equals_scanner_on_seeded_strings():
             pattern += 1
         elif isinstance(scanner_parse(text), ParsedCall):
             scanner_only += 1
+        if scoring_view(text) is not None:
+            matched += 1
+        else:
+            declined += 1
+            declined_calls += isinstance(scanner_parse(text), ParsedCall)
     assert pattern > 1_000 and scanner_only > 1_000
+    assert matched > 1_000 and declined > 1_000 and declined_calls > 1_000
 
 
 @pytest.mark.parametrize(

@@ -709,6 +709,8 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "max_new_tokens must be at least 1, got 0"),
         (_REPORT + " --stages 0,1 --model x --cache-dir {dir}/nonexistent/zz", EXIT_VALIDATION,
          "--stages, --model, --cache-dir only apply in endpoint mode (--base-url)"),
+        (_REPORT + " --stop x", EXIT_VALIDATION,
+         "--stop only apply in endpoint mode (--base-url)"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
@@ -722,7 +724,7 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
          "score-stage-below-0", "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
          "generate-retries-negative", "generate-max-parallel-0", "generate-timeout-negative",
-         "generate-max-tokens-0", "report-import-with-endpoint-flags"],
+         "generate-max-tokens-0", "report-import-with-endpoint-flags", "report-import-with-stop"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     try:

@@ -348,6 +348,27 @@ class TestImportCompletions:
             import_completions([path], prompts=prompts)
         assert "e:1" in str(excinfo.value)
 
+    def test_fields_coerced_tags_checked_and_unrendered_records_kept(self, tmp_path):
+        prompts = [_prompt(0)]
+        good = {"example_id": "e:0", "condition": "A", "stage": 4,
+                "prompt_hash": prompts[0].prompt_hash, "text": 42}
+        # No rendered prompt has this (example_id, condition), so no hash is checked.
+        unrendered = {"example_id": 7, "condition": "A", "stage": 4,
+                      "prompt_hash": "0" * 64, "text": "[Ping()]"}
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps(unrendered)}\n", encoding="utf-8")
+        assert import_completions([path], prompts=prompts) == [
+            CompletionRecord("e:0", "A", 4, prompts[0].prompt_hash, "42", "imported"),
+            CompletionRecord("7", "A", 4, "0" * 64, "[Ping()]", "imported"),
+        ]
+        tagged = tmp_path / "tagged.jsonl"
+        tagged.write_text(
+            f"{json.dumps(good)}\n{json.dumps({**good, 'condition': 'C'})}\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            import_completions([tagged], prompts=prompts)
+        assert str(excinfo.value) == f"{tagged}: line 2: unknown condition tag 'C'"
+
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"example_id": "x"}) + "\n", encoding="utf-8")

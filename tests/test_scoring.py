@@ -310,7 +310,7 @@ class TestExports:
 
 
 def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
-    counts = {"parse": 0, "normalize": 0}
+    counts = {"view": 0, "parse": 0, "normalize": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -319,6 +319,7 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
         return wrapper
 
     # Scoring must go through these module-level names, which tracing wraps.
+    monkeypatch.setattr(scoring, "scoring_view", counted("view", scoring.scoring_view))
     monkeypatch.setattr(scoring, "parse_first_call", counted("parse", parse_first_call))
     monkeypatch.setattr(
         scoring, "normalize_params", counted("normalize", scoring.normalize_params)
@@ -334,10 +335,20 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
         for example_id in ("e1", "e2")
     ]
     records = score_completions(completions, examples)
-    assert counts == {"parse": 6, "normalize": 2 + 3}
+    # One view per completion; the scanner sees only the 3 texts the view
+    # declines, and each expected call is normalized once.
+    assert counts == {"view": 6, "parse": 3, "normalize": 2}
     assert [r.category for r in records] == [
         ErrorCategory.EXACT_FULL_CALL, ErrorCategory.MALFORMED_NO_CALL
     ] * 3
     for r, c in zip(records, completions):
         expected = examples[c.example_id].expected
         assert r.category is evaluate_completion(c.text, expected)
+
+    # An escaped value is a view miss that the scanner parses: one parse, and
+    # one normalize besides the expected call's.
+    counts.update(view=0, parse=0, normalize=0)
+    escaped = [SimpleNamespace(example_id="e1", stage=0, text=r"[GetWeather(city='Par\'is')]")]
+    records = score_completions(escaped, {"e1": examples["e1"]})
+    assert counts == {"view": 1, "parse": 1, "normalize": 1 + 1}
+    assert records[0].category is ErrorCategory.CORRECT_API_WRONG_PARAMS
