@@ -23,12 +23,14 @@ interpreter, with the sources under src/ and no installed package:
   scanner alone on 100,000 seeded strings, counting the strings on which
   either differs, so the whole-call pattern is checked on every
   interpreter's `re` engine;
-- the import check of
-  tests/test_cli.py::test_cli_import_leaves_http_libraries_out: the
-  modules of tests/_support.py's DEFERRED_IMPORTS (HTTP, TLS, sockets,
-  thread pools, logging, subprocess, decimal, the fixture writer) that
-  `import toolstream.cli` loads in a fresh interpreter, since which of
-  them the rest of the standard library pulls in differs by version;
+- the import checks of
+  tests/test_cli.py::test_cli_import_leaves_http_libraries_out and
+  ::test_cli_import_leaves_dataclasses_out: the modules of
+  tests/_support.py's DEFERRED_IMPORTS (HTTP, TLS, sockets, thread pools,
+  logging, subprocess, decimal, the fixture writer) and NEVER_IMPORTED
+  (`dataclasses`, `inspect`) that `import toolstream.cli` loads in a fresh
+  interpreter, since which of them the rest of the standard library pulls
+  in differs by version;
 - the `--stop` decoding: `a\\` (a trailing backslash) and `a\\q` (an
   unknown escape) must be usage errors (exit 2) and `\\n` must decode to a
   newline, since the codec reports the two bad escapes differently by
@@ -37,7 +39,7 @@ interpreter, with the sources under src/ and no installed package:
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
 report hash equals 3.11's, no oracle value differs, no parse differs,
-the CLI import loads none of the deferred modules and every `--stop`
+the CLI import loads none of those modules and every `--stop`
 probe gives its expected result.
 """
 
@@ -117,8 +119,8 @@ print(len(differential_mismatches({PARSER_SEED}, {PARSER_TEXTS})))
 """
 
 IMPORT_CODE = """
-from _support import cli_deferred_imports
-print(*cli_deferred_imports())
+from _support import DEFERRED_IMPORTS, NEVER_IMPORTED, cli_launch_imports
+print(*cli_launch_imports(DEFERRED_IMPORTS + NEVER_IMPORTED))
 """
 
 # Each --stop value -> its exit code (2 for a usage error), or the decoded
@@ -165,8 +167,9 @@ def tree_digest(directory: Path) -> str:
 
 def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str], dict]:
     """((fixture, multi-stage and long-trace report digests), oracle values
-    checked, oracle mismatches, parser mismatches, deferred modules that the
-    CLI import loads, --stop probe results) for one interpreter."""
+    checked, oracle mismatches, parser mismatches, deferred or never-imported
+    modules that the CLI import loads, --stop probe results) for one
+    interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -216,7 +219,8 @@ def main() -> int:
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}, "
               f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
-              f"deferred modules loaded by the CLI import: {' '.join(loaded) or 'none'}, "
+              f"deferred or never-imported modules loaded by the CLI import: "
+              f"{' '.join(loaded) or 'none'}, "
               f"--stop probes {stops}")
     return 0 if ok else 1
 

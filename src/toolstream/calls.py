@@ -18,9 +18,8 @@ parameters straight from that match (scoring_view).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "ApiCall",
@@ -58,8 +57,7 @@ _CALL = re.compile(
 _PAIR = re.compile(rf"({_NAME})[ \t]*=[ \t]*({_QUOTED}|{_BARE})")
 
 
-@dataclass(frozen=True)
-class ApiCall:
+class ApiCall(NamedTuple):
     """An API name plus an ordered sequence of (key, value) string pairs.
 
     Only the scanner checks a call: one parsed from text has identifier
@@ -78,16 +76,14 @@ class FailureReason(Enum):
     EMPTY_OUTPUT = "empty_output"
 
 
-@dataclass(frozen=True)
-class ParsedCall:
+class ParsedCall(NamedTuple):
     """A successfully parsed call plus the character span it came from."""
 
     call: ApiCall
     span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+class ParseFailure(NamedTuple):
     reason: FailureReason
     offset: int
 

@@ -193,27 +193,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_endpoint_flags(p: argparse.ArgumentParser, required: bool) -> None:
-    """The endpoint and cache flags shared by `generate` and `report`."""
+    """The endpoint and cache flags shared by `generate` and `report`. A
+    setting left out keeps EndpointConfig's default."""
     p.add_argument("--base-url", required=required)
     p.add_argument("--model", required=required)
-    p.add_argument("--max-tokens", type=int, default=128)
+    p.add_argument("--max-tokens", type=int)
     p.add_argument("--stop", type=_stop, action="append",
                    help="stop sequence (repeatable; escapes decoded)")
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--max-parallel", type=int, default=4)
-    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--timeout", type=float)
+    p.add_argument("--max-parallel", type=int)
+    p.add_argument("--retries", type=int)
     p.add_argument("--cache-dir")
 
 
+# EndpointConfig setting -> the flag that gives it.
+_ENDPOINT_SETTINGS = {
+    "max_new_tokens": "max_tokens", "stop_sequences": "stop", "timeout": "timeout",
+    "max_parallel": "max_parallel", "retries": "retries",
+}
+
+
 def _endpoint_config(args: argparse.Namespace) -> EndpointConfig:
+    given = {name: getattr(args, dest) for name, dest in _ENDPOINT_SETTINGS.items()}
     return EndpointConfig(
         base_url=args.base_url,
         model_id=args.model,
-        max_new_tokens=args.max_tokens,
-        stop_sequences=args.stop or ("\n",),
-        timeout=args.timeout,
-        max_parallel=args.max_parallel,
-        retries=args.retries,
+        **{name: value for name, value in given.items() if value is not None},
     )
 
 
@@ -353,9 +358,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         endpoint = _endpoint_config(args)
         stages = stages or [stream.T]
     else:
-        flags = {"--stages": args.stages, "--model": args.model, "--cache-dir": args.cache_dir,
-                 "--stop": args.stop}
-        given = [flag for flag, value in flags.items() if value is not None]
+        dests = ["stages", "model", "cache_dir", *_ENDPOINT_SETTINGS.values()]
+        given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
         if given:
             raise ValueError(f"{', '.join(given)} only apply in endpoint mode (--base-url)")
     tokenizer_cmd = shlex.split(args.tokenizer_cmd) if args.tokenizer_cmd else None

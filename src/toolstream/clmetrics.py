@@ -7,7 +7,6 @@ kept separately as the baseline vector used by forward transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,33 +32,31 @@ class MetricsError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class EvalMatrix:
-    values: tuple[tuple[float, ...], ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", rows)
+    def __init__(self, values: Sequence[Sequence[float]]):
+        rows = tuple(tuple(float(v) for v in row) for row in values)
         T = len(rows)
         if T == 0 or any(len(row) != T for row in rows):
             raise MetricsError("evaluation matrix must be square and nonempty")
         if any(not (0.0 <= v <= 1.0) for row in rows for v in row):
             raise MetricsError("matrix entries must be fractions in [0, 1]")
+        self.values = rows
 
     @property
     def T(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
 class BaselineVector:
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Sequence[float]):
+        vals = tuple(float(v) for v in values)
         if any(not (0.0 <= v <= 1.0) for v in vals):
             raise MetricsError("baseline entries must be fractions in [0, 1]")
+        self.values = vals
 
     def __len__(self) -> int:
         return len(self.values)

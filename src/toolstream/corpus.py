@@ -14,10 +14,9 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
 from .files import check_utf8, read_json, read_jsonl, write_json
@@ -67,64 +66,71 @@ class Role(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
-class Turn:
+class Turn(NamedTuple):
     role: Role
     text: str
     call: ApiCall | None = None
 
 
-@dataclass
 class Episode:
-    id: str
-    turns: list[Turn]
-    # Condition -> transform's rendering of these turns (text, cut offsets,
-    # token counts, prompt digests), built on first use, so it lives and dies
-    # with the episode.
-    renderings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("id", "turns", "renderings")
+
+    def __init__(self, id: str, turns: list[Turn]):
+        self.id = id
+        self.turns = turns
+        # Condition -> transform's rendering of these turns (text, cut
+        # offsets, token counts, prompt digests), built on first use, so it
+        # lives and dies with the episode.
+        self.renderings: dict = {}
 
 
-@dataclass
 class ScoredExample:
     """A next-call prediction target: the turns of an episode before one
-    api_request turn, which is at cut_index."""
+    api_request turn, which is at cut_index. assign_blocks sets block_id."""
 
-    id: str
-    episode: Episode = field(repr=False)
-    cut_index: int
-    expected: ApiCall
-    block_id: int | None = None
+    __slots__ = ("id", "episode", "cut_index", "expected", "block_id")
+
+    def __init__(
+        self, id: str, episode: Episode, cut_index: int, expected: ApiCall,
+        block_id: int | None = None,
+    ):
+        self.id = id
+        self.episode = episode
+        self.cut_index = cut_index
+        self.expected = expected
+        self.block_id = block_id
 
     @property
     def context(self) -> list[Turn]:
         return self.episode.turns[: self.cut_index]
 
 
-@dataclass
-class DomainBlock:
+class DomainBlock(NamedTuple):
     block_id: int
     api_names: frozenset[str]
     examples: list[ScoredExample]
 
 
-@dataclass(frozen=True)
 class StreamSpec:
     """Shape of a domain-block stream: block count, order, seeds, sampling."""
 
-    T: int
-    block_order: tuple[int, ...] = ()
-    seed: int = 42
-    sample_size: int | None = None
+    __slots__ = ("T", "block_order", "seed", "sample_size")
 
-    def __post_init__(self):
-        if self.T < 2:
+    def __init__(
+        self, T: int, block_order: Sequence[int] = (), seed: int = 42,
+        sample_size: int | None = None,
+    ):
+        if T < 2:
             raise ValueError("a stream needs at least 2 blocks")
-        order = self.block_order or tuple(range(1, self.T + 1))
-        object.__setattr__(self, "block_order", tuple(order))
-        if sorted(self.block_order) != list(range(1, self.T + 1)):
-            raise ValueError(f"block_order must be a permutation of 1..{self.T}")
-        if self.sample_size is not None and self.sample_size < 1:
+        block_order = tuple(block_order or range(1, T + 1))
+        if sorted(block_order) != list(range(1, T + 1)):
+            raise ValueError(f"block_order must be a permutation of 1..{T}")
+        if sample_size is not None and sample_size < 1:
             raise ValueError("sample_size must be >= 1")
+        self.T = T
+        self.block_order = block_order
+        self.seed = seed
+        self.sample_size = sample_size
 
 
 def load_corpus(path: str | Path) -> list[Episode]:

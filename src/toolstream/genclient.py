@@ -18,9 +18,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .files import LineError, read_json, read_jsonl, write_jsonl_records
 from .transform import Condition, RenderedPrompt
@@ -59,21 +58,33 @@ class StaleCompletionError(LineError):
     pass
 
 
-@dataclass
 class EndpointConfig:
-    base_url: str
-    model_id: str
-    max_new_tokens: int = 128
-    stop_sequences: tuple[str, ...] = ("\n",)
-    timeout: float = 60.0
-    max_parallel: int = 4
-    retries: int = 2
-    retry_backoff: float = 0.5
+    __slots__ = (
+        "base_url", "model_id", "max_new_tokens", "stop_sequences", "timeout",
+        "max_parallel", "retries", "retry_backoff",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        base_url: str,
+        model_id: str,
+        max_new_tokens: int = 128,
+        stop_sequences: Sequence[str] = ("\n",),
+        timeout: float = 60.0,
+        max_parallel: int = 4,
+        retries: int = 2,
+        retry_backoff: float = 0.5,
+    ):
         from urllib.parse import urlsplit
 
-        self.stop_sequences = tuple(self.stop_sequences)
+        self.base_url = base_url
+        self.model_id = model_id
+        self.max_new_tokens = max_new_tokens
+        self.stop_sequences = tuple(stop_sequences)
+        self.timeout = timeout
+        self.max_parallel = max_parallel
+        self.retries = retries
+        self.retry_backoff = retry_backoff
         url = urlsplit(self.base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(
@@ -88,15 +99,22 @@ class EndpointConfig:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
 
 
-@dataclass(slots=True)
 class CompletionRecord:
-    example_id: str
-    condition: str
-    stage: int
-    prompt_hash: str
-    text: str
-    # Read by nothing in the package; perfbench's workloads still pass it.
-    source: str = "http"
+    # Slots, not a NamedTuple: CPython 3.11+ specialises slot reads, which
+    # scoring makes several of per completion.
+    __slots__ = ("example_id", "condition", "stage", "prompt_hash", "text", "source")
+
+    def __init__(
+        self, example_id: str, condition: str, stage: int, prompt_hash: str, text: str,
+        source: str = "http",
+    ):
+        self.example_id = example_id
+        self.condition = condition
+        self.stage = stage
+        self.prompt_hash = prompt_hash
+        self.text = text
+        # Read by nothing in the package; perfbench's workloads still pass it.
+        self.source = source
 
 
 def _warn(message: str, *args: object) -> None:
@@ -131,13 +149,12 @@ class CompletionCache:
     def get(self, stage: int, condition: str, key: str) -> str | None:
         """The cached completion text, or None on a miss. Its example is
         the caller's: examples whose requests match share one entry. An
-        unreadable entry, or one whose text is not a string, is a miss;
-        the next put replaces it."""
-        path = self._path(stage, condition, key)
-        if not path.exists():
-            return None
+        absent entry is a miss. An unreadable one, or one whose text is not
+        a string, is a miss that is logged; the next put replaces it."""
         try:
-            return read_json(path, _entry_text, ValueError)
+            return read_json(self._path(stage, condition, key), _entry_text, ValueError)
+        except (FileNotFoundError, NotADirectoryError):
+            return None
         except (OSError, ValueError) as exc:
             _warn("unreadable cache entry treated as a miss: %s", exc)
             return None
@@ -266,14 +283,12 @@ def generate_completion(
     return CompletionRecord(prompt.example_id, condition, stage, prompt.prompt_hash, text)
 
 
-@dataclass(frozen=True)
-class BatchFailure:
+class BatchFailure(NamedTuple):
     example_id: str
     error: str
 
 
-@dataclass
-class BatchResult:
+class BatchResult(NamedTuple):
     """The completions, and the failures, each in prompt order."""
 
     records: list[CompletionRecord]

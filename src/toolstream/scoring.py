@@ -9,7 +9,6 @@ implies name implies parsed) allows, so each rate counts categories.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -93,12 +92,16 @@ METRICS: tuple[str, ...] = tuple(_COUNTED)
 _Pair = tuple[str, dict[str, str]]
 
 
-@dataclass(slots=True)
 class ScoreRecord:
-    example_id: str
-    stage: int
-    block_id: int
-    category: ErrorCategory
+    # Slots, not a NamedTuple: CPython 3.11+ specialises slot reads, which
+    # sorting, writing and aggregating make several of per record.
+    __slots__ = ("example_id", "stage", "block_id", "category")
+
+    def __init__(self, example_id: str, stage: int, block_id: int, category: ErrorCategory):
+        self.example_id = example_id
+        self.stage = stage
+        self.block_id = block_id
+        self.category = category
 
 
 def evaluate_completion(completion: str, expected: ApiCall) -> ErrorCategory:

@@ -19,7 +19,6 @@ own.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
@@ -76,17 +75,22 @@ KEPT_ROLES: dict[Condition, frozenset[Role]] = {
 }
 
 
-@dataclass(slots=True)
 class RenderedPrompt:
-    example_id: str
-    condition: Condition
-    text: str
-    # len(text.split()), as render_prompt counts it; None on a prompt read
-    # back from a file.
-    ws_token: int | None = None
-    # The sha256 digest of text, as render_prompt takes it from the
-    # rendering at an api_request cut; None on other prompts.
-    digest: bytes | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("example_id", "condition", "text", "ws_token", "digest")
+
+    def __init__(
+        self, example_id: str, condition: Condition, text: str,
+        ws_token: int | None = None, digest: bytes | None = None,
+    ):
+        self.example_id = example_id
+        self.condition = condition
+        self.text = text
+        # len(text.split()), as render_prompt counts it; None on a prompt
+        # read back from a file.
+        self.ws_token = ws_token
+        # The sha256 digest of text, as render_prompt takes it from the
+        # rendering at an api_request cut; None on other prompts.
+        self.digest = digest
 
     @property
     def prompt_hash(self) -> str:

@@ -283,11 +283,14 @@ DEFERRED_IMPORTS = (
     "http", "email", "ssl", "socket", "concurrent.futures", "logging", "subprocess",
     "decimal", "toolstream.fixtures", "requests", "urllib3",
 )
+# Modules the package never imports: `dataclasses` alone would bring
+# `inspect`, `ast` and `dis` into every launch.
+NEVER_IMPORTED = ("dataclasses", "inspect")
 
 
-def cli_deferred_imports() -> list[str]:
-    """The modules under DEFERRED_IMPORTS that `import toolstream.cli` adds,
-    in a fresh interpreter, to those it starts with (`site` may load some)."""
+def cli_launch_imports(modules: tuple[str, ...]) -> list[str]:
+    """The modules under `modules` that `import toolstream.cli` adds, in a
+    fresh interpreter, to those it starts with (`site` may load some)."""
     code = (
         "import sys; before = set(sys.modules); import toolstream.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -297,7 +300,7 @@ def cli_deferred_imports() -> list[str]:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=60,
     ).stdout.split()
-    return [m for m in added if any(m == d or m.startswith(d + ".") for d in DEFERRED_IMPORTS)]
+    return [m for m in added if any(m == d or m.startswith(d + ".") for d in modules)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import toolstream
-from _support import MockEndpoint, cli_deferred_imports
+from _support import DEFERRED_IMPORTS, NEVER_IMPORTED, MockEndpoint, cli_launch_imports
 from toolstream.cli import (
     EXIT_ENDPOINT,
     EXIT_INPUT,
@@ -548,7 +548,11 @@ def test_cli_import_leaves_numpy_out():
 def test_cli_import_leaves_http_libraries_out():
     # Also the TLS, thread-pool, subprocess, logging and decimal modules,
     # and the fixture writer: each loads on first use.
-    assert cli_deferred_imports() == []
+    assert cli_launch_imports(DEFERRED_IMPORTS) == []
+
+
+def test_cli_import_leaves_dataclasses_out():
+    assert cli_launch_imports(NEVER_IMPORTED) == []
 
 
 @pytest.fixture(scope="module")
@@ -711,6 +715,16 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "--stages, --model, --cache-dir only apply in endpoint mode (--base-url)"),
         (_REPORT + " --stop x", EXIT_VALIDATION,
          "--stop only apply in endpoint mode (--base-url)"),
+        (_REPORT + " --max-tokens 0", EXIT_VALIDATION,
+         "--max-tokens only apply in endpoint mode (--base-url)"),
+        (_REPORT + " --timeout -1", EXIT_VALIDATION,
+         "--timeout only apply in endpoint mode (--base-url)"),
+        (_REPORT + " --max-parallel 0", EXIT_VALIDATION,
+         "--max-parallel only apply in endpoint mode (--base-url)"),
+        (_REPORT + " --retries -3", EXIT_VALIDATION,
+         "--retries only apply in endpoint mode (--base-url)"),
+        (_REPORT + " --max-parallel 0 --retries -3 --timeout -1 --max-tokens 0", EXIT_VALIDATION,
+         "--max-tokens, --timeout, --max-parallel, --retries only apply in endpoint mode"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
@@ -724,7 +738,10 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
          "score-stage-below-0", "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
          "generate-retries-negative", "generate-max-parallel-0", "generate-timeout-negative",
-         "generate-max-tokens-0", "report-import-with-endpoint-flags", "report-import-with-stop"],
+         "generate-max-tokens-0", "report-import-with-endpoint-flags", "report-import-with-stop",
+         "report-import-with-max-tokens", "report-import-with-timeout",
+         "report-import-with-max-parallel", "report-import-with-retries",
+         "report-import-with-every-setting"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     try:

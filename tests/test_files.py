@@ -58,6 +58,15 @@ DAMAGE = {
 }
 
 
+def _fields(value):
+    """A reader's result with each slotted record replaced by the values of
+    its slots, so that two reads compare equal when their records do."""
+    if isinstance(value, list):
+        return [_fields(item) for item in value]
+    slots = getattr(type(value), "__slots__", ())
+    return tuple(getattr(value, name) for name in slots) if slots else value
+
+
 @pytest.mark.parametrize("case", ["not_utf8", "bad_json", "crlf_and_blank_lines"])
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_reader_format_rules(name, case, tmp_path):
@@ -66,9 +75,9 @@ def test_reader_format_rules(name, case, tmp_path):
     data = [line.encode("utf-8") for line in lines]
     if case == "crlf_and_blank_lines":
         path.write_bytes(b"\n".join(data) + b"\n")
-        expected = read(path)
+        expected = _fields(read(path))
         path.write_bytes(b"\r\n" + b"\r\n  \r\n".join(data) + b"\r\n\r\n")
-        assert read(path) == expected
+        assert _fields(read(path)) == expected
         return
     data[1] = DAMAGE[case](data[1])
     assert data[1] != lines[1].encode("utf-8")

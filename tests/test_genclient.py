@@ -240,6 +240,26 @@ class TestCompletionCache:
             assert mock.requests == 2
             assert result.records[0].prompt_hash == _prompt(1).prompt_hash
 
+    def test_missing_entry_is_a_silent_miss(self, tmp_path, caplog):
+        # Absent stage or condition directories and absent entries are plain
+        # misses; an entry that exists but cannot be read is still logged.
+        cache = CompletionCache(tmp_path / "cache")
+        h = _prompt(1).prompt_hash
+        with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
+            assert cache.get(1, "A", h) is None
+            cache.put(1, "A", h, "[Ping()]")
+            assert cache.get(1, "B", h) is None
+            assert cache.get(1, "A", "0" * 64) is None
+            assert cache.get(1, "A", h) == "[Ping()]"
+        assert not caplog.records
+        (entry,) = (tmp_path / "cache").rglob("*.json")
+        entry.unlink()
+        entry.mkdir()
+        with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
+            assert cache.get(1, "A", h) is None
+        assert "unreadable cache entry" in caplog.text
+        assert entry.name in caplog.text
+
     def test_corrupt_entry_is_a_miss(self, tmp_path, caplog):
         cache = CompletionCache(tmp_path / "cache")
         with MockEndpoint() as mock:
@@ -357,9 +377,12 @@ class TestImportCompletions:
                       "prompt_hash": "0" * 64, "text": "[Ping()]"}
         path = tmp_path / "mixed.jsonl"
         path.write_text(f"{json.dumps(good)}\n{json.dumps(unrendered)}\n", encoding="utf-8")
-        assert import_completions([path], prompts=prompts) == [
-            CompletionRecord("e:0", "A", 4, prompts[0].prompt_hash, "42", "imported"),
-            CompletionRecord("7", "A", 4, "0" * 64, "[Ping()]", "imported"),
+        assert [
+            (r.example_id, r.condition, r.stage, r.prompt_hash, r.text, r.source)
+            for r in import_completions([path], prompts=prompts)
+        ] == [
+            ("e:0", "A", 4, prompts[0].prompt_hash, "42", "imported"),
+            ("7", "A", 4, "0" * 64, "[Ping()]", "imported"),
         ]
         tagged = tmp_path / "tagged.jsonl"
         tagged.write_text(

@@ -276,7 +276,10 @@ class TestExports:
             for r in records
         )
         assert path.read_bytes() == expected.encode("utf-8")
-        assert read_scores_jsonl(path) == records
+        fields = [(r.example_id, r.stage, r.block_id, r.category) for r in records]
+        assert [
+            (r.example_id, r.stage, r.block_id, r.category) for r in read_scores_jsonl(path)
+        ] == fields
 
     @pytest.mark.parametrize(
         "flags",
