@@ -27,7 +27,7 @@ interpreter, with the sources under src/ and no installed package:
   tests/test_cli.py::test_cli_import_leaves_http_libraries_out and
   ::test_cli_import_leaves_dataclasses_out: the modules of
   tests/_support.py's DEFERRED_IMPORTS (HTTP, TLS, sockets, thread pools,
-  logging, subprocess, decimal, the fixture writer) and NEVER_IMPORTED
+  logging, subprocess, decimal, random, the fixture writer) and NEVER_IMPORTED
   (`dataclasses`, `inspect`) that `import toolstream.cli` loads in a fresh
   interpreter, since which of them the rest of the standard library pulls
   in differs by version;

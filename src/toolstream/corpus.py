@@ -12,14 +12,13 @@ its text is canonicalized at ingestion so downstream rendering is stable.
 from __future__ import annotations
 
 import hashlib
-import random
 from collections import Counter
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
-from .files import check_utf8, read_json, read_jsonl, write_json
+from .files import check_utf8, integer, read_json, read_jsonl, write_json
 
 __all__ = [
     "Role",
@@ -219,6 +218,8 @@ def partition_blocks(episodes: Sequence[Episode], T: int, seed: int) -> list[Dom
     size are ordered by a seeded shuffle; block-load ties go to the
     lowest block id.
     """
+    import random
+
     if T < 2:
         raise PartitionError("T must be >= 2")
     examples = [ex for episode in episodes for ex in extract_examples(episode)]
@@ -244,6 +245,8 @@ def partition_blocks(episodes: Sequence[Episode], T: int, seed: int) -> list[Dom
 
 
 def _subset_rng(seed: int, block_id: int, n: int) -> random.Random:
+    import random
+
     digest = hashlib.sha256(f"{seed}:{block_id}:{n}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -311,14 +314,20 @@ def write_blocks_json(path: str | Path, blocks: Sequence[DomainBlock]) -> None:
 
 
 def read_blocks_json(path: str | Path) -> tuple[int, dict[str, int]]:
-    """Return (T, example_id -> block_id) from a blocks.json file."""
+    """Return (T, example_id -> block_id) from a blocks.json file. T and
+    the block ids must be integers, and each example is listed once."""
     return read_json(path, _block_assignment, CorpusError)
 
 
 def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
     assignment: dict[str, int] = {}
     for block in payload["blocks"]:
-        block_id = int(block["block_id"])
+        block_id = integer(block["block_id"], "block_id")
         for example_id in block["example_ids"]:
-            assignment[str(example_id)] = block_id
-    return int(payload["T"]), assignment
+            example_id = str(example_id)
+            listed = assignment.setdefault(example_id, block_id)
+            if listed != block_id:
+                raise ValueError(
+                    f"example {example_id!r} is listed in block {listed} and in block {block_id}"
+                )
+    return integer(payload["T"], "T"), assignment

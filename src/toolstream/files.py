@@ -22,6 +22,7 @@ __all__ = [
     "read_csv",
     "read_json",
     "check_utf8",
+    "integer",
     "write_lines",
     "write_jsonl_records",
     "write_json",
@@ -104,6 +105,17 @@ def check_utf8(text: str, what: str) -> None:
             raise ValueError(
                 f"{what} holds a lone surrogate {text[exc.start]!r} at offset {exc.start}"
             ) from None
+
+
+def integer(value: object, what: str) -> int:
+    """A JSON value that must be an integer. A boolean, or a number with a
+    fractional part, is a ValueError naming what; other values go through
+    int()."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .files import LineError, read_json, read_jsonl, write_jsonl_records
+from .files import LineError, integer, read_json, read_jsonl, write_jsonl_records
 from .transform import Condition, RenderedPrompt
 
 __all__ = [
@@ -327,11 +327,18 @@ def import_completions(
     """Load recorded completions from JSONL files, in order (source
     becomes 'imported').
 
-    A record whose condition is not a Condition tag is a ValueError. When
-    rendered prompts are supplied, a record whose prompt_hash does not
-    match its prompt's raises StaleCompletionError; both name the line.
+    A record whose condition is not a Condition tag, or whose stage is not
+    an integer, is a ValueError. When rendered prompts are supplied, a
+    record whose prompt_hash does not match its prompt's raises
+    StaleCompletionError; both name the line. A record that matches keeps
+    its prompt's example-id and hash strings rather than the copies JSON
+    decoding made, so the records of one prompt share them.
     """
-    hashes = {(p.example_id, p.condition.value): p.prompt_hash for p in prompts or ()}
+    # (example id, condition) -> that prompt's example id and hash, each
+    # hash computed once.
+    rendered = {
+        (p.example_id, p.condition.value): (p.example_id, p.prompt_hash) for p in prompts or ()
+    }
     # A set lookup: calling Condition(...) per record is several times slower.
     tags = {c.value for c in Condition}
 
@@ -339,18 +346,20 @@ def import_completions(
         condition = raw["condition"]
         if condition not in tags:
             raise ValueError(f"unknown condition tag {condition!r}")
+        example_id = str(raw["example_id"])
+        stage = integer(raw["stage"], "stage")
+        prompt_hash = str(raw["prompt_hash"])
+        text = str(raw["text"])
+        shared = rendered.get((example_id, condition))
+        if shared is not None:
+            if shared[1] != prompt_hash:
+                raise StaleCompletionError(
+                    f"stale completion for example {example_id!r} "
+                    f"(condition {condition}): prompt hash mismatch"
+                )
+            example_id, prompt_hash = shared
         # Positional fields, in CompletionRecord's order: keywords cost more.
-        record = CompletionRecord(
-            str(raw["example_id"]), condition, int(raw["stage"]), str(raw["prompt_hash"]),
-            str(raw["text"]), "imported",
-        )
-        expected_hash = hashes.get((record.example_id, condition))
-        if expected_hash is not None and expected_hash != record.prompt_hash:
-            raise StaleCompletionError(
-                f"stale completion for example {record.example_id!r} "
-                f"(condition {condition}): prompt hash mismatch"
-            )
-        return record
+        return CompletionRecord(example_id, condition, stage, prompt_hash, text, "imported")
 
     return [record for path in paths for record in read_jsonl(path, completion, ValueError)]
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call, scoring_view
 from .clmetrics import _mean
-from .files import read_jsonl, write_csv
+from .files import integer, read_jsonl, write_csv
 
 __all__ = [
     "MetricFlags",
@@ -239,8 +239,8 @@ def _score_record(raw) -> ScoreRecord:
         raise ValueError(f"flags {raw['flags']} contradict {category.value}")
     return ScoreRecord(
         example_id=str(raw["example_id"]),
-        stage=int(raw["stage"]),
-        block_id=int(raw["block"]),
+        stage=integer(raw["stage"], "stage"),
+        block_id=integer(raw["block"], "block"),
         category=category,
     )
 

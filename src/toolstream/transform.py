@@ -6,9 +6,11 @@ Both renderings end with the same next-action cue line.
 
 Each episode is rendered once per condition, as one text in which every
 kept turn is a line ended by a newline. An example's prompt is the prefix
-of that text up to its cut, then the cue. Its whitespace-token count is
-the sum of the counts of those lines plus the cue's: no token spans a
-newline, so the sum equals len(prompt.split()). The same pass keeps a
+of that text up to its cut, then the cue; render_prompt returns a view
+that holds the rendering and the cut, so no prompt's text is kept apart
+from its episode's rendering. A prompt's whitespace-token count is the
+sum of the counts of its lines plus the cue's: no token spans a newline,
+so the sum equals len(prompt.split()). The same pass keeps a
 running sha256 of the text, so the digest of the prompt at each
 api_request cut is a copy of the running hash updated with the cue. The
 export JSON-escapes each rendering once and slices every prompt's escaped
@@ -63,6 +65,7 @@ PREFIXES: dict[Role, str] = {
     Role.API_RESPONSE: "API-Response: ",
 }
 CUE = "API-Request:"
+_CUE_CHARS = len(CUE)
 _CUE_TOKENS = len(CUE.split())
 _CUE_BYTES = CUE.encode("utf-8")
 _ESCAPED_CUE = _escape(CUE)[1:-1]
@@ -76,21 +79,44 @@ KEPT_ROLES: dict[Condition, frozenset[Role]] = {
 
 
 class RenderedPrompt:
-    __slots__ = ("example_id", "condition", "text", "ws_token", "digest")
+    """One example's prompt under one condition.
+
+    A prompt that render_prompt returns is a view on its episode's
+    rendering, which the episode already keeps: it holds that text and the
+    offset of its cut, and its text is cut on read. A prompt built from a
+    text (as read back from a file) holds that text.
+    """
+
+    __slots__ = ("example_id", "condition", "_source", "_end", "ws_token", "digest")
 
     def __init__(
         self, example_id: str, condition: Condition, text: str,
         ws_token: int | None = None, digest: bytes | None = None,
+        end: int | None = None,
     ):
         self.example_id = example_id
         self.condition = condition
-        self.text = text
+        # With end, text is the episode's rendering, and the prompt is its
+        # first end characters, then the cue.
+        self._source = text
+        self._end = end
         # len(text.split()), as render_prompt counts it; None on a prompt
         # read back from a file.
         self.ws_token = ws_token
         # The sha256 digest of text, as render_prompt takes it from the
         # rendering at an api_request cut; None on other prompts.
         self.digest = digest
+
+    @property
+    def text(self) -> str:
+        end = self._end
+        return self._source if end is None else self._source[:end] + CUE
+
+    @property
+    def chars(self) -> int:
+        """len(text), without building the text."""
+        end = self._end
+        return len(self._source) if end is None else end + _CUE_CHARS
 
     @property
     def prompt_hash(self) -> str:
@@ -137,15 +163,12 @@ def _rendering(
 
 
 def render_prompt(example: ScoredExample, condition: Condition) -> RenderedPrompt:
-    """Render one example's context under the given condition."""
+    """Render one example's context under the given condition, as a view on
+    its episode's rendering."""
     text, ends, tokens, digests = _rendering(example.episode, condition)
     cut = example.cut_index
     return RenderedPrompt(
-        example.id,
-        condition,
-        text[: ends[cut]] + CUE,
-        tokens[cut] + _CUE_TOKENS,
-        digests.get(cut),
+        example.id, condition, text, tokens[cut] + _CUE_TOKENS, digests.get(cut), ends[cut]
     )
 
 
@@ -177,7 +200,7 @@ def context_stats(
     for prompt in prompts:
         tag = prompt.condition.value
         bucket = totals.setdefault(tag, {"char": 0, "ws_token": 0})
-        bucket["char"] += len(prompt.text)
+        bucket["char"] += prompt.chars
         bucket["ws_token"] += prompt.ws_token
         if tokenizer_cmd is not None:
             bucket["ext_token"] = bucket.get("ext_token", 0) + _run_tokenizer(

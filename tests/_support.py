@@ -281,7 +281,7 @@ def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:
 # one must not pay for loading it (or any of its submodules) at launch.
 DEFERRED_IMPORTS = (
     "http", "email", "ssl", "socket", "concurrent.futures", "logging", "subprocess",
-    "decimal", "toolstream.fixtures", "requests", "urllib3",
+    "decimal", "random", "toolstream.fixtures", "requests", "urllib3",
 )
 # Modules the package never imports: `dataclasses` alone would bring
 # `inspect`, `ast` and `dis` into every launch.

@@ -546,8 +546,8 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_http_libraries_out():
-    # Also the TLS, thread-pool, subprocess, logging and decimal modules,
-    # and the fixture writer: each loads on first use.
+    # Also the TLS, thread-pool, subprocess, logging, decimal and random
+    # modules, and the fixture writer: each loads on first use.
     assert cli_launch_imports(DEFERRED_IMPORTS) == []
 
 
@@ -636,12 +636,26 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
         moved = [dict(json.loads(line), stage=stage) for line in lines.splitlines()]
         write_jsonl_records(tmp / f"{name}.jsonl", moved)
         paths[name] = str(tmp / f"{name}.jsonl")
+    # Stage labels are integers: neither a fraction nor a boolean is one.
+    for name, stage in (("stage_fraction_A", 4.9), ("stage_true_A", True)):
+        write_jsonl_records(tmp / f"{name}.jsonl", [dict(records_a[0], stage=stage)] + records_a[1:])
+        paths[name] = str(tmp / f"{name}.jsonl")
+    blocks = json.loads(Path(paths["blocks"]).read_text(encoding="utf-8"))
+    blocks["blocks"][1]["example_ids"].append("querybalance_0000:1")  # also in block 1
+    (tmp / "repeated_example.json").write_text(json.dumps(blocks), encoding="utf-8")
+    paths["repeated_example_blocks"] = str(tmp / "repeated_example.json")
+    blocks["blocks"][1]["example_ids"].pop()
+    blocks["T"] = 4.5
+    (tmp / "fraction_t.json").write_text(json.dumps(blocks), encoding="utf-8")
+    paths["fraction_t_blocks"] = str(tmp / "fraction_t.json")
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
     scores = [json.loads(line) for line in Path(paths["scores_A"]).read_text().splitlines()]
     write_jsonl_records(tmp / "block_0.jsonl", [dict(scores[0], block=0)] + scores[1:])
     paths["block_0"] = str(tmp / "block_0.jsonl")
+    write_jsonl_records(tmp / "block_true.jsonl", [dict(scores[0], block=True)] + scores[1:])
+    paths["block_true"] = str(tmp / "block_true.jsonl")
     return paths
 
 
@@ -677,6 +691,18 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          EXIT_VALIDATION, "with_stage_0.csv: matrix has a stage 0 row"),
         ("matrix --scores {block_0} --out {out}/m.csv", EXIT_VALIDATION,
          "block_0.jsonl: block 0 is outside blocks 1..4"),
+        ("matrix --scores {block_true} --out {out}/m.csv", EXIT_VALIDATION,
+         "block_true.jsonl: line 1: block must be an integer, got true"),
+        ("report --corpus {corpus} --conditions A --import {stage_fraction_A} --out {out}/r",
+         EXIT_VALIDATION, "stage_fraction_A.jsonl: line 1: stage must be an integer, got 4.9"),
+        ("report --corpus {corpus} --conditions A --import {stage_true_A} --out {out}/r",
+         EXIT_VALIDATION, "stage_true_A.jsonl: line 1: stage must be an integer, got true"),
+        ("score --corpus {corpus} --blocks-file {repeated_example_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         "repeated_example.json: example 'querybalance_0000:1' is listed in block 1 and in block 2"),
+        ("score --corpus {corpus} --blocks-file {fraction_t_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         "fraction_t.json: T must be an integer, got 4.5"),
         ("summary --matrix {repeated_stage_csv}", EXIT_VALIDATION,
          "repeated_stage.csv: line 5: stage 2 appears more than once"),
         ("summary --matrix {stage_5_csv}", EXIT_VALIDATION,
@@ -732,6 +758,8 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "score-two-conditions", "score-stale-hash", "score-stale-hash-without-prompts",
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
          "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-0",
+         "matrix-block-boolean", "report-stage-fraction", "report-stage-boolean",
+         "score-example-in-two-blocks", "score-blocks-t-fraction",
          "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
          "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",

@@ -368,6 +368,35 @@ class TestImportCompletions:
             import_completions([path], prompts=prompts)
         assert "e:1" in str(excinfo.value)
 
+    def test_matching_records_share_their_prompt_strings(self, tmp_path):
+        """A record whose hash matches keeps its prompt's example id and one
+        hash string per prompt, not the strings JSON decoding made; a stale
+        record is still refused with the same message."""
+        prompts = [_prompt(0), _prompt(1)]
+        records = [
+            CompletionRecord(p.example_id, "A", stage, p.prompt_hash, "[Ping()]")
+            for stage in (0, 1, 2) for p in prompts
+        ]
+        path = tmp_path / "completions.jsonl"
+        write_completions_jsonl(path, records)
+        loaded = import_completions([path], prompts=prompts)
+        assert [(r.example_id, r.stage, r.prompt_hash) for r in loaded] == [
+            (r.example_id, r.stage, r.prompt_hash) for r in records
+        ]
+        for prompt in prompts:
+            mine = [r for r in loaded if r.example_id == prompt.example_id]
+            assert all(r.example_id is prompt.example_id for r in mine)
+            assert len({id(r.prompt_hash) for r in mine}) == 1
+
+        records[4].prompt_hash = "0" * 64
+        write_completions_jsonl(path, records)
+        with pytest.raises(StaleCompletionError) as excinfo:
+            import_completions([path], prompts=prompts)
+        assert str(excinfo.value) == (
+            f"{path}: line 5: stale completion for example 'e:0' (condition A): "
+            "prompt hash mismatch"
+        )
+
     def test_fields_coerced_tags_checked_and_unrendered_records_kept(self, tmp_path):
         prompts = [_prompt(0)]
         good = {"example_id": "e:0", "condition": "A", "stage": 4,

@@ -8,13 +8,14 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from toolstream.calls import ApiCall
-from toolstream.corpus import Episode, Role, ScoredExample, Turn, extract_examples
-from _support import load_episodes_from_records
+from toolstream.corpus import Episode, Role, ScoredExample, Turn, extract_examples, load_corpus
+from _support import MULTISTAGE_T, load_episodes_from_records, write_multistage_inputs
 from toolstream.fixtures import trace_heavy_corpus_records
 from toolstream.transform import (
     CUE,
@@ -304,3 +305,54 @@ class TestRenderParity:
                 assert [p.prompt_hash for p in loaded] == [
                     render_prompt(examples[p.example_id], condition).prompt_hash for p in loaded
                 ]
+
+
+def _corpus_examples(corpus) -> list[ScoredExample]:
+    return [ex for ep in load_corpus(corpus) for ex in extract_examples(ep)]
+
+
+def _long_trace_examples(tmp_path) -> list[ScoredExample]:
+    corpus, _ = write_multistage_inputs(
+        tmp_path, n_episodes=6, calls_per_episode=40, stages=(MULTISTAGE_T,)
+    )
+    return _corpus_examples(corpus)
+
+
+class TestPromptView:
+    """render_prompt returns a view on its episode's rendering, cut on read."""
+
+    def test_view_equals_the_eager_prompt(self, reference_paths, tmp_path):
+        multistage, _ = write_multistage_inputs(tmp_path / "multistage")
+        inputs = {
+            "fixture": _corpus_examples(reference_paths["corpus"]),
+            "multistage": _corpus_examples(multistage),
+            "long-trace": _long_trace_examples(tmp_path / "long_trace"),
+        }
+        for name, examples in inputs.items():
+            for condition in Condition:
+                prompts = [render_prompt(ex, condition) for ex in examples]
+                for ex, prompt in zip(examples, prompts):
+                    text = _reference_prompt(ex.context, condition)
+                    assert prompt.text == text, (name, ex.id, condition)
+                    assert prompt.chars == len(text)
+                    assert prompt.ws_token == len(text.split())
+                    assert prompt.prompt_hash == hashlib.sha256(text.encode("utf-8")).hexdigest()
+                stats = context_stats(prompts)[condition.value]
+                assert stats["char"] == sum(len(p.text) for p in prompts), (name, condition)
+
+    def test_prompts_do_not_copy_their_text(self, tmp_path):
+        """Once an episode is rendered, its prompts cost a small object
+        each, not a copy of their text."""
+        examples = _long_trace_examples(tmp_path)
+        for condition in Condition:
+            for ex in examples:
+                render_prompt(ex, condition)  # builds each episode's rendering
+        tracemalloc.start()
+        try:
+            prompts = [render_prompt(ex, c) for c in Condition for ex in examples]
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summed = sum(len(p.text) for p in prompts)
+        assert summed > 1_000_000
+        assert allocated < summed / 10
