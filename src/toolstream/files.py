@@ -108,14 +108,14 @@ def check_utf8(text: str, what: str) -> None:
 
 
 def integer(value: object, what: str) -> int:
-    """A JSON value that must be an integer. A boolean, or a number with a
-    fractional part, is a ValueError naming what; other values go through
-    int()."""
+    """A JSON value that must be an integer: an int, or a float with no
+    fractional part. Anything else, a boolean or a string included, is a
+    ValueError naming what."""
     if type(value) is int:
         return value
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -8,7 +8,9 @@ to any of these misses the cache instead of serving a stale entry.
 
 The HTTP, TLS, URL, thread-pool, temp-file and logging modules are
 imported inside the functions that use them, so commands that never reach
-an endpoint (every replay, `summary`, `parse`) start without loading them.
+an endpoint (every replay, `summary`, `parse`) start without loading them,
+and a batch served wholly from the cache loads neither the HTTP nor the
+thread-pool modules.
 """
 
 from __future__ import annotations
@@ -141,10 +143,11 @@ class CompletionCache:
     """
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
+        self.root = os.fspath(root)
 
-    def _path(self, stage: int, condition: str, key: str) -> Path:
-        return self.root / f"stage_{stage}" / condition / f"{key}.json"
+    def _path(self, stage: int, condition: str, key: str) -> str:
+        # One string join: a lookup is on the path of every warm request.
+        return os.path.join(self.root, f"stage_{stage}", condition, key + ".json")
 
     def get(self, stage: int, condition: str, key: str) -> str | None:
         """The cached completion text, or None on a miss. Its example is
@@ -165,9 +168,10 @@ class CompletionCache:
         import tempfile
 
         path = self._path(stage, condition, key)
+        directory, name = os.path.split(path)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".", suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     fh.write(json.dumps({"text": text}) + "\n")
@@ -263,6 +267,24 @@ def _request_with_retries(cfg: EndpointConfig, payload: dict) -> str:
     raise last_error
 
 
+def _request_key(cfg: EndpointConfig, payload: dict) -> str:
+    """A request's cache key: the sha256 of the endpoint URL and its body."""
+    return hashlib.sha256(
+        json.dumps([cfg.base_url, payload], sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def _send(
+    cfg: EndpointConfig, payload: dict, stage: int, condition: str, key: str,
+    cache: CompletionCache | None,
+) -> str:
+    """Send one request and cache its completion as soon as it arrives."""
+    text = _request_with_retries(cfg, payload)
+    if cache is not None:
+        cache.put(stage, condition, key, text)
+    return text
+
+
 def generate_completion(
     prompt: RenderedPrompt,
     cfg: EndpointConfig,
@@ -272,14 +294,10 @@ def generate_completion(
     """One greedy chat-completion request; cache hits skip the network."""
     condition = prompt.condition.value
     payload = _payload(cfg, prompt.text)
-    key = hashlib.sha256(
-        json.dumps([cfg.base_url, payload], sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    key = _request_key(cfg, payload)
     text = cache.get(stage, condition, key) if cache is not None else None
     if text is None:
-        text = _request_with_retries(cfg, payload)
-        if cache is not None:
-            cache.put(stage, condition, key, text)
+        text = _send(cfg, payload, stage, condition, key, cache)
     return CompletionRecord(prompt.example_id, condition, stage, prompt.prompt_hash, text)
 
 
@@ -301,23 +319,48 @@ def batch_generate(
     stage: int,
     cache: CompletionCache | None = None,
 ) -> BatchResult:
-    """Complete all prompts with at most max_parallel in flight. Items that
-    fail after retries are enumerated rather than aborting the batch."""
-    from concurrent.futures import ThreadPoolExecutor
+    """Complete all prompts. The calling thread looks each distinct request
+    up in the cache once; only the distinct misses are sent, with at most
+    max_parallel in flight, and each completion is cached as it arrives.
+    So a fully cached batch starts no thread. Prompts whose requests match
+    share one completion, or one failure. Items that fail after retries are
+    enumerated rather than aborting the batch."""
+    # Per prompt, its (condition, key); per distinct request, the cached
+    # text, or None until it is sent; and the body of each missing request.
+    requests: list[tuple[str, str]] = []
+    outcomes: dict[tuple[str, str], str | Exception | None] = {}
+    missing: dict[tuple[str, str], dict] = {}
+    for prompt in prompts:
+        payload = _payload(cfg, prompt.text)
+        request = (prompt.condition.value, _request_key(cfg, payload))
+        requests.append(request)
+        if request not in outcomes:
+            text = cache.get(stage, *request) if cache is not None else None
+            outcomes[request] = text
+            if text is None:
+                missing[request] = payload
 
-    def run(prompt: RenderedPrompt) -> CompletionRecord | BatchFailure:
-        try:
-            return generate_completion(prompt, cfg, stage, cache)
-        except (TransportError, EndpointError) as exc:
-            return BatchFailure(prompt.example_id, str(exc))
+    if missing:
+        from concurrent.futures import ThreadPoolExecutor
+
+        def send(request: tuple[str, str]) -> str | Exception:
+            try:
+                return _send(cfg, missing[request], stage, *request, cache)
+            except (TransportError, EndpointError) as exc:
+                return exc
+
+        with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
+            outcomes.update(zip(missing, pool.map(send, missing)))
 
     result = BatchResult([], [])
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
-        for outcome in pool.map(run, prompts):
-            if isinstance(outcome, BatchFailure):
-                result.failures.append(outcome)
-            else:
-                result.records.append(outcome)
+    for prompt, request in zip(prompts, requests):
+        outcome = outcomes[request]
+        if isinstance(outcome, str):
+            result.records.append(
+                CompletionRecord(prompt.example_id, request[0], stage, prompt.prompt_hash, outcome)
+            )
+        else:
+            result.failures.append(BatchFailure(prompt.example_id, str(outcome)))
     return result
 
 

@@ -87,7 +87,7 @@ class RenderedPrompt:
     text (as read back from a file) holds that text.
     """
 
-    __slots__ = ("example_id", "condition", "_source", "_end", "ws_token", "digest")
+    __slots__ = ("example_id", "condition", "_source", "_end", "ws_token", "digest", "_hash")
 
     def __init__(
         self, example_id: str, condition: Condition, text: str,
@@ -106,6 +106,7 @@ class RenderedPrompt:
         # The sha256 digest of text, as render_prompt takes it from the
         # rendering at an api_request cut; None on other prompts.
         self.digest = digest
+        self._hash: str | None = None
 
     @property
     def text(self) -> str:
@@ -120,9 +121,14 @@ class RenderedPrompt:
 
     @property
     def prompt_hash(self) -> str:
-        if self.digest is not None:
-            return self.digest.hex()
-        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+        """The hex sha256 of text. It is computed on first read and kept,
+        so the completion records of one prompt share one string."""
+        if self._hash is None:
+            digest = self.digest
+            if digest is None:
+                digest = hashlib.sha256(self.text.encode("utf-8")).digest()
+            self._hash = digest.hex()
+        return self._hash
 
 
 def _rendering(

@@ -501,6 +501,36 @@ class TestReportSubcommand:
         assert "condition B: 40 of 440 examples x 1 stages" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_warm_report_needs_no_endpoint_and_loads_no_network(self, reference_paths, tmp_path):
+        # A rerun on a filled cache is served from the cache alone: with the
+        # endpoint gone it exits 0, writes the same bytes, and never loads the
+        # network stack or the thread pool.
+        with MockEndpoint() as mock:
+            base_url = mock.base_url
+            args = ["report", "--corpus", str(reference_paths["corpus"]), "--conditions", "A",
+                    "--stages", "0,4", "--sample", "2", "--base-url", base_url, "--model", "m",
+                    "--retries", "0", "--timeout", "2", "--cache-dir", str(tmp_path / "cache")]
+            assert main(args + ["--out", str(tmp_path / "cold")]) == EXIT_OK
+            assert mock.requests
+        code = (
+            "import json, sys; from toolstream.cli import main; code = main(sys.argv[1:]); "
+            "print(json.dumps([m for m in ('http.client', 'concurrent.futures') "
+            "if m in sys.modules])); sys.exit(code)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(toolstream.__file__).resolve().parents[1])}
+        warm = subprocess.run(
+            [sys.executable, "-c", code, *args, "--out", str(tmp_path / "warm")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert warm.returncode == EXIT_OK, warm.stderr
+        assert json.loads(warm.stdout.splitlines()[-1]) == []
+        cold_files = sorted(p.relative_to(tmp_path / "cold") for p in (tmp_path / "cold").rglob("*"))
+        assert cold_files == sorted(
+            p.relative_to(tmp_path / "warm") for p in (tmp_path / "warm").rglob("*")
+        )
+        for name in cold_files:
+            assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
 
 class TestGenerate:
     def test_stop_sequences_reach_the_request_as_typed(self, tmp_path):
@@ -602,6 +632,12 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["unknown_A"] = str(tmp / "unknown_A.jsonl")
     write_jsonl_records(tmp / "tagged_C.jsonl", records_a + [dict(records_a[0], condition="C")])
     paths["tagged_C"] = str(tmp / "tagged_C.jsonl")
+    # Stage labels are integers: neither a fraction, a boolean nor a
+    # string is one.
+    for name, stage in (("stage_fraction_A", 4.9), ("stage_true_A", True),
+                        ("stage_string_A", " 4 ")):
+        write_jsonl_records(tmp / f"{name}.jsonl", [dict(records_a[0], stage=stage)] + records_a[1:])
+        paths[name] = str(tmp / f"{name}.jsonl")
     records_a[7]["prompt_hash"] = "0" * 64
     write_jsonl_records(tmp / "stale_A.jsonl", records_a)
     paths["stale_A"] = str(tmp / "stale_A.jsonl")
@@ -635,10 +671,6 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
         lines = reference_paths[f"completions_{condition}"].read_text(encoding="utf-8")
         moved = [dict(json.loads(line), stage=stage) for line in lines.splitlines()]
         write_jsonl_records(tmp / f"{name}.jsonl", moved)
-        paths[name] = str(tmp / f"{name}.jsonl")
-    # Stage labels are integers: neither a fraction nor a boolean is one.
-    for name, stage in (("stage_fraction_A", 4.9), ("stage_true_A", True)):
-        write_jsonl_records(tmp / f"{name}.jsonl", [dict(records_a[0], stage=stage)] + records_a[1:])
         paths[name] = str(tmp / f"{name}.jsonl")
     blocks = json.loads(Path(paths["blocks"]).read_text(encoding="utf-8"))
     blocks["blocks"][1]["example_ids"].append("querybalance_0000:1")  # also in block 1
@@ -697,6 +729,8 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          EXIT_VALIDATION, "stage_fraction_A.jsonl: line 1: stage must be an integer, got 4.9"),
         ("report --corpus {corpus} --conditions A --import {stage_true_A} --out {out}/r",
          EXIT_VALIDATION, "stage_true_A.jsonl: line 1: stage must be an integer, got true"),
+        ("report --corpus {corpus} --conditions A --import {stage_string_A} --out {out}/r",
+         EXIT_VALIDATION, 'stage_string_A.jsonl: line 1: stage must be an integer, got " 4 "'),
         ("score --corpus {corpus} --blocks-file {repeated_example_blocks} --out {out}/s.jsonl"
          " --completions {completions_A}", EXIT_VALIDATION,
          "repeated_example.json: example 'querybalance_0000:1' is listed in block 1 and in block 2"),
@@ -759,6 +793,7 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "report-stale-hash", "report-unknown-id", "report-unknown-condition",
          "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-0",
          "matrix-block-boolean", "report-stage-fraction", "report-stage-boolean",
+         "report-stage-string",
          "score-example-in-two-blocks", "score-blocks-t-fraction",
          "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",

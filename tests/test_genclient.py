@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,23 @@ def _prompt(i: int, condition=Condition.A_STRIPPED) -> RenderedPrompt:
         condition=condition,
         text=text,
     )
+
+
+def _copies(n: int, i: int) -> list[RenderedPrompt]:
+    """n prompts with request i's text, each under its own example id."""
+    return [
+        RenderedPrompt(f"copy{j}:{i}", Condition.A_STRIPPED, _prompt(i).text) for j in range(n)
+    ]
+
+
+class CountingCache(CompletionCache):
+    def __init__(self, root):
+        super().__init__(root)
+        self.gets: Counter = Counter()
+
+    def get(self, stage, condition, key):
+        self.gets[stage, condition, key] += 1
+        return super().get(stage, condition, key)
 
 
 def _config(base_url: str, **overrides) -> EndpointConfig:
@@ -316,6 +334,55 @@ class TestBatchGenerate:
             result = batch_generate(prompts, cfg, stage=3, cache=cache)
             assert mock.requests == first_pass
             assert len(result.records) == len(prompts)
+
+    def test_interleaved_hits_send_only_the_misses_in_prompt_order(self, tmp_path):
+        cache = CompletionCache(tmp_path / "cache")
+        sent = []
+        with MockEndpoint(reply=lambda p: sent.append(p) or f"[Echo(n='{p.split()[3]}')]") as mock:
+            mock.fail_always.add("request number 3")
+            cfg = _config(mock.base_url)
+            batch_generate([_prompt(i) for i in (0, 2, 4)], cfg, stage=1, cache=cache)
+            sent.clear()
+            result = batch_generate([_prompt(i) for i in range(6)], cfg, stage=1, cache=cache)
+            # The second batch sends 1, 3 and 5; 3 is refused, so only 1
+            # and 5 reach the reply.
+            assert mock.requests == 3 + 3
+        assert sorted(sent) == [_prompt(i).text for i in (1, 5)]
+        assert [(r.example_id, r.text) for r in result.records] == [
+            (f"e:{i}", f"[Echo(n='{i}')]") for i in (0, 1, 2, 4, 5)
+        ]
+        assert [f.example_id for f in result.failures] == ["e:3"]
+
+    def test_one_cache_lookup_per_distinct_request(self, tmp_path):
+        cache = CountingCache(tmp_path / "cache")
+        prompts = _copies(3, 0) + [_prompt(1)] + _copies(2, 1)
+        with MockEndpoint() as mock:
+            cfg = _config(mock.base_url)
+            for _ in range(2):  # cold, then warm
+                cache.gets.clear()
+                result = batch_generate(prompts, cfg, stage=1, cache=cache)
+                assert sorted(cache.gets.values()) == [1, 1]
+                assert [r.example_id for r in result.records] == [p.example_id for p in prompts]
+            assert mock.requests == 2
+
+    def test_identical_prompts_send_one_request(self):
+        prompts = _copies(8, 0)
+        with MockEndpoint(delay=0.05) as mock:
+            result = batch_generate(prompts, _config(mock.base_url, max_parallel=4), stage=1)
+            assert mock.requests == 1
+        assert [r.example_id for r in result.records] == [p.example_id for p in prompts]
+        assert all(r.text is result.records[0].text for r in result.records)
+
+    def test_failed_shared_request_fails_each_prompt(self):
+        prompts = [_prompt(1)] + _copies(3, 0) + [_prompt(2)]
+        with MockEndpoint() as mock:
+            mock.fail_always.add("request number 0")
+            result = batch_generate(prompts, _config(mock.base_url), stage=1)
+            assert mock.requests == 3
+        assert [r.example_id for r in result.records] == ["e:1", "e:2"]
+        assert [f.example_id for f in result.failures] == ["copy0:0", "copy1:0", "copy2:0"]
+        assert len({f.error for f in result.failures}) == 1
+        assert "status 400" in result.failures[0].error
 
 
 class TestImportCompletions:

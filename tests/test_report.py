@@ -319,6 +319,35 @@ class TestRunReport:
         scored = sorted(json.loads(line)["example_id"] for line in lines)
         assert scored == [f"e{i}:{cut}" for i in range(4) for cut in (1, 3)]
 
+    def test_records_of_one_prompt_share_its_hash(self, reference_paths, tmp_path, monkeypatch):
+        # Endpoint mode gives each prompt's records at every stage the one
+        # hash string that prompt keeps, not a copy per stage.
+        batches = []
+        generate = report.batch_generate
+
+        def recording(prompts, *args):
+            result = generate(prompts, *args)
+            batches.append(result.records)
+            return result
+
+        monkeypatch.setattr(report, "batch_generate", recording)
+        with MockEndpoint() as mock:
+            endpoint = EndpointConfig(base_url=mock.base_url, model_id="mock", timeout=10.0)
+            run_report(
+                corpus_path=reference_paths["corpus"],
+                out_dir=tmp_path / "out",
+                stream=StreamSpec(T=4, seed=42, sample_size=2),
+                conditions=[Condition.A_STRIPPED],
+                endpoint=endpoint,
+                stages=[0, 4],
+            )
+        stage_0, stage_4 = batches
+        assert len(stage_0) == 8
+        for first, last in zip(stage_0, stage_4, strict=True):
+            assert (first.stage, last.stage) == (0, 4)
+            assert first.example_id is last.example_id
+            assert first.prompt_hash is last.prompt_hash
+
 
 def test_trace_targets_resolve(monkeypatch):
     # perfbench's `--trace 1` replaces each (owner, attr) in spans.TARGETS and
