@@ -4,9 +4,11 @@ or recorded completion files, with a deterministic on-disk cache.
 The wire shape is the widely served chat-completions POST; decoding is
 pinned greedy (temperature 0). Completions are cached by the request they
 answer (endpoint URL, model, prompt and decoding settings), so a change
-to any of these misses the cache instead of serving a stale entry.
+to any of these misses the cache instead of serving a stale entry. In
+live generation, worker threads only send; the calling thread writes the
+cache and waits out each retry's backoff.
 
-The HTTP, TLS, URL, thread-pool, temp-file and logging modules are
+The HTTP, TLS, URL, thread-pool, queue, temp-file and logging modules are
 imported inside the functions that use them, so commands that never reach
 an endpoint (every replay, `summary`, `parse`) start without loading them,
 and a batch served wholly from the cache loads neither the HTTP nor the
@@ -93,7 +95,8 @@ class EndpointConfig:
                 f"base_url must be an http:// or https:// URL with a host: {self.base_url!r}"
             )
         url.port  # raises ValueError unless the port is a number in 0-65535
-        for name, least in (("max_new_tokens", 1), ("max_parallel", 1), ("retries", 0)):
+        for name, least in (("max_new_tokens", 1), ("max_parallel", 1), ("retries", 0),
+                            ("retry_backoff", 0)):
             value = getattr(self, name)
             if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
@@ -248,25 +251,6 @@ def _request_once(cfg: EndpointConfig, payload: dict) -> str:
     return text
 
 
-def _request_with_retries(cfg: EndpointConfig, payload: dict) -> str:
-    attempts = cfg.retries + 1
-    last_error: Exception | None = None
-    for attempt in range(attempts):
-        try:
-            return _request_once(cfg, payload)
-        except TransportError as exc:
-            last_error = exc
-        except EndpointError as exc:
-            # 4xx other than 429 will not improve on retry.
-            if exc.status != 429 and exc.status < 500:
-                raise
-            last_error = exc
-        if attempt < attempts - 1:
-            time.sleep(cfg.retry_backoff * (attempt + 1))
-    assert last_error is not None
-    raise last_error
-
-
 def _request_key(cfg: EndpointConfig, payload: dict) -> str:
     """A request's cache key: the sha256 of the endpoint URL and its body."""
     return hashlib.sha256(
@@ -274,15 +258,54 @@ def _request_key(cfg: EndpointConfig, payload: dict) -> str:
     ).hexdigest()
 
 
-def _send(
-    cfg: EndpointConfig, payload: dict, stage: int, condition: str, key: str,
-    cache: CompletionCache | None,
-) -> str:
-    """Send one request and cache its completion as soon as it arrives."""
-    text = _request_with_retries(cfg, payload)
-    if cache is not None:
-        cache.put(stage, condition, key, text)
-    return text
+def _fetch(cfg: EndpointConfig, missing: dict, stage: int, cache: CompletionCache | None) -> dict:
+    """Map each (condition, key) -> request body in `missing` to its
+    completion text, or to the error of its last attempt. Workers send one
+    attempt each; this thread caches each completion and holds each retry
+    until its backoff has passed, so neither occupies a worker. An
+    interrupt cancels the sends not yet started."""
+    import heapq
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
+    done = queue.SimpleQueue()
+
+    def attempt(request: tuple[str, str], n: int) -> None:
+        try:
+            done.put((request, n, _request_once(cfg, missing[request])))
+        except Exception as exc:
+            done.put((request, n, exc))
+
+    outcomes: dict[tuple[str, str], str | Exception] = {}
+    waiting: list[tuple[float, tuple[str, str], int]] = []  # (due, request, attempt)
+    pool = ThreadPoolExecutor(max_workers=cfg.max_parallel)
+    try:
+        for request in missing:
+            pool.submit(attempt, request, 0)
+        while len(outcomes) < len(missing):
+            now = time.monotonic()
+            while waiting and waiting[0][0] <= now:
+                _, request, n = heapq.heappop(waiting)
+                pool.submit(attempt, request, n)
+            try:
+                request, n, outcome = done.get(timeout=waiting[0][0] - now if waiting else None)
+            except queue.Empty:
+                continue
+            if isinstance(outcome, str):
+                if cache is not None:
+                    cache.put(stage, *request, outcome)
+            elif not isinstance(outcome, (TransportError, EndpointError)):
+                raise outcome
+            # A transport error has no status and is retried like a 5xx.
+            elif n < cfg.retries and (getattr(outcome, "status", 500) >= 500
+                                      or outcome.status == 429):
+                due = time.monotonic() + cfg.retry_backoff * (n + 1)
+                heapq.heappush(waiting, (due, request, n + 1))
+                continue
+            outcomes[request] = outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return outcomes
 
 
 def generate_completion(
@@ -291,13 +314,17 @@ def generate_completion(
     stage: int,
     cache: CompletionCache | None = None,
 ) -> CompletionRecord:
-    """One greedy chat-completion request; cache hits skip the network."""
+    """One greedy chat-completion request; a cache hit skips the network. A
+    request that fails after its retries raises its last TransportError or
+    EndpointError."""
     condition = prompt.condition.value
     payload = _payload(cfg, prompt.text)
-    key = _request_key(cfg, payload)
-    text = cache.get(stage, condition, key) if cache is not None else None
+    request = (condition, _request_key(cfg, payload))
+    text = cache.get(stage, *request) if cache is not None else None
     if text is None:
-        text = _send(cfg, payload, stage, condition, key, cache)
+        text = _fetch(cfg, {request: payload}, stage, cache)[request]
+        if not isinstance(text, str):
+            raise text
     return CompletionRecord(prompt.example_id, condition, stage, prompt.prompt_hash, text)
 
 
@@ -320,11 +347,11 @@ def batch_generate(
     cache: CompletionCache | None = None,
 ) -> BatchResult:
     """Complete all prompts. The calling thread looks each distinct request
-    up in the cache once; only the distinct misses are sent, with at most
-    max_parallel in flight, and each completion is cached as it arrives.
-    So a fully cached batch starts no thread. Prompts whose requests match
-    share one completion, or one failure. Items that fail after retries are
-    enumerated rather than aborting the batch."""
+    up in the cache once, so a fully cached batch starts no thread. The
+    distinct misses are sent with at most max_parallel in flight, as _fetch
+    schedules them. Prompts whose requests match share one completion, or
+    one failure. Items that fail after retries are enumerated rather than
+    aborting the batch."""
     # Per prompt, its (condition, key); per distinct request, the cached
     # text, or None until it is sent; and the body of each missing request.
     requests: list[tuple[str, str]] = []
@@ -339,18 +366,8 @@ def batch_generate(
             outcomes[request] = text
             if text is None:
                 missing[request] = payload
-
     if missing:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def send(request: tuple[str, str]) -> str | Exception:
-            try:
-                return _send(cfg, missing[request], stage, *request, cache)
-            except (TransportError, EndpointError) as exc:
-                return exc
-
-        with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
-            outcomes.update(zip(missing, pool.map(send, missing)))
+        outcomes.update(_fetch(cfg, missing, stage, cache))
 
     result = BatchResult([], [])
     for prompt, request in zip(prompts, requests):

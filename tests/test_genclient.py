@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -372,6 +375,63 @@ class TestBatchGenerate:
             assert mock.requests == 1
         assert [r.example_id for r in result.records] == [p.example_id for p in prompts]
         assert all(r.text is result.records[0].text for r in result.records)
+
+    def test_a_retry_does_not_hold_a_slot(self):
+        # Prompt 0's first attempt fails; while it waits out its backoff the
+        # one worker sends 1, 2 and 3.
+        replied = []
+        with MockEndpoint(reply=lambda p: replied.append(int(p.split()[3])) or "[Ping()]") as mock:
+            mock.fail_once.add("request number 0")
+            cfg = _config(mock.base_url, max_parallel=1, retry_backoff=0.3)
+            result = batch_generate([_prompt(i) for i in range(4)], cfg, stage=1)
+            assert mock.requests == 5
+        assert not result.failures
+        assert replied == [1, 2, 3, 0]
+        assert [r.example_id for r in result.records] == [f"e:{i}" for i in range(4)]
+
+    def test_retries_interleaved_across_many_workers(self, tmp_path):
+        # Four workers (within the mock server's listen backlog of 5) and a
+        # short switch interval: every request is settled once, each failed
+        # first attempt is retried once, and each completion is cached.
+        prompts = [_prompt(i) for i in range(40)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MockEndpoint(reply=lambda p: f"[Echo(n='{p.split()[3]}')]") as mock:
+                mock.fail_once.update(f"request number {i}\n" for i in range(0, 40, 4))
+                cfg = _config(mock.base_url, max_parallel=4, retry_backoff=0.001)
+                result = batch_generate(prompts, cfg, 1, CompletionCache(tmp_path / "cache"))
+                assert mock.requests == 40 + 10
+                assert mock.max_inflight <= 4
+        finally:
+            sys.setswitchinterval(switch)
+        assert not result.failures
+        assert [(r.example_id, r.text) for r in result.records] == [
+            (f"e:{i}", f"[Echo(n='{i}')]") for i in range(40)
+        ]
+        assert len(list((tmp_path / "cache").rglob("*.json"))) == 40
+
+    def test_an_interrupt_stops_new_sends(self, tmp_path):
+        class InterruptedCache(CompletionCache):
+            def put(self, stage, condition, key, text):
+                raise KeyboardInterrupt
+
+        with MockEndpoint() as mock:
+            threads = threading.active_count()
+            cfg = _config(mock.base_url, max_parallel=1)
+            with pytest.raises(KeyboardInterrupt):
+                batch_generate(
+                    [_prompt(i) for i in range(20)], cfg, stage=1,
+                    cache=InterruptedCache(tmp_path / "cache"),
+                )
+            # The first reply is being cached; at most the next is in flight.
+            assert mock.requests <= 2
+            # The mock's handler threads may still be closing their sockets.
+            deadline = time.monotonic() + 5
+            while threading.active_count() > threads and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert threading.active_count() == threads
+            assert mock.requests <= 2
 
     def test_failed_shared_request_fails_each_prompt(self):
         prompts = [_prompt(1)] + _copies(3, 0) + [_prompt(2)]

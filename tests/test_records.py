@@ -54,14 +54,16 @@ def test_completion_record_by_position_and_keyword():
         (lambda: EndpointConfig("ftp://host", "m"), ValueError,
          "base_url must be an http:// or https:// URL with a host: 'ftp://host'"),
         (lambda: EndpointConfig("http://host:99999", "m"), ValueError, "out of range"),
+        (lambda: EndpointConfig("http://host", "m", retry_backoff=-0.01), ValueError,
+         "retry_backoff must be at least 0, got -0.01"),
     ],
     ids=["stream-one-block", "stream-short-order", "stream-repeated-order",
          "stream-sample-0", "matrix-empty", "matrix-not-square", "matrix-above-1",
-         "baseline-below-0", "endpoint-scheme", "endpoint-port"],
+         "baseline-below-0", "endpoint-scheme", "endpoint-port", "endpoint-backoff"],
 )
 def test_checked_records_reject(build, error, message):
-    # EndpointConfig's numeric settings are checked through the CLI, in
-    # tests/test_cli.py::test_exit_code_table.
+    # EndpointConfig's other numeric settings have CLI flags and are checked
+    # through them, in tests/test_cli.py::test_exit_code_table.
     with pytest.raises(error, match=re.escape(message)):
         build()
 
