@@ -5,7 +5,8 @@ The wire shape is the widely served chat-completions POST; decoding is
 pinned greedy (temperature 0). Completions are cached by the request they
 answer (endpoint URL, model, prompt and decoding settings), so a change
 to any of these misses the cache instead of serving a stale entry. In
-live generation, worker threads only send; the calling thread writes the
+live generation, worker threads only send, over connections each batch
+keeps alive and closes when it returns; the calling thread writes the
 cache and waits out each retry's backoff.
 
 The HTTP, TLS, URL, thread-pool, queue, temp-file and logging modules are
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -95,13 +97,18 @@ class EndpointConfig:
                 f"base_url must be an http:// or https:// URL with a host: {self.base_url!r}"
             )
         url.port  # raises ValueError unless the port is a number in 0-65535
-        for name, least in (("max_new_tokens", 1), ("max_parallel", 1), ("retries", 0),
-                            ("retry_backoff", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        for name, least in (("max_new_tokens", 1), ("max_parallel", 1), ("retries", 0)):
+            value = integer(getattr(self, name), name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            setattr(self, name, value)
+        if not self.retry_backoff >= 0:
+            raise ValueError(f"retry_backoff must be at least 0, got {self.retry_backoff!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        for name in ("timeout", "retry_backoff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 class CompletionRecord:
@@ -206,40 +213,51 @@ def _tls_context() -> ssl.SSLContext:
     return ssl.create_default_context()
 
 
-def _request_once(cfg: EndpointConfig, payload: dict) -> str:
-    """POST one request over a fresh connection, closed once the body is read.
-
-    Connections are deliberately not kept alive: against a server that
-    writes headers and body in two sends, a reused socket waits on Nagle's
-    algorithm for the client's delayed ACK on every response.
-    """
+def _connect(cfg: EndpointConfig) -> http.client.HTTPConnection:
+    """A connection to cfg's host, opened by its first request; HTTPS is
+    verified with _tls_context()."""
     import http.client
-    from urllib.parse import quote, urlsplit
+    from urllib.parse import urlsplit
 
     url = urlsplit(cfg.base_url)
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
     if url.scheme == "https":
-        conn = http.client.HTTPSConnection(
+        return http.client.HTTPSConnection(
             url.hostname, url.port or 443, timeout=cfg.timeout, context=_tls_context()
         )
-    else:
-        conn = http.client.HTTPConnection(url.hostname, url.port or 80, timeout=cfg.timeout)
+    return http.client.HTTPConnection(url.hostname, url.port or 80, timeout=cfg.timeout)
+
+
+def _request_once(
+    cfg: EndpointConfig, idle: list, path: str, headers: dict, payload: dict
+) -> str:
+    """POST one request and read its whole reply, over a connection popped
+    from `idle`, or a new one when none is idle.
+
+    Once the body is read the connection goes back on `idle`, whatever the
+    status. A connection that fails, a stale one the server closed
+    included, is closed and dropped, and the failure is a TransportError.
+    TCP_QUICKACK (Linux) is set for each reply: against a server that
+    writes headers and body in two sends without TCP_NODELAY, Nagle's
+    algorithm holds the body back until the headers are acknowledged, and
+    a reused socket would delay that ACK by about 40 ms.
+    """
+    import http.client
+    import socket
+
     try:
-        conn.request(
-            "POST",
-            quote(url.path.rstrip("/") + "/chat/completions", safe="/%:@!$&'()*+,;="),
-            body=json.dumps(payload).encode("utf-8"),
-            headers=headers,
-        )
+        conn = idle.pop()
+    except IndexError:
+        conn = _connect(cfg)
+    try:
+        conn.request("POST", path, body=json.dumps(payload).encode("utf-8"), headers=headers)
+        if hasattr(socket, "TCP_QUICKACK"):
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
         response = conn.getresponse()
         body = response.read()
     except (OSError, http.client.HTTPException) as exc:
-        raise TransportError(f"request to {cfg.base_url} failed: {exc!r}") from exc
-    finally:
         conn.close()
+        raise TransportError(f"request to {cfg.base_url} failed: {exc!r}") from exc
+    idle.append(conn)
     if not 200 <= response.status < 300:
         raise EndpointError(response.status, body.decode("utf-8", "replace")[:200])
     try:
@@ -263,16 +281,26 @@ def _fetch(cfg: EndpointConfig, missing: dict, stage: int, cache: CompletionCach
     completion text, or to the error of its last attempt. Workers send one
     attempt each; this thread caches each completion and holds each retry
     until its backoff has passed, so neither occupies a worker. An
-    interrupt cancels the sends not yet started."""
+    interrupt cancels the sends not yet started. The workers share at most
+    max_parallel kept-alive connections, all closed before this returns."""
     import heapq
     import queue
     from concurrent.futures import ThreadPoolExecutor
+    from urllib.parse import quote, urlsplit
 
+    path = quote(
+        urlsplit(cfg.base_url).path.rstrip("/") + "/chat/completions", safe="/%:@!$&'()*+,;="
+    )
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(API_KEY_ENV)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    idle: list = []  # open connections between attempts
     done = queue.SimpleQueue()
 
     def attempt(request: tuple[str, str], n: int) -> None:
         try:
-            done.put((request, n, _request_once(cfg, missing[request])))
+            done.put((request, n, _request_once(cfg, idle, path, headers, missing[request])))
         except Exception as exc:
             done.put((request, n, exc))
 
@@ -305,6 +333,8 @@ def _fetch(cfg: EndpointConfig, missing: dict, stage: int, cache: CompletionCach
             outcomes[request] = outcome
     finally:
         pool.shutdown(cancel_futures=True)
+        for conn in idle:
+            conn.close()
     return outcomes
 
 

@@ -369,10 +369,42 @@ def write_multistage_inputs(
 
 class _LocalServer:
     """A ThreadingHTTPServer on an ephemeral loopback port, served from a
-    daemon thread for the length of a `with` block."""
+    daemon thread for the length of a `with` block.
 
-    def _serve(self, handler) -> None:
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    It counts the connections it has accepted (`connections`) and those
+    not yet closed (`open_connections`). With `keep_alive` it speaks
+    HTTP/1.1 and keeps each connection open for the client's next request;
+    otherwise it speaks HTTP/1.0 and closes it after one response. Either
+    way each response goes out in two sends, headers then body, without
+    TCP_NODELAY, as `http.server` writes it.
+    """
+
+    def _serve(self, handler, keep_alive: bool) -> None:
+        self.connections = 0
+        self.open_connections = 0
+        lock = threading.Lock()
+        server = self
+
+        class Counted(handler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def log_message(self, *args):
+                pass
+
+            def setup(self):
+                with lock:
+                    server.connections += 1
+                    server.open_connections += 1
+                super().setup()
+
+            def finish(self):
+                try:
+                    super().finish()
+                finally:
+                    with lock:
+                        server.open_connections -= 1
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Counted)
         # A short poll interval lets shutdown() in __exit__ return at once
         # instead of waiting out serve_forever's default 0.5 s poll.
         self._thread = threading.Thread(
@@ -400,7 +432,7 @@ class MockEndpoint(_LocalServer):
     """Threaded chat-completions stub with failure injection and an
     in-flight gauge for concurrency assertions."""
 
-    def __init__(self, reply=None, delay: float = 0.0):
+    def __init__(self, reply=None, delay: float = 0.0, keep_alive: bool = False):
         self.reply = reply or (lambda prompt: "[Ping()]")
         self.delay = delay
         self.requests = 0
@@ -408,6 +440,9 @@ class MockEndpoint(_LocalServer):
         self.max_inflight = 0
         self.fail_once: set[str] = set()   # prompt substrings that 500 on first sight
         self.fail_always: set[str] = set() # prompt substrings that always 400
+        # Close each connection after its response without saying so, as a
+        # server does once a kept-alive connection has sat idle too long.
+        self.close_idle = False
         self.last_headers: dict[str, str] = {}
         self.last_payload: dict = {}
         self._tripped: set[str] = set()
@@ -415,9 +450,6 @@ class MockEndpoint(_LocalServer):
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
@@ -441,8 +473,10 @@ class MockEndpoint(_LocalServer):
                 self.send_header("Content-Length", str(len(raw)))
                 self.end_headers()
                 self.wfile.write(raw)
+                if endpoint.close_idle:
+                    self.close_connection = True
 
-        self._serve(Handler)
+        self._serve(Handler, keep_alive)
 
     def _respond(self, prompt: str):
         for marker in self.fail_always:
@@ -462,17 +496,18 @@ class RawEndpoint(_LocalServer):
 
     `declared_length` overrides the Content-Length header, so a value
     longer than `body` sends a truncated response; the server then closes
-    the connection (HTTP/1.0). Request paths are recorded in `paths`.
+    the connection, kept alive or not. Request paths are recorded in
+    `paths`.
     """
 
-    def __init__(self, body: bytes, status: int = 200, declared_length: int | None = None):
+    def __init__(
+        self, body: bytes, status: int = 200, declared_length: int | None = None,
+        keep_alive: bool = False,
+    ):
         self.paths: list[str] = []
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
             def do_POST(self):
                 self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 endpoint.paths.append(self.path)
@@ -482,8 +517,10 @@ class RawEndpoint(_LocalServer):
                 self.send_header("Content-Length", str(length))
                 self.end_headers()
                 self.wfile.write(body)
+                if length != len(body):
+                    self.close_connection = True
 
-        self._serve(Handler)
+        self._serve(Handler, keep_alive)
 
     @property
     def requests(self) -> int:

@@ -769,6 +769,7 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
         (_GENERATE + " --max-parallel 0", EXIT_VALIDATION,
          "max_parallel must be at least 1, got 0"),
         (_GENERATE + " --timeout -1", EXIT_VALIDATION, "timeout must be positive, got -1.0"),
+        (_GENERATE + " --timeout inf", EXIT_VALIDATION, "timeout must be finite, got inf"),
         (_GENERATE + " --max-tokens 0", EXIT_VALIDATION,
          "max_new_tokens must be at least 1, got 0"),
         (_REPORT + " --stages 0,1 --model x --cache-dir {dir}/nonexistent/zz", EXIT_VALIDATION,
@@ -801,6 +802,7 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
          "score-stage-below-0", "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
          "generate-retries-negative", "generate-max-parallel-0", "generate-timeout-negative",
+         "generate-timeout-infinite",
          "generate-max-tokens-0", "report-import-with-endpoint-flags", "report-import-with-stop",
          "report-import-with-max-tokens", "report-import-with-timeout",
          "report-import-with-max-parallel", "report-import-with-retries",

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -220,6 +222,89 @@ class TestTransport:
             cfg = _config(f"http://127.0.0.1:{server.port}{prefix}")
             assert generate_completion(_prompt(0), cfg, stage=1).text == "[Ping()]"
             assert server.paths == [path]
+
+
+def _all_closed(server, within: float = 2.0) -> bool:
+    """Whether the server sees every connection closed within `within` s."""
+    deadline = time.monotonic() + within
+    while server.open_connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return server.open_connections == 0
+
+
+class TestKeptAliveConnections:
+    def test_a_batch_reuses_its_connections_and_closes_them(self):
+        with MockEndpoint(keep_alive=True) as mock:
+            prompts = [_prompt(i) for i in range(20)]
+            # A socket left for the garbage collector to close warns.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                result = batch_generate(prompts, _config(mock.base_url, max_parallel=2), stage=1)
+            assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+            assert not result.failures and len(result.records) == 20
+            assert mock.requests == 20
+            assert mock.connections <= 2
+            assert _all_closed(mock)
+
+    def test_an_error_reply_keeps_its_connection(self):
+        with MockEndpoint(keep_alive=True) as mock:
+            mock.fail_once.add("request number 0")
+            generate_completion(_prompt(0), _config(mock.base_url), stage=1)
+            assert (mock.requests, mock.connections) == (2, 1)
+            assert _all_closed(mock)
+
+    def test_a_truncated_body_is_retried_on_a_new_connection(self):
+        body = TestTransport.OK_BODY
+        with RawEndpoint(body, declared_length=len(body) + 10, keep_alive=True) as server:
+            with pytest.raises(TransportError):
+                generate_completion(_prompt(0), _config(server.base_url, retries=1), stage=1)
+            assert (server.requests, server.connections) == (2, 2)
+            assert _all_closed(server)
+
+    def test_a_stale_connection_costs_one_attempt(self):
+        # The server drops each connection once it has answered, so every
+        # request that reuses one fails; with a retry it goes out again on
+        # a new connection, and without one it fails. Nothing is resent
+        # silently.
+        with MockEndpoint(keep_alive=True) as mock:
+            mock.close_idle = True
+            cfg = _config(mock.base_url, max_parallel=1, retries=1)
+            result = batch_generate([_prompt(0), _prompt(1)], cfg, stage=1)
+            assert not result.failures and len(result.records) == 2
+            assert (mock.requests, mock.connections) == (2, 2)
+            cfg = _config(mock.base_url, max_parallel=1, retries=0)
+            result = batch_generate([_prompt(2), _prompt(3)], cfg, stage=1)
+            assert [r.example_id for r in result.records] == ["e:2"]
+            assert [f.example_id for f in result.failures] == ["e:3"]
+            assert "request to" in result.failures[0].error
+            assert (mock.requests, mock.connections) == (3, 3)
+
+    def test_an_interrupted_batch_closes_its_connections(self, tmp_path):
+        class InterruptedCache(CompletionCache):
+            def put(self, stage, condition, key, text):
+                raise KeyboardInterrupt
+
+        with MockEndpoint(keep_alive=True) as mock:
+            with pytest.raises(KeyboardInterrupt):
+                batch_generate(
+                    [_prompt(i) for i in range(20)], _config(mock.base_url, max_parallel=2),
+                    stage=1, cache=InterruptedCache(tmp_path / "cache"),
+                )
+            assert mock.connections <= 2
+            assert _all_closed(mock)
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK")
+    def test_no_delayed_ack_stall(self):
+        # The mock writes headers and body in two sends without TCP_NODELAY.
+        # Were the client's ACK of the headers delayed (about 40 ms), each
+        # of the 40 replies on the reused connection would wait for it.
+        with MockEndpoint(keep_alive=True) as mock:
+            cfg = _config(mock.base_url, max_parallel=1)
+            start = time.monotonic()
+            result = batch_generate([_prompt(i) for i in range(40)], cfg, stage=1)
+            elapsed = time.monotonic() - start
+            assert not result.failures and mock.connections == 1
+        assert elapsed < 1.0
 
 
 class TestCompletionCache:

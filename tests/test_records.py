@@ -56,14 +56,30 @@ def test_completion_record_by_position_and_keyword():
         (lambda: EndpointConfig("http://host:99999", "m"), ValueError, "out of range"),
         (lambda: EndpointConfig("http://host", "m", retry_backoff=-0.01), ValueError,
          "retry_backoff must be at least 0, got -0.01"),
+        (lambda: EndpointConfig("http://host", "m", retry_backoff=float("inf")), ValueError,
+         "retry_backoff must be finite, got inf"),
+        (lambda: EndpointConfig("http://host", "m", timeout=float("inf")), ValueError,
+         "timeout must be finite, got inf"),
+        (lambda: EndpointConfig("http://host", "m", max_new_tokens=12.5), ValueError,
+         "max_new_tokens must be an integer, got 12.5"),
+        (lambda: EndpointConfig("http://host", "m", max_parallel=2.5), ValueError,
+         "max_parallel must be an integer, got 2.5"),
+        (lambda: EndpointConfig("http://host", "m", retries=1.5), ValueError,
+         "retries must be an integer, got 1.5"),
+        (lambda: EndpointConfig("http://host", "m", max_parallel=True), ValueError,
+         "max_parallel must be an integer, got true"),
     ],
     ids=["stream-one-block", "stream-short-order", "stream-repeated-order",
          "stream-sample-0", "matrix-empty", "matrix-not-square", "matrix-above-1",
-         "baseline-below-0", "endpoint-scheme", "endpoint-port", "endpoint-backoff"],
+         "baseline-below-0", "endpoint-scheme", "endpoint-port", "endpoint-backoff",
+         "endpoint-backoff-infinite", "endpoint-timeout-infinite", "endpoint-max-tokens-fraction",
+         "endpoint-max-parallel-fraction", "endpoint-retries-fraction",
+         "endpoint-max-parallel-boolean"],
 )
 def test_checked_records_reject(build, error, message):
-    # EndpointConfig's other numeric settings have CLI flags and are checked
-    # through them, in tests/test_cli.py::test_exit_code_table.
+    # Bad values that EndpointConfig's CLI flags can give are also checked
+    # through the CLI, in tests/test_cli.py::test_exit_code_table; the flags
+    # for the counts parse integers, so their fractions are checked here.
     with pytest.raises(error, match=re.escape(message)):
         build()
 
