@@ -23,6 +23,11 @@ interpreter, with the sources under src/ and no installed package:
   scanner alone on 100,000 seeded strings, counting the strings on which
   either differs, so the whole-call pattern is checked on every
   interpreter's `re` engine;
+- the differential JSON-lines check of
+  tests/test_files.py::test_line_decoder_equals_json_loads_on_seeded_lines:
+  the line reader's decoder against json.loads on 20,000 seeded lines,
+  counting the lines whose value or error differs, since the reader calls
+  the scanner json.loads uses directly;
 - the import checks of
   tests/test_cli.py::test_cli_import_leaves_http_libraries_out and
   ::test_cli_import_leaves_dataclasses_out: the modules of
@@ -38,8 +43,8 @@ interpreter, with the sources under src/ and no installed package:
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's, no oracle value differs, no parse differs,
-the CLI import loads none of those modules and every `--stop`
+report hash equals 3.11's, no oracle value differs, no parse or JSON-lines
+decoding differs, the CLI import loads none of those modules and every `--stop`
 probe gives its expected result.
 """
 
@@ -118,6 +123,12 @@ from _support import differential_mismatches
 print(len(differential_mismatches({PARSER_SEED}, {PARSER_TEXTS})))
 """
 
+JSONL_SEED, JSONL_LINES = 20261020, 20_000
+JSONL_CODE = f"""
+from _support import jsonl_mismatches
+print(len(jsonl_mismatches({JSONL_SEED}, {JSONL_LINES})))
+"""
+
 IMPORT_CODE = """
 from _support import DEFERRED_IMPORTS, NEVER_IMPORTED, cli_launch_imports
 print(*cli_launch_imports(DEFERRED_IMPORTS + NEVER_IMPORTED))
@@ -165,11 +176,11 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str], dict]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, list[str], dict]:
     """((fixture, multi-stage and long-trace report digests), oracle values
-    checked, oracle mismatches, parser mismatches, deferred or never-imported
-    modules that the CLI import loads, --stop probe results) for one
-    interpreter."""
+    checked, oracle mismatches, parser mismatches, JSON-lines mismatches,
+    deferred or never-imported modules that the CLI import loads, --stop
+    probe results) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -181,13 +192,14 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int, int, list[str], dict
         digests = tuple(tree_digest(work / out) for out in outputs)
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
         parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
+        jsonl_mismatches = int(_run(python, ["-c", JSONL_CODE], work))
         loaded = _run(python, ["-c", IMPORT_CODE], work).split()
         stops = json.loads(_run(python, ["-c", STOP_CODE], work))
-    return digests, checked, mismatches, parse_mismatches, loaded, stops
+    return digests, checked, mismatches, parse_mismatches, jsonl_mismatches, loaded, stops
 
 
 def main() -> int:
-    results: dict[str, tuple[str, tuple[str, ...], int, int, int, list[str], dict] | None] = {}
+    results: dict[str, tuple[str, tuple[str, ...], int, int, int, int, list[str], dict] | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -206,10 +218,12 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        version, digests, checked, mismatches, parse_mismatches, loaded, stops = result
+        version, digests, checked, mismatches, parse_mismatches, jsonl_mismatches, loaded, stops = (
+            result
+        )
         matched = (
             digests == reference_digests and mismatches == 0 and parse_mismatches == 0
-            and not loaded and stops == STOP_PROBES
+            and jsonl_mismatches == 0 and not loaded and stops == STOP_PROBES
         )
         ok = ok and matched
         shown = ", ".join(
@@ -219,6 +233,7 @@ def main() -> int:
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}, "
               f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
+              f"jsonl mismatches {jsonl_mismatches}/{JSONL_LINES}, "
               f"deferred or never-imported modules loaded by the CLI import: "
               f"{' '.join(loaded) or 'none'}, "
               f"--stop probes {stops}")

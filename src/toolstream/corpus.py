@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
-from .files import check_utf8, integer, read_json, read_jsonl, write_json
+from .files import check_utf8, integer, read_json, read_jsonl, string, write_json
 
 __all__ = [
     "Role",
@@ -63,6 +63,11 @@ class Role(Enum):
 
     # Members are singletons, so identity hashing is exact and runs no Python.
     __hash__ = object.__hash__
+
+
+# Wire name -> role: a dict lookup, where calling Role(...) per turn is
+# several times slower.
+_ROLES = {role.value: role for role in Role}
 
 
 class Turn(NamedTuple):
@@ -163,12 +168,13 @@ def _episode_from_record(record: object) -> Episode:
         role_raw = turn_raw.get("role")
         text = turn_raw.get("text")
         try:
-            role = Role(role_raw)
-        except ValueError:
+            role = _ROLES[role_raw]
+        except (KeyError, TypeError):  # TypeError: an unhashable role
             raise ValueError(f"turn {idx} has unknown role {role_raw!r}") from None
         if not isinstance(text, str):
             raise ValueError(f"turn {idx} has missing or non-string text")
-        check_utf8(text, f"turn {idx} text")
+        if not text.isascii():
+            check_utf8(text, f"turn {idx} text")
         turns.append(_request_turn(text, ep_id, idx) if role is request else Turn(role, text))
     return Episode(id=ep_id, turns=turns)
 
@@ -324,7 +330,7 @@ def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
     for block in payload["blocks"]:
         block_id = integer(block["block_id"], "block_id")
         for example_id in block["example_ids"]:
-            example_id = str(example_id)
+            example_id = string(example_id, "example_ids entry")
             listed = assignment.setdefault(example_id, block_id)
             if listed != block_id:
                 raise ValueError(

@@ -6,12 +6,20 @@ is read as bytes and decoded line by line; a line ends with "\\n" or
 "\\r\\n", and readers skip blank lines. A bad line raises the caller's
 own error class as "<path>: line N: <reason>", so each caller keeps its
 exit code; a LineError that a build function raises keeps its class.
+
+A JSON line (or file) that starts with a JSON value and holds only JSON
+whitespace (" \\t\\r\\n") after it is decoded by one call of the scanner
+json.loads itself uses. Every other line (one that starts with a blank or
+a byte-order mark, holds extra data, or holds no value the scanner reads)
+goes to json.loads, so each value and each error message is json.loads's.
+JSON nested too deeply to decode is a bad value, not a RecursionError.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import json.scanner
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -23,6 +31,7 @@ __all__ = [
     "read_json",
     "check_utf8",
     "integer",
+    "string",
     "write_lines",
     "write_jsonl_records",
     "write_json",
@@ -61,7 +70,7 @@ def read_lines(
     for line_no, line in enumerate(lines, start=1):
         try:
             text = line.decode("utf-8")
-            if text.strip():
+            if text and not text.isspace():
                 yield build(parse(text))
         except _BAD_VALUE as exc:
             raise error(f"{name}: line {line_no}: {_reason(exc)}") from exc
@@ -69,10 +78,28 @@ def read_lines(
             raise type(exc)(f"{name}: line {line_no}: {exc}") from exc
 
 
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _json_value(text: str) -> object:
+    """json.loads(text), but the scanner's value alone when text starts
+    with one and holds only JSON whitespace after it, as most lines do. A
+    JSONDecodeError the scanner raises is json.loads's own: both scan from
+    offset 0 with the default decoder's settings."""
+    try:
+        try:
+            value, end = _scan(text, 0)
+        except StopIteration:  # no value at offset 0: a blank or a BOM first
+            return json.loads(text)
+        return json.loads(text) if text[end:].strip(" \t\r\n") else value
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
+
+
 def read_jsonl(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> list[_T]:
     """build(value) for the value on each non-blank line, in file order."""
     with open(path, "rb") as fh:
-        return list(read_lines(fh, path, json.loads, build, error))
+        return list(read_lines(fh, path, _json_value, build, error))
 
 
 def _csv_fields(text: str) -> list[str]:
@@ -90,7 +117,7 @@ def read_json(path: str | Path, build: Callable[[object], _T], error: type[Excep
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return build(json.loads(data.decode("utf-8")))
+        return build(_json_value(data.decode("utf-8")))
     except _BAD_VALUE as exc:
         raise error(f"{path}: {_reason(exc)}") from exc
 
@@ -116,6 +143,14 @@ def integer(value: object, what: str) -> int:
     if type(value) is float and value.is_integer():
         return int(value)
     raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+
+
+def string(value: object, what: str) -> str:
+    """A JSON value that must be a string. Anything else, null or a list
+    included, is a ValueError naming what."""
+    if type(value) is str:
+        return value
+    raise ValueError(f"{what} must be a string, got {json.dumps(value)}")
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

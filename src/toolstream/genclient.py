@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .files import LineError, integer, read_json, read_jsonl, write_jsonl_records
+from .files import LineError, integer, read_json, read_jsonl, string, write_jsonl_records
 from .transform import Condition, RenderedPrompt
 
 __all__ = [
@@ -436,10 +436,10 @@ def import_completions(
         condition = raw["condition"]
         if condition not in tags:
             raise ValueError(f"unknown condition tag {condition!r}")
-        example_id = str(raw["example_id"])
+        example_id = string(raw["example_id"], "example_id")
         stage = integer(raw["stage"], "stage")
-        prompt_hash = str(raw["prompt_hash"])
-        text = str(raw["text"])
+        prompt_hash = string(raw["prompt_hash"], "prompt_hash")
+        text = string(raw["text"], "text")
         shared = rendered.get((example_id, condition))
         if shared is not None:
             if shared[1] != prompt_hash:

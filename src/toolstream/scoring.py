@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call, scoring_view
 from .clmetrics import _mean
-from .files import integer, read_jsonl, write_csv
+from .files import integer, read_jsonl, string, write_csv
 
 __all__ = [
     "MetricFlags",
@@ -141,46 +141,54 @@ def score_completions(completions, examples) -> list[ScoreRecord]:
     call is normalized once, however many stages score its example.
     Records come back sorted by (stage, block_id, example_id).
     """
-    records: list[ScoreRecord] = []
-    seen: set[tuple[int, str]] = set()
-    expected_by_id: dict[str, _Pair] = {}
+    # Each blocked example's slot in (block_id, example_id) order; each
+    # stage's row holds one record per slot, so the rows in stage order
+    # are the records in their final order.
+    by_slot = sorted(
+        (ex for ex in examples.values() if ex.block_id is not None),
+        key=lambda ex: (ex.block_id, ex.id),
+    )
+    slots = {ex.id: slot for slot, ex in enumerate(by_slot)}
+    expected_by_slot: list[_Pair | None] = [None] * len(by_slot)
+    rows: dict[int, list[ScoreRecord | None]] = {}
     for completion in completions:
-        key = (int(completion.stage), completion.example_id)
-        if key in seen:
-            raise AggregationError(
-                f"more than one completion for example {key[1]!r} at stage {key[0]}"
-            )
-        seen.add(key)
-        try:
-            example = examples[completion.example_id]
-        except KeyError:
+        stage = int(completion.stage)
+        slot = slots.get(completion.example_id)
+        if slot is None:
+            if completion.example_id in examples:
+                raise AggregationError(
+                    f"example {examples[completion.example_id].id!r} has no block assignment"
+                )
             raise AggregationError(
                 f"completion references unknown example id {completion.example_id!r}"
-            ) from None
-        if example.block_id is None:
-            raise AggregationError(
-                f"example {example.id!r} has no block assignment"
             )
-        expected = expected_by_id.get(example.id)
+        row = rows.get(stage)
+        if row is None:
+            row = rows[stage] = [None] * len(by_slot)
+        elif row[slot] is not None:
+            raise AggregationError(
+                f"more than one completion for example {completion.example_id!r} at stage {stage}"
+            )
+        example = by_slot[slot]
+        expected = expected_by_slot[slot]
         if expected is None:
-            expected = expected_by_id[example.id] = (
+            expected = expected_by_slot[slot] = (
                 example.expected.name, normalize_params(example.expected)
             )
-        records.append(
-            ScoreRecord(example.id, key[0], example.block_id, _evaluate(completion.text, expected))
+        row[slot] = ScoreRecord(
+            example.id, stage, example.block_id, _evaluate(completion.text, expected)
         )
-    # Records are unique per (stage, example), so a full count means every
-    # example is scored at every stage seen. A gap means the loop ran, so
-    # `completion` is bound and names the condition.
-    stages = {r.stage for r in records}
-    missing = len(stages) * len(examples) - len(records)
+    # Every example is scored at every stage seen unless a slot is empty or
+    # an example has no block (and so no slot). A gap means the loop ran,
+    # so `completion` is bound and names the condition.
+    missing = sum(row.count(None) for row in rows.values())
+    missing += (len(examples) - len(by_slot)) * len(rows)
     if missing:
         raise AggregationError(
             f"condition {completion.condition}: {missing} of {len(examples)} examples x "
-            f"{len(stages)} stages have no completion"
+            f"{len(rows)} stages have no completion"
         )
-    records.sort(key=lambda r: (r.stage, r.block_id, r.example_id))
-    return records
+    return [record for stage in sorted(rows) for record in rows[stage]]
 
 
 def rates(records: Sequence[ScoreRecord]) -> dict[str, float]:
@@ -238,7 +246,7 @@ def _score_record(raw) -> ScoreRecord:
     if raw["flags"] != FLAGS[category]._asdict():
         raise ValueError(f"flags {raw['flags']} contradict {category.value}")
     return ScoreRecord(
-        example_id=str(raw["example_id"]),
+        example_id=string(raw["example_id"], "example_id"),
         stage=integer(raw["stage"], "stage"),
         block_id=integer(raw["block"], "block"),
         category=category,

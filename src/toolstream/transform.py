@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Episode, Role, ScoredExample
-from .files import check_utf8, read_jsonl, write_lines
+from .files import check_utf8, read_jsonl, string, write_lines
 
 __all__ = [
     "Condition",
@@ -218,9 +218,11 @@ def context_stats(
 def read_rendered_jsonl(path: str | Path) -> list[RenderedPrompt]:
     """Read a rendered-prompt export back."""
     def prompt(raw) -> RenderedPrompt:
-        text = str(raw["prompt"])
+        text = string(raw["prompt"], "prompt")
         check_utf8(text, "prompt")
-        return RenderedPrompt(str(raw["example_id"]), Condition(raw["condition"]), text)
+        return RenderedPrompt(
+            string(raw["example_id"], "example_id"), Condition(raw["condition"]), text
+        )
 
     return read_jsonl(path, prompt, ValueError)
 

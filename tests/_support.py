@@ -32,6 +32,7 @@ from toolstream.calls import (
     scoring_view,
 )
 from toolstream.corpus import Episode, load_corpus, partition_blocks
+from toolstream.files import _json_value
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
 from toolstream.genclient import CompletionRecord, write_completions_jsonl
 from toolstream.transform import Condition, render_prompt
@@ -265,6 +266,71 @@ def differential_mismatches(seed: int, n: int) -> list[str]:
     rng = random.Random(seed)
     texts = (differential_text(rng) for _ in range(n))
     return [t for t in texts if not agrees_with_scanner(t)]
+
+
+# ---------------------------------------------------------------------------
+# Differential JSON-lines decoding: the line reader against json.loads
+
+# Characters of JSON text, JSON whitespace and the blanks JSON does not
+# allow (vertical tab, form feed, no-break space, U+2028, a byte-order
+# mark, NUL).
+_JSONL_ALPHABET = '{}[]",:\\ -+.eE0123456789aflnrstuINy\t\r\n\x0b\x0c\xa0\u2028\ufeff\x00\xe9'
+_JSONL_PREFIXES = ("",) * 6 + (" ", "\t", "\r\n", "\ufeff", "\x0b")
+_JSONL_SUFFIXES = ("\n",) * 6 + ("", "\r\n", " \t\n", "\x0b\n", "\u2028\n", "\r", " x\n", " 1\n")
+
+
+def _random_json_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(7 if depth < 3 else 4)
+    if kind == 0:
+        return rng.choice([None, True, False, float("nan"), float("inf"), float("-inf")])
+    if kind == 1:
+        return rng.choice([rng.randint(-10**20, 10**20), rng.uniform(-1e6, 1e6), rng.random()])
+    if kind in (2, 3):
+        return "".join(rng.choice(_JSONL_ALPHABET) for _ in range(rng.randrange(8)))
+    if kind in (4, 5):
+        return [_random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {
+        "".join(rng.choice(_JSONL_ALPHABET) for _ in range(rng.randrange(4))):
+            _random_json_value(rng, depth + 1)
+        for _ in range(rng.randrange(4))
+    }
+
+
+def jsonl_text(rng: random.Random) -> str:
+    """One line as a JSON-lines reader gets it: a dumped value, sometimes
+    cut short, with a character inserted or followed by a second value,
+    between a random prefix and line end."""
+    text = json.dumps(
+        _random_json_value(rng), ensure_ascii=rng.random() < 0.5,
+        separators=rng.choice([(",", ":"), (", ", ": ")]),
+    )
+    damage = rng.random()
+    if damage < 0.15:
+        text = text[: rng.randrange(len(text) + 1)]
+    elif damage < 0.3:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_JSONL_ALPHABET) + text[at:]
+    elif damage < 0.35:
+        text += rng.choice(["", " "]) + json.dumps(_random_json_value(rng))
+    return rng.choice(_JSONL_PREFIXES) + text + rng.choice(_JSONL_SUFFIXES)
+
+
+def decode_outcome(decode, text: str):
+    """repr of the decoded value, or the (class, message) of the error."""
+    try:
+        return repr(decode(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def jsonl_mismatches(seed: int, n: int) -> list[str]:
+    """The texts, of n seeded jsonl_text lines, that the line reader's
+    decoder (files._json_value) decodes otherwise than json.loads."""
+    rng = random.Random(seed)
+    texts = (jsonl_text(rng) for _ in range(n))
+    return [
+        t for t in texts if decode_outcome(_json_value, t) != decode_outcome(json.loads, t)
+    ]
 
 
 def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:

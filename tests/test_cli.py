@@ -602,6 +602,11 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     first = corpus[0] + b"\n"
     (tmp / "duplicate.jsonl").write_bytes(first + first)
     paths["duplicate"] = str(tmp / "duplicate.jsonl")
+    # Nested far past the recursion limit: the decoder's depth, not a
+    # traceback, is the reason given.
+    deep = b"[" * 200_000 + b"]" * 200_000 + b"\n"
+    (tmp / "deep.jsonl").write_bytes(first + deep)
+    paths["deep"] = str(tmp / "deep.jsonl")
     paths["blocks"] = str(tmp / "blocks.json")
     assert main(["split", "--corpus", paths["corpus"], "--out", paths["blocks"]]) == EXIT_OK
     lines = reference_paths["completions_B"].read_text(encoding="utf-8").splitlines(True)
@@ -625,6 +630,11 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     prompts[1] = prompts[1].replace(b'"prompt": "', b'"prompt": "\\udfff', 1)
     (tmp / "surrogate_prompts.jsonl").write_bytes(b"\n".join(prompts))
     paths["surrogate_prompts"] = str(tmp / "surrogate_prompts.jsonl")
+    null_prompt = json.loads(prompts[1])
+    null_prompt["prompt"] = None
+    prompts[1] = json.dumps(null_prompt).encode()
+    (tmp / "null_prompts.jsonl").write_bytes(b"\n".join(prompts))
+    paths["null_prompts"] = str(tmp / "null_prompts.jsonl")
     records_a = [json.loads(line) for line in
                  reference_paths["completions_A"].read_text(encoding="utf-8").splitlines()]
     unknown = dict(records_a[0], example_id="nosuch_episode:1")
@@ -632,6 +642,17 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["unknown_A"] = str(tmp / "unknown_A.jsonl")
     write_jsonl_records(tmp / "tagged_C.jsonl", records_a + [dict(records_a[0], condition="C")])
     paths["tagged_C"] = str(tmp / "tagged_C.jsonl")
+    (tmp / "deep_A.jsonl").write_bytes(
+        reference_paths["completions_A"].read_bytes() + b"[" * 200_000 + b"]" * 200_000 + b"\n"
+    )
+    paths["deep_A"] = str(tmp / "deep_A.jsonl")
+    # String fields are strings: none is coerced with str().
+    for name, field, value in (("text_list_A", "text", ["[Ping()]"]),
+                               ("text_null_A", "text", None),
+                               ("text_number_A", "text", 12),
+                               ("example_id_number_A", "example_id", 7)):
+        write_jsonl_records(tmp / f"{name}.jsonl", records_a[:2] + [dict(records_a[2], **{field: value})])
+        paths[name] = str(tmp / f"{name}.jsonl")
     # Stage labels are integers: neither a fraction, a boolean nor a
     # string is one.
     for name, stage in (("stage_fraction_A", 4.9), ("stage_true_A", True),
@@ -676,6 +697,9 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     blocks["blocks"][1]["example_ids"].append("querybalance_0000:1")  # also in block 1
     (tmp / "repeated_example.json").write_text(json.dumps(blocks), encoding="utf-8")
     paths["repeated_example_blocks"] = str(tmp / "repeated_example.json")
+    blocks["blocks"][1]["example_ids"][-1] = 7
+    (tmp / "number_id.json").write_text(json.dumps(blocks), encoding="utf-8")
+    paths["number_id_blocks"] = str(tmp / "number_id.json")
     blocks["blocks"][1]["example_ids"].pop()
     blocks["T"] = 4.5
     (tmp / "fraction_t.json").write_text(json.dumps(blocks), encoding="utf-8")
@@ -688,6 +712,8 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["block_0"] = str(tmp / "block_0.jsonl")
     write_jsonl_records(tmp / "block_true.jsonl", [dict(scores[0], block=True)] + scores[1:])
     paths["block_true"] = str(tmp / "block_true.jsonl")
+    write_jsonl_records(tmp / "id_null.jsonl", scores[:1] + [dict(scores[1], example_id=None)])
+    paths["id_null"] = str(tmp / "id_null.jsonl")
     return paths
 
 
@@ -763,6 +789,25 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          EXIT_VALIDATION, "condition A has completions at stage -1, outside stages 0..4"),
         (_SCORE + " --completions {stage_neg_A}", EXIT_VALIDATION,
          "condition A has completions at stage -1, outside stages 0..4"),
+        ("split --corpus {deep} --out {out}/b.json", EXIT_INPUT,
+         "deep.jsonl: line 2: invalid JSON (nested too deeply)"),
+        (_REPORT + " --import {deep_A}", EXIT_VALIDATION,
+         "deep_A.jsonl: line 441: invalid JSON (nested too deeply)"),
+        ("report --corpus {corpus} --conditions A --import {text_list_A} --out {out}/r",
+         EXIT_VALIDATION, 'text_list_A.jsonl: line 3: text must be a string, got ["[Ping()]"]'),
+        ("report --corpus {corpus} --conditions A --import {text_null_A} --out {out}/r",
+         EXIT_VALIDATION, "text_null_A.jsonl: line 3: text must be a string, got null"),
+        ("report --corpus {corpus} --conditions A --import {text_number_A} --out {out}/r",
+         EXIT_VALIDATION, "text_number_A.jsonl: line 3: text must be a string, got 12"),
+        ("report --corpus {corpus} --conditions A --import {example_id_number_A} --out {out}/r",
+         EXIT_VALIDATION, "example_id_number_A.jsonl: line 3: example_id must be a string, got 7"),
+        (_SCORE + " --completions {completions_A} --prompts {null_prompts}", EXIT_VALIDATION,
+         "null_prompts.jsonl: line 2: prompt must be a string, got null"),
+        ("matrix --scores {id_null} --out {out}/m.csv", EXIT_VALIDATION,
+         "id_null.jsonl: line 2: example_id must be a string, got null"),
+        ("score --corpus {corpus} --blocks-file {number_id_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         "number_id.json: example_ids entry must be a string, got 7"),
         (_GENERATE + " --stop a\\", EXIT_USAGE, "argument --stop: bad escape in 'a\\\\'"),
         (_GENERATE + " --stop a\\q", EXIT_USAGE, "argument --stop: bad escape in 'a\\\\q'"),
         (_GENERATE + " --retries -1", EXIT_VALIDATION, "retries must be at least 0, got -1"),
@@ -800,7 +845,10 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
          "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
-         "score-stage-below-0", "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
+         "score-stage-below-0", "corpus-nested-too-deeply", "report-nested-too-deeply",
+         "report-text-list", "report-text-null", "report-text-number", "report-example-id-number",
+         "score-prompt-null", "matrix-example-id-null", "score-blocks-example-id-number",
+         "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
          "generate-retries-negative", "generate-max-parallel-0", "generate-timeout-negative",
          "generate-timeout-infinite",
          "generate-max-tokens-0", "report-import-with-endpoint-flags", "report-import-with-stop",

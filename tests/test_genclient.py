@@ -609,12 +609,12 @@ class TestImportCompletions:
             "prompt hash mismatch"
         )
 
-    def test_fields_coerced_tags_checked_and_unrendered_records_kept(self, tmp_path):
+    def test_string_fields_tags_and_unrendered_records(self, tmp_path):
         prompts = [_prompt(0)]
         good = {"example_id": "e:0", "condition": "A", "stage": 4,
-                "prompt_hash": prompts[0].prompt_hash, "text": 42}
+                "prompt_hash": prompts[0].prompt_hash, "text": "42"}
         # No rendered prompt has this (example_id, condition), so no hash is checked.
-        unrendered = {"example_id": 7, "condition": "A", "stage": 4,
+        unrendered = {"example_id": "7", "condition": "A", "stage": 4.0,
                       "prompt_hash": "0" * 64, "text": "[Ping()]"}
         path = tmp_path / "mixed.jsonl"
         path.write_text(f"{json.dumps(good)}\n{json.dumps(unrendered)}\n", encoding="utf-8")
@@ -625,6 +625,18 @@ class TestImportCompletions:
             ("e:0", "A", 4, prompts[0].prompt_hash, "42", "imported"),
             ("7", "A", 4, "0" * 64, "[Ping()]", "imported"),
         ]
+        # A string field is not coerced: 42 would score as no call, and 7
+        # would match the example "7".
+        for field, value, shown in (
+            ("text", 42, "42"), ("text", None, "null"), ("text", ["[Ping()]"], '["[Ping()]"]'),
+            ("example_id", 7, "7"), ("prompt_hash", None, "null"),
+        ):
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(f"{json.dumps(good)}\n{json.dumps({**unrendered, field: value})}\n",
+                           encoding="utf-8")
+            with pytest.raises(ValueError) as excinfo:
+                import_completions([bad], prompts=prompts)
+            assert str(excinfo.value) == f"{bad}: line 2: {field} must be a string, got {shown}"
         tagged = tmp_path / "tagged.jsonl"
         tagged.write_text(
             f"{json.dumps(good)}\n{json.dumps({**good, 'condition': 'C'})}\n", encoding="utf-8"

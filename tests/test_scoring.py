@@ -355,3 +355,58 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
     records = score_completions(escaped, {"e1": examples["e1"]})
     assert counts == {"view": 1, "parse": 1, "normalize": 1 + 1}
     assert records[0].category is ErrorCategory.CORRECT_API_WRONG_PARAMS
+
+
+def test_score_completions_order_and_errors():
+    rng = random.Random(25)
+    examples = {}
+    for i in range(12):
+        example_id = f"ep{rng.randrange(100):02d}:{i}"
+        examples[example_id] = SimpleNamespace(
+            id=example_id, block_id=rng.randint(1, 3), expected=WEATHER
+        )
+    texts = ["[GetWeather(city='Paris')]", "[GetWeather(city='Rome')]", "[Ping()]", "no call"]
+    completions = [
+        SimpleNamespace(example_id=example_id, stage=stage, text=rng.choice(texts), condition="A")
+        for stage in (4, 0, 2)
+        for example_id in examples
+    ]
+    category = {
+        (c.stage, c.example_id): evaluate_completion(c.text, WEATHER) for c in completions
+    }
+    want = sorted(
+        (c.stage, examples[c.example_id].block_id, c.example_id) for c in completions
+    )
+    shuffled = list(completions)
+    rng.shuffle(shuffled)
+    # Records come in (stage, block_id, example_id) order whatever the
+    # order of the completions.
+    for ordered in (completions, completions[::-1], shuffled):
+        records = score_completions(ordered, examples)
+        assert [(r.stage, r.block_id, r.example_id) for r in records] == want
+        assert all(r.category is category[r.stage, r.example_id] for r in records)
+
+    first = completions[0]
+    with pytest.raises(AggregationError) as excinfo:
+        score_completions(completions + [first], examples)
+    assert str(excinfo.value) == (
+        f"more than one completion for example {first.example_id!r} at stage 4"
+    )
+    with pytest.raises(AggregationError) as excinfo:
+        score_completions(completions + [SimpleNamespace(**dict(vars(first), example_id="x:1"))],
+                          examples)
+    assert str(excinfo.value) == "completion references unknown example id 'x:1'"
+    with pytest.raises(AggregationError) as excinfo:
+        score_completions(shuffled[1:], examples)
+    assert str(excinfo.value) == "condition A: 1 of 12 examples x 3 stages have no completion"
+    # An example without a block is an error when a completion names it,
+    # and otherwise one missing record per stage.
+    unblocked = {**examples, "u:0": SimpleNamespace(id="u:0", block_id=None, expected=WEATHER)}
+    with pytest.raises(AggregationError) as excinfo:
+        score_completions(completions + [SimpleNamespace(**dict(vars(first), example_id="u:0"))],
+                          unblocked)
+    assert str(excinfo.value) == "example 'u:0' has no block assignment"
+    with pytest.raises(AggregationError) as excinfo:
+        score_completions(completions, unblocked)
+    assert str(excinfo.value) == "condition A: 3 of 13 examples x 3 stages have no completion"
+    assert score_completions([], examples) == []
