@@ -21,17 +21,6 @@ import re
 from enum import Enum
 from typing import NamedTuple, Union
 
-__all__ = [
-    "ApiCall",
-    "ParsedCall",
-    "ParseFailure",
-    "FailureReason",
-    "parse_first_call",
-    "scoring_view",
-    "normalize_params",
-    "render_call",
-]
-
 # Scanner tokens: API names and keys, blank runs, and an unquoted value run,
 # which stops at a comma, a closing paren or bracket, or a quote.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"

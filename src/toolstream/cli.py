@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--completions", action="append", required=True,
                    help="completions JSONL (repeatable)")
     p.add_argument("--out", required=True, help="score JSONL output path")
-    p.add_argument("--categories", help="optional category-count CSV output")
+    p.add_argument("--categories", help="optional final-stage category-count CSV output")
     p.add_argument("--condition", type=_condition,
                    help="condition to score (default: the one the completions hold)")
     p.add_argument("--prompts", help="rendered prompts JSONL: its example ids are the eval set")
@@ -283,9 +283,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     except AggregationError as exc:
         hint = "" if args.prompts else " (to score a sampled run, pass its prompts file as --prompts)"
         raise AggregationError(f"{exc}{hint}") from exc
+    # The category table counts the final stage's records, as `report`'s does.
+    finals = [r for r in records if r.stage == T]
+    if args.categories and not finals:
+        raise ReportError(f"no completions at the final stage {T} for --categories")
     write_scores_jsonl(args.out, records)
     if args.categories:
-        write_category_csv(args.categories, records)
+        write_category_csv(args.categories, finals)
     print(f"wrote {args.out} ({len(records)} score records)")
     return EXIT_OK
 

@@ -12,21 +12,6 @@ from typing import Mapping, Sequence
 
 from .files import read_csv, write_csv
 
-__all__ = [
-    "EvalMatrix",
-    "BaselineVector",
-    "MetricsError",
-    "average_accuracy",
-    "bwt",
-    "fwt",
-    "avg_forgetting",
-    "aulc",
-    "summarize",
-    "write_matrix_csv",
-    "read_matrix_csv",
-    "matrix_from_rows",
-]
-
 
 class MetricsError(Exception):
     pass

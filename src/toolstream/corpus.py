@@ -20,26 +20,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
 from .files import check_utf8, integer, read_json, read_jsonl, string, write_json
 
-__all__ = [
-    "Role",
-    "Turn",
-    "Episode",
-    "ScoredExample",
-    "DomainBlock",
-    "StreamSpec",
-    "CorpusError",
-    "IngestionError",
-    "PartitionError",
-    "load_corpus",
-    "extract_examples",
-    "partition_blocks",
-    "sample_eval_subset",
-    "select_examples",
-    "assign_blocks",
-    "write_blocks_json",
-    "read_blocks_json",
-]
-
 
 class CorpusError(Exception):
     pass
@@ -104,6 +84,7 @@ class ScoredExample:
         self.expected = expected
         self.block_id = block_id
 
+    # Read by nothing in the package; perfbench's example counts still do.
     @property
     def context(self) -> list[Turn]:
         return self.episode.turns[: self.cut_index]
@@ -250,35 +231,25 @@ def partition_blocks(episodes: Sequence[Episode], T: int, seed: int) -> list[Dom
     )
 
 
-def _subset_rng(seed: int, block_id: int, n: int) -> random.Random:
-    import random
-
-    digest = hashlib.sha256(f"{seed}:{block_id}:{n}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def sample_eval_subset(block: DomainBlock, n: int, seed: int) -> list[ScoredExample]:
-    """Deterministic uniform sample of min(n, |examples|) items, corpus order."""
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    size = len(block.examples)
-    k = min(n, size)
-    rng = _subset_rng(seed, block.block_id, n)
-    picked = sorted(rng.sample(range(size), k))
-    return [block.examples[i] for i in picked]
-
-
 def select_examples(
     blocks: Sequence[DomainBlock], sample_size: int | None, seed: int
 ) -> dict[str, ScoredExample]:
-    """The evaluation examples by id: every block example, or a seeded
-    per-block sample of sample_size (see sample_eval_subset)."""
+    """The evaluation examples by id: every block example, or per block a
+    seeded uniform sample of min(sample_size, block size) in corpus order."""
     if sample_size is None:
         selected = [ex for block in blocks for ex in block.examples]
+    elif sample_size < 1:
+        raise ValueError("sample size must be >= 1")
     else:
-        selected = [
-            ex for block in blocks for ex in sample_eval_subset(block, sample_size, seed)
-        ]
+        import random
+
+        selected = []
+        for block in blocks:
+            key = hashlib.sha256(f"{seed}:{block.block_id}:{sample_size}".encode()).digest()
+            rng = random.Random(int.from_bytes(key[:8], "big"))
+            size = len(block.examples)
+            picked = sorted(rng.sample(range(size), min(sample_size, size)))
+            selected += [block.examples[i] for i in picked]
     return {ex.id: ex for ex in selected}
 
 

@@ -23,21 +23,6 @@ import json.scanner
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-__all__ = [
-    "LineError",
-    "read_lines",
-    "read_jsonl",
-    "read_csv",
-    "read_json",
-    "check_utf8",
-    "integer",
-    "string",
-    "write_lines",
-    "write_jsonl_records",
-    "write_json",
-    "write_csv",
-]
-
 _T = TypeVar("_T")
 
 # Bad bytes and bad JSON are ValueErrors and a bad CSV line is a

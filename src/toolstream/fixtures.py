@@ -26,18 +26,6 @@ from .genclient import CompletionRecord, write_completions_jsonl
 from .scoring import CATEGORY_ORDER, ErrorCategory
 from .transform import Condition, render_prompt
 
-__all__ = [
-    "REFERENCE_T",
-    "REFERENCE_SEED",
-    "REFERENCE_FINAL_STAGE",
-    "REFERENCE_APIS",
-    "REFERENCE_CATEGORY_MIX",
-    "reference_corpus_records",
-    "build_reference_completions",
-    "write_reference_fixture",
-    "trace_heavy_corpus_records",
-]
-
 REFERENCE_T = 4
 REFERENCE_SEED = 42
 REFERENCE_FINAL_STAGE = 4

@@ -30,22 +30,6 @@ from typing import NamedTuple, Sequence
 from .files import LineError, integer, read_json, read_jsonl, string, write_jsonl_records
 from .transform import Condition, RenderedPrompt
 
-__all__ = [
-    "EndpointConfig",
-    "CompletionRecord",
-    "CompletionCache",
-    "BatchFailure",
-    "BatchResult",
-    "TransportError",
-    "EndpointError",
-    "StaleCompletionError",
-    "generate_completion",
-    "batch_generate",
-    "import_completions",
-    "write_completions_jsonl",
-    "API_KEY_ENV",
-]
-
 API_KEY_ENV = "TOOLSTREAM_API_KEY"
 
 
@@ -264,7 +248,7 @@ def _request_once(
         text = json.loads(body)["choices"][0]["message"]["content"]
         if not isinstance(text, str):
             raise TypeError(f"content is {type(text).__name__}, not a string")
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise EndpointError(response.status, f"malformed response body: {exc}")
     return text
 
@@ -344,23 +328,18 @@ def generate_completion(
     stage: int,
     cache: CompletionCache | None = None,
 ) -> CompletionRecord:
-    """One greedy chat-completion request; a cache hit skips the network. A
-    request that fails after its retries raises its last TransportError or
-    EndpointError."""
-    condition = prompt.condition.value
-    payload = _payload(cfg, prompt.text)
-    request = (condition, _request_key(cfg, payload))
-    text = cache.get(stage, *request) if cache is not None else None
-    if text is None:
-        text = _fetch(cfg, {request: payload}, stage, cache)[request]
-        if not isinstance(text, str):
-            raise text
-    return CompletionRecord(prompt.example_id, condition, stage, prompt.prompt_hash, text)
+    """batch_generate for one prompt. A request that fails after its
+    retries raises its last TransportError or EndpointError. Nothing in
+    the package calls it; perfbench's trace mode wraps the name."""
+    result = batch_generate([prompt], cfg, stage, cache)
+    if result.failures:
+        raise result.failures[0].error
+    return result.records[0]
 
 
 class BatchFailure(NamedTuple):
     example_id: str
-    error: str
+    error: TransportError | EndpointError
 
 
 class BatchResult(NamedTuple):
@@ -407,7 +386,7 @@ def batch_generate(
                 CompletionRecord(prompt.example_id, request[0], stage, prompt.prompt_hash, outcome)
             )
         else:
-            result.failures.append(BatchFailure(prompt.example_id, str(outcome)))
+            result.failures.append(BatchFailure(prompt.example_id, outcome))
     return result
 
 

@@ -43,16 +43,7 @@ from .transform import (
     Condition, RenderedPrompt, context_stats, export_rendered_jsonl, render_prompt
 )
 
-__all__ = [
-    "ReportError",
-    "format_pct",
-    "emit_heatmap_data",
-    "block_scores_by_stage",
-    "render_prompts",
-    "score_condition",
-    "write_matrix",
-    "run_report",
-]
+
 
 class ReportError(Exception):
     pass

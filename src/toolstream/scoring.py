@@ -18,25 +18,6 @@ from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call, scor
 from .clmetrics import _mean
 from .files import integer, read_jsonl, string, write_csv
 
-__all__ = [
-    "MetricFlags",
-    "ErrorCategory",
-    "ScoreRecord",
-    "AggregationError",
-    "CATEGORY_ORDER",
-    "CATEGORY_LABELS",
-    "FLAGS",
-    "METRICS",
-    "evaluate_completion",
-    "score_completions",
-    "rates",
-    "aggregate_macro",
-    "category_counts",
-    "write_scores_jsonl",
-    "read_scores_jsonl",
-    "write_category_csv",
-]
-
 
 class AggregationError(Exception):
     pass

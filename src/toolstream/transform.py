@@ -29,19 +29,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .corpus import Episode, Role, ScoredExample
 from .files import check_utf8, read_jsonl, string, write_lines
 
-__all__ = [
-    "Condition",
-    "RenderedPrompt",
-    "StatsError",
-    "PREFIXES",
-    "CUE",
-    "KEPT_ROLES",
-    "render_prompt",
-    "context_stats",
-    "export_rendered_jsonl",
-    "read_rendered_jsonl",
-]
-
 
 class StatsError(Exception):
     pass

@@ -688,7 +688,8 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     (tmp / "blocks_7_9.csv").write_bytes(b"stage,block_7,block_9\r\n" + rows)
     paths["blocks_7_9_csv"] = str(tmp / "blocks_7_9.csv")
     # The fixture's completions are all at stage T=4; move them to another stage.
-    for name, condition, stage in (("stage_9_B", "B", 9), ("stage_neg_A", "A", -1)):
+    for name, condition, stage in (("stage_9_B", "B", 9), ("stage_neg_A", "A", -1),
+                                   ("stage_2_A", "A", 2)):
         lines = reference_paths[f"completions_{condition}"].read_text(encoding="utf-8")
         moved = [dict(json.loads(line), stage=stage) for line in lines.splitlines()]
         write_jsonl_records(tmp / f"{name}.jsonl", moved)
@@ -789,6 +790,8 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          EXIT_VALIDATION, "condition A has completions at stage -1, outside stages 0..4"),
         (_SCORE + " --completions {stage_neg_A}", EXIT_VALIDATION,
          "condition A has completions at stage -1, outside stages 0..4"),
+        (_SCORE + " --completions {stage_2_A} --categories {out}/categories.csv",
+         EXIT_VALIDATION, "no completions at the final stage 4 for --categories"),
         ("split --corpus {deep} --out {out}/b.json", EXIT_INPUT,
          "deep.jsonl: line 2: invalid JSON (nested too deeply)"),
         (_REPORT + " --import {deep_A}", EXIT_VALIDATION,
@@ -845,7 +848,8 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
          "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
-         "score-stage-below-0", "corpus-nested-too-deeply", "report-nested-too-deeply",
+         "score-stage-below-0", "score-categories-without-stage-t", "corpus-nested-too-deeply",
+         "report-nested-too-deeply",
          "report-text-list", "report-text-null", "report-text-number", "report-example-id-number",
          "score-prompt-null", "matrix-example-id-null", "score-blocks-example-id-number",
          "generate-stop-trailing-backslash", "generate-stop-unknown-escape",
@@ -866,6 +870,7 @@ def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message
     if code != EXIT_OK:
         # A failed run scores nothing it leaves behind.
         assert not list(tmp_path.rglob("scores*.jsonl"))
+        assert not list(tmp_path.rglob("categories*.csv"))
         assert not list(tmp_path.rglob("manifest.json"))
         if "lone surrogate" in message:
             # Rejected while the input is read, before any output is written.

@@ -17,7 +17,7 @@ from toolstream.corpus import (
     extract_examples,
     load_corpus,
     partition_blocks,
-    sample_eval_subset,
+    select_examples,
     write_blocks_json,
 )
 
@@ -219,32 +219,33 @@ class TestPartitionBlocks:
 
 
 class TestSampleEvalSubset:
+    # select_examples with a sample size draws each block's eval subset.
     def test_clamps_to_block_size(self, tmp_path):
         records = [_episode(f"e{i}", 1, api=f"Api{i % 2}") for i in range(10)]
         episodes = load_corpus(_write_jsonl(tmp_path / "c.jsonl", records))
         blocks = partition_blocks(episodes, 2, seed=42)
-        subset = sample_eval_subset(blocks[0], 32, seed=42)
-        assert subset == blocks[0].examples
+        subset = select_examples([blocks[0]], 32, seed=42)
+        assert list(subset.values()) == blocks[0].examples
 
     def test_determinism_regression(self, reference_blocks):
         _, blocks, _ = reference_blocks
         block = next(b for b in blocks if len(b.examples) == 104)
-        ids = [ex.id for ex in sample_eval_subset(block, 32, seed=42)]
-        assert ids == [ex.id for ex in sample_eval_subset(block, 32, seed=42)]
+        ids = list(select_examples([block], 32, seed=42))
+        assert ids == list(select_examples([block], 32, seed=42))
         digest = hashlib.sha256(",".join(ids).encode()).hexdigest()
         assert digest == "30a8b97cb3c736785f078f481716c3615d8f1dcab240ad73dbadb7ac85bf6aa9"
 
     def test_different_seeds_differ(self, reference_blocks):
         _, blocks, _ = reference_blocks
         block = next(b for b in blocks if len(b.examples) == 104)
-        first = [ex.id for ex in sample_eval_subset(block, 32, seed=1)]
-        second = [ex.id for ex in sample_eval_subset(block, 32, seed=2)]
+        first = list(select_examples([block], 32, seed=1))
+        second = list(select_examples([block], 32, seed=2))
         assert first != second
 
     def test_invalid_sample_size(self, reference_blocks):
         _, blocks, _ = reference_blocks
         with pytest.raises(ValueError):
-            sample_eval_subset(blocks[0], 0, seed=42)
+            select_examples([blocks[0]], 0, seed=42)
 
 
 class TestStreamSpec:

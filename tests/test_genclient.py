@@ -184,7 +184,13 @@ class TestTransport:
             assert server.requests == 2
 
     @pytest.mark.parametrize(
-        "body", [b"not json", b'{"choices": []}', b'{"choices": [{"message": {"content": null}}]}']
+        "body",
+        [
+            b"not json",
+            b'{"choices": []}',
+            b'{"choices": [{"message": {"content": null}}]}',
+            pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-too-deeply"),
+        ],
     )
     def test_malformed_body_is_an_endpoint_error_without_retry(self, body):
         with RawEndpoint(body) as server:
@@ -276,7 +282,7 @@ class TestKeptAliveConnections:
             result = batch_generate([_prompt(2), _prompt(3)], cfg, stage=1)
             assert [r.example_id for r in result.records] == ["e:2"]
             assert [f.example_id for f in result.failures] == ["e:3"]
-            assert "request to" in result.failures[0].error
+            assert "request to" in str(result.failures[0].error)
             assert (mock.requests, mock.connections) == (3, 3)
 
     def test_an_interrupted_batch_closes_its_connections(self, tmp_path):
@@ -526,8 +532,8 @@ class TestBatchGenerate:
             assert mock.requests == 3
         assert [r.example_id for r in result.records] == ["e:1", "e:2"]
         assert [f.example_id for f in result.failures] == ["copy0:0", "copy1:0", "copy2:0"]
-        assert len({f.error for f in result.failures}) == 1
-        assert "status 400" in result.failures[0].error
+        assert len({str(f.error) for f in result.failures}) == 1
+        assert "status 400" in str(result.failures[0].error)
 
 
 class TestImportCompletions:

@@ -360,6 +360,25 @@ def test_trace_targets_resolve(monkeypatch):
     assert isinstance(RenderedPrompt.__dict__["prompt_hash"], property)
 
 
+@pytest.mark.parametrize("workload", ["replay-stages", "replay-long-trace"])
+def test_perfbench_inputs_score_as_planted(monkeypatch, tmp_path, workload):
+    # perfbench's workloads build their inputs with package names (records,
+    # writers, the trace-heavy corpus); a change that breaks one of them
+    # would otherwise show only as a failed benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    inputs = workloads.write_inputs(workloads.WORKLOADS[workload], 7, tmp_path / "in")
+    out = run_report(
+        inputs.corpus,
+        tmp_path / "out",
+        inputs.stream,
+        conditions=[Condition.A_STRIPPED, Condition.B_TRAJECTORY],
+        import_paths=inputs.import_paths,
+    )
+    assert workloads.check_scores(out, inputs.planted) == 0
+
+
 @pytest.mark.parametrize("inputs", ["multistage", "fixture-sample-5"])
 def test_steps_match_report(reference_paths, tmp_path, inputs):
     # split -> render -> score -> matrix -> summary writes what `report` writes.
@@ -387,10 +406,12 @@ def test_steps_match_report(reference_paths, tmp_path, inputs):
         if sample:
             render += ["--blocks-file", blocks, "--sample-seed", str(seed)] + sample
         assert main(render) == EXIT_OK
+        categories = steps / f"categories_{tag}.csv"
         score = ["score", "--corpus", corpus, "--blocks-file", blocks,
-                 "--completions", str(completions), "--out", str(scores)]
+                 "--completions", str(completions), "--out", str(scores),
+                 "--categories", str(categories)]
         assert main(score + (["--prompts", str(prompts)] if sample else [])) == EXIT_OK
-        names += [prompts.name, scores.name]
+        names += [prompts.name, scores.name, categories.name]
         for metric in METRICS:
             matrix = steps / f"matrix_{metric}_{tag}.csv"
             assert main(["matrix", "--scores", str(scores), "--metric", metric,
