@@ -17,6 +17,10 @@ interpreter, with the sources under src/ and no installed package:
   tests/_support.py on the random matrices of
   tests/test_clmetrics.py::test_oracle_equivalence_random_matrices
   (seed 7), counting the values that differ;
+- the naive model of `report`'s import-mode outputs in tests/_oracle.py
+  against `run_report` on the 40 seeded random inputs of
+  tests/test_report.py::test_report_matches_naive_oracle, counting the
+  inputs on which some output file differs;
 - the differential parser check of
   tests/test_calls.py::test_parse_equals_scanner_on_seeded_strings:
   parse_first_call and the scoring view (calls.scoring_view) against the
@@ -43,7 +47,7 @@ interpreter, with the sources under src/ and no installed package:
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's, no oracle value differs, no parse or JSON-lines
+report hash equals 3.11's, no oracle value or report output differs, no parse or JSON-lines
 decoding differs, the CLI import loads none of those modules and every `--stop`
 probe gives its expected result.
 """
@@ -96,7 +100,7 @@ from _support import (
     oracle_fwt, random_matrix,
 )
 from toolstream.clmetrics import (
-    BaselineVector, EvalMatrix, aulc, average_accuracy, avg_forgetting, bwt, fwt,
+    aulc, average_accuracy, avg_forgetting, baseline_vector, bwt, eval_matrix, fwt,
 )
 rng = random.Random(7)
 checked = mismatches = 0
@@ -104,17 +108,26 @@ for T in (2, 4, 8, 12):
     for _ in range(25):
         R = random_matrix(rng, T)
         b = [rng.random() for _ in range(T)]
-        m = EvalMatrix(values=tuple(tuple(r) for r in R))
+        m = eval_matrix(R)
         pairs = [
             (average_accuracy(m), oracle_average_accuracy(R)),
             (bwt(m), oracle_bwt(R)),
-            (fwt(m, BaselineVector(tuple(b))), oracle_fwt(R, b)),
+            (fwt(m, baseline_vector(b)), oracle_fwt(R, b)),
             (avg_forgetting(m), oracle_forgetting(R)),
             (aulc(m), oracle_aulc(R)),
         ]
         checked += len(pairs)
         mismatches += sum(got != want for got, want in pairs)
 print(checked, mismatches)
+"""
+
+REPORT_ORACLE_SEED, REPORT_ORACLE_INPUTS = 1, 40
+REPORT_ORACLE_CODE = f"""
+import tempfile
+from _oracle import report_oracle_mismatches
+with tempfile.TemporaryDirectory() as tmp:
+    mismatches, _ = report_oracle_mismatches({REPORT_ORACLE_SEED}, {REPORT_ORACLE_INPUTS}, tmp)
+print(len({{m.split("/")[0] for m in mismatches}}))
 """
 
 PARSER_SEED, PARSER_TEXTS = 20261019, 100_000
@@ -176,11 +189,11 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, list[str], dict]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, list[str], dict]:
     """((fixture, multi-stage and long-trace report digests), oracle values
-    checked, oracle mismatches, parser mismatches, JSON-lines mismatches,
-    deferred or never-imported modules that the CLI import loads, --stop
-    probe results) for one interpreter."""
+    checked, oracle mismatches, report-oracle inputs that differ, parser
+    mismatches, JSON-lines mismatches, deferred or never-imported modules
+    that the CLI import loads, --stop probe results) for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -191,15 +204,17 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, list[str],
             outputs.append(f"{inputs}_run")
         digests = tuple(tree_digest(work / out) for out in outputs)
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
+        report_mismatches = int(_run(python, ["-c", REPORT_ORACLE_CODE], work))
         parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
         jsonl_mismatches = int(_run(python, ["-c", JSONL_CODE], work))
         loaded = _run(python, ["-c", IMPORT_CODE], work).split()
         stops = json.loads(_run(python, ["-c", STOP_CODE], work))
-    return digests, checked, mismatches, parse_mismatches, jsonl_mismatches, loaded, stops
+    return (digests, checked, mismatches, report_mismatches, parse_mismatches, jsonl_mismatches,
+            loaded, stops)
 
 
 def main() -> int:
-    results: dict[str, tuple[str, tuple[str, ...], int, int, int, int, list[str], dict] | None] = {}
+    results: dict[str, tuple | None] = {}
     for minor in MINORS:
         python = find_interpreter(minor)
         if python is None:
@@ -218,12 +233,12 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        version, digests, checked, mismatches, parse_mismatches, jsonl_mismatches, loaded, stops = (
-            result
-        )
+        (version, digests, checked, mismatches, report_mismatches, parse_mismatches,
+         jsonl_mismatches, loaded, stops) = result
         matched = (
-            digests == reference_digests and mismatches == 0 and parse_mismatches == 0
-            and jsonl_mismatches == 0 and not loaded and stops == STOP_PROBES
+            digests == reference_digests and mismatches == 0 and report_mismatches == 0
+            and parse_mismatches == 0 and jsonl_mismatches == 0 and not loaded
+            and stops == STOP_PROBES
         )
         ok = ok and matched
         shown = ", ".join(
@@ -232,6 +247,7 @@ def main() -> int:
         )
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}, "
+              f"report oracle mismatches {report_mismatches}/{REPORT_ORACLE_INPUTS}, "
               f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
               f"jsonl mismatches {jsonl_mismatches}/{JSONL_LINES}, "
               f"deferred or never-imported modules loaded by the CLI import: "

@@ -27,8 +27,8 @@ import sys
 
 from .calls import ParsedCall, normalize_params, parse_first_call
 from .clmetrics import (
-    BaselineVector,
     MetricsError,
+    baseline_vector,
     matrix_from_rows,
     read_matrix_csv,
     summarize,
@@ -47,7 +47,7 @@ from .corpus import (
     select_examples,
     write_blocks_json,
 )
-from .files import read_lines, write_json
+from .files import in_range, read_lines, write_json
 from .genclient import (
     CompletionCache,
     EndpointConfig,
@@ -55,13 +55,20 @@ from .genclient import (
     StaleCompletionError,
     TransportError,
     batch_generate,
-    import_completions,
+    read_completions,
     write_completions_jsonl,
 )
 from .report import ReportError, block_scores_by_stage, render_prompts, run_report
-from .report import score_condition, write_matrix
+from .report import write_matrix
 from .scoring import (
-    METRICS, AggregationError, read_scores_jsonl, write_category_csv, write_scores_jsonl
+    CODE,
+    METRICS,
+    AggregationError,
+    Scorer,
+    StageCodes,
+    read_scores_jsonl,
+    write_category_csv,
+    write_scores_jsonl,
 )
 from .transform import Condition, StatsError, export_rendered_jsonl, read_rendered_jsonl
 from . import __version__
@@ -272,50 +279,59 @@ def cmd_score(args: argparse.Namespace) -> int:
         rendered = {p.example_id for p in read_rendered_jsonl(args.prompts)}
         examples = {ex_id: ex for ex_id, ex in corpus.items() if ex_id in rendered}
     prompts = [p for condition in Condition for p in render_prompts(examples, condition)]
-    completions = import_completions(args.completions, prompts=prompts)
-    tags = sorted({c.condition for c in completions})
-    if args.condition is None and len(tags) != 1:
-        found = ", ".join(tags) or "none"
-        raise ReportError(f"completions hold conditions {found}; choose one with --condition")
-    condition = args.condition or Condition(tags[0])
+    tags = [args.condition.value] if args.condition else [c.value for c in Condition]
+    scorer = Scorer(examples, corpus, tags, T)
     try:
-        records = score_condition(completions, condition, examples, corpus, T)
+        read_completions(args.completions, prompts, scorer.add)
+        if args.condition is None:
+            tags = [tag for tag in tags if scorer.codes[tag].rows]
+            if len(tags) != 1:
+                found = ", ".join(tags) or "none"
+                raise ReportError(
+                    f"completions hold conditions {found}; choose one with --condition"
+                )
+        codes = scorer.scores(tags[0])
     except AggregationError as exc:
         hint = "" if args.prompts else " (to score a sampled run, pass its prompts file as --prompts)"
         raise AggregationError(f"{exc}{hint}") from exc
-    # The category table counts the final stage's records, as `report`'s does.
-    finals = [r for r in records if r.stage == T]
-    if args.categories and not finals:
+    # The category table counts the final stage's scores, as `report`'s does.
+    if args.categories and T not in codes.rows:
         raise ReportError(f"no completions at the final stage {T} for --categories")
-    write_scores_jsonl(args.out, records)
+    write_scores_jsonl(args.out, codes)
     if args.categories:
-        write_category_csv(args.categories, finals)
-    print(f"wrote {args.out} ({len(records)} score records)")
+        write_category_csv(args.categories, codes.counts(T))
+    print(f"wrote {args.out} ({len(codes.ids) * len(codes.rows)} score records)")
     return EXIT_OK
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    records = []
-    seen: set[tuple[int, str]] = set()
-    block_paths: dict[int, str] = {}  # block id -> first file that holds it
-    for path in args.scores:
-        for record in read_scores_jsonl(path):
-            key = (record.stage, record.example_id)
-            if key in seen:
-                raise AggregationError(
-                    f"{path}: more than one score for example {key[1]!r} at stage {key[0]}"
-                )
-            seen.add(key)
-            records.append(record)
-            block_paths.setdefault(record.block_id, path)
-    if not records:
+    scores = [(path, r) for path in args.scores for r in read_scores_jsonl(path)]
+    if not scores:
         raise AggregationError("no score records found")
-    T = max(block_paths)
-    for block_id, path in block_paths.items():
-        if block_id < 1:
-            raise AggregationError(f"{path}: block {block_id} is outside blocks 1..{T}")
+    block_of: dict[str, int] = {}  # example id -> its block, the same in every file
+    for path, r in scores:
+        if block_of.setdefault(r.example_id, r.block_id) != r.block_id:
+            raise AggregationError(f"{path}: example {r.example_id!r} is in block "
+                                   f"{block_of[r.example_id]} and in block {r.block_id}")
+    T = max(block_of.values())
+    codes = StageCodes((block_id, example_id) for example_id, block_id in block_of.items())
+    slots = {example_id: slot for slot, example_id in enumerate(codes.ids)}
+    for path, r in scores:
+        try:
+            in_range(r.block_id, 1, T, "block")
+            stage = in_range(r.stage, 0, T, "stage")
+        except ValueError as exc:
+            raise AggregationError(f"{path}: {exc}") from None
+        if stage not in codes.rows:
+            codes.rows[stage] = bytearray(len(slots))
+        row = codes.rows[stage]
+        if row[slots[r.example_id]]:
+            raise AggregationError(
+                f"{path}: more than one score for example {r.example_id!r} at stage {r.stage}"
+            )
+        row[slots[r.example_id]] = CODE[r.category]
     stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()))
-    rows = write_matrix(args.out, block_scores_by_stage(records), stream, args.metric)
+    rows = write_matrix(args.out, block_scores_by_stage(codes), stream, args.metric)
     print(f"wrote {args.out} (metric {args.metric}, stages {sorted(rows)})")
     return EXIT_OK
 
@@ -337,7 +353,7 @@ def cmd_summary(args: argparse.Namespace) -> int:
             raise MetricsError(
                 f"{args.baseline}: blocks {baseline_blocks} differ from the matrix's {blocks}"
             )
-        baseline = BaselineVector(tuple(baseline_rows[0]))
+        baseline = baseline_vector(baseline_rows[0])
     summary = summarize(matrix, baseline)
     if args.out:
         write_json(args.out, summary)

@@ -2,7 +2,9 @@
 
 The matrix R holds fractions in [0, 1]: R[i][j] is accuracy on block j+1
 after training through stage i+1. Stage 0 (the untrained base model) is
-kept separately as the baseline vector used by forward transfer.
+kept separately as the baseline vector b used by forward transfer. Both
+are tuples of floats, checked where they are built (eval_matrix,
+baseline_vector).
 """
 
 from __future__ import annotations
@@ -10,41 +12,33 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .files import read_csv, write_csv
+from .files import in_range, read_csv, write_csv
 
 
 class MetricsError(Exception):
     pass
 
 
-class EvalMatrix:
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[Sequence[float]]):
-        rows = tuple(tuple(float(v) for v in row) for row in values)
-        T = len(rows)
-        if T == 0 or any(len(row) != T for row in rows):
-            raise MetricsError("evaluation matrix must be square and nonempty")
-        if any(not (0.0 <= v <= 1.0) for row in rows for v in row):
-            raise MetricsError("matrix entries must be fractions in [0, 1]")
-        self.values = rows
-
-    @property
-    def T(self) -> int:
-        return len(self.values)
+Matrix = tuple[tuple[float, ...], ...]
 
 
-class BaselineVector:
-    __slots__ = ("values",)
+def _fractions(values: Sequence[float], what: str) -> tuple[float, ...]:
+    vals = tuple(float(v) for v in values)
+    if any(not (0.0 <= v <= 1.0) for v in vals):
+        raise MetricsError(f"{what} entries must be fractions in [0, 1]")
+    return vals
 
-    def __init__(self, values: Sequence[float]):
-        vals = tuple(float(v) for v in values)
-        if any(not (0.0 <= v <= 1.0) for v in vals):
-            raise MetricsError("baseline entries must be fractions in [0, 1]")
-        self.values = vals
 
-    def __len__(self) -> int:
-        return len(self.values)
+def eval_matrix(values: Sequence[Sequence[float]]) -> Matrix:
+    """R from rows of stages 1..T: square, nonempty, fractions."""
+    if not values or any(len(row) != len(values) for row in values):
+        raise MetricsError("evaluation matrix must be square and nonempty")
+    return tuple(_fractions(row, "matrix") for row in values)
+
+
+def baseline_vector(values: Sequence[float]) -> tuple[float, ...]:
+    """b from the stage-0 row: fractions."""
+    return _fractions(values, "baseline")
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -56,60 +50,54 @@ def _mean(values: Sequence[float]) -> float:
     return total / len(values)
 
 
-def _require_multistage(matrix: EvalMatrix) -> None:
-    if matrix.T < 2:
+def _require_multistage(R: Matrix) -> None:
+    if len(R) < 2:
         raise MetricsError("transfer statistics are undefined for fewer than 2 stages")
 
 
-def average_accuracy(matrix: EvalMatrix) -> float:
+def average_accuracy(R: Matrix) -> float:
     """Mean accuracy over all blocks at the final stage."""
-    return _mean(matrix.values[-1])
+    return _mean(R[-1])
 
 
-def bwt(matrix: EvalMatrix) -> float:
+def bwt(R: Matrix) -> float:
     """Mean final-minus-diagonal accuracy change on earlier blocks."""
-    _require_multistage(matrix)
-    R = matrix.values
-    return _mean([R[-1][j] - R[j][j] for j in range(matrix.T - 1)])
+    _require_multistage(R)
+    return _mean([R[-1][j] - R[j][j] for j in range(len(R) - 1)])
 
 
-def fwt(matrix: EvalMatrix, baseline: BaselineVector) -> float:
+def fwt(R: Matrix, b: Sequence[float]) -> float:
     """Mean prior-stage-minus-baseline accuracy on not-yet-trained blocks."""
-    _require_multistage(matrix)
-    if len(baseline) != matrix.T:
-        raise MetricsError(
-            f"baseline length {len(baseline)} does not match T={matrix.T}"
-        )
-    R, b = matrix.values, baseline.values
-    return _mean([R[j - 1][j] - b[j] for j in range(1, matrix.T)])
+    _require_multistage(R)
+    if len(b) != len(R):
+        raise MetricsError(f"baseline length {len(b)} does not match T={len(R)}")
+    return _mean([R[j - 1][j] - b[j] for j in range(1, len(R))])
 
 
-def avg_forgetting(matrix: EvalMatrix) -> float:
+def avg_forgetting(R: Matrix) -> float:
     """Mean drop from each earlier block's peak (diagonal onward, before the
     final stage) to its final-stage accuracy."""
-    _require_multistage(matrix)
-    R, T = matrix.values, matrix.T
-    drops = [max(R[i][j] for i in range(j, T - 1)) - R[-1][j] for j in range(T - 1)]
-    return _mean(drops)
+    _require_multistage(R)
+    T = len(R)
+    return _mean([max(R[i][j] for i in range(j, T - 1)) - R[-1][j] for j in range(T - 1)])
 
 
-def aulc(matrix: EvalMatrix) -> float:
+def aulc(R: Matrix) -> float:
     """Area under the learning curve: mean over stages of the stage's
     average accuracy over the blocks seen so far."""
-    R = matrix.values
-    return _mean([_mean(R[i][: i + 1]) for i in range(matrix.T)])
+    return _mean([_mean(R[i][: i + 1]) for i in range(len(R))])
 
 
-def summarize(matrix: EvalMatrix, baseline: BaselineVector) -> dict[str, float]:
+def summarize(R: Matrix, b: Sequence[float]) -> dict[str, float]:
     """All five continual-learning statistics for one accuracy matrix, by
     name in the order final_aa, bwt, fwt, avg_forgetting, aulc."""
-    _require_multistage(matrix)
+    _require_multistage(R)
     return {
-        "final_aa": average_accuracy(matrix),
-        "bwt": bwt(matrix),
-        "fwt": fwt(matrix, baseline),
-        "avg_forgetting": avg_forgetting(matrix),
-        "aulc": aulc(matrix),
+        "final_aa": average_accuracy(R),
+        "bwt": bwt(R),
+        "fwt": fwt(R, b),
+        "avg_forgetting": avg_forgetting(R),
+        "aulc": aulc(R),
     }
 
 
@@ -146,9 +134,7 @@ def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]
                 raise ValueError("matrix header must start with 'stage'")
             T = len(fields) - 1
             for column in fields[1:]:
-                block = int(column.removeprefix("block_"))
-                if not 1 <= block <= T:
-                    raise ValueError(f"block {block} is outside blocks 1..{T}")
+                block = in_range(int(column.removeprefix("block_")), 1, T, "block")
                 if block in blocks:
                     raise ValueError(f"block {block} appears more than once")
                 blocks.append(block)
@@ -156,9 +142,7 @@ def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]
         elif len(fields) != len(header):
             raise ValueError(f"row has {len(fields) - 1} values, expected {len(header) - 1}")
         else:
-            stage, T = int(fields[0]), len(header) - 1
-            if not 0 <= stage <= T:
-                raise ValueError(f"stage {stage} is outside stages 0..{T}")
+            stage = in_range(int(fields[0]), 0, len(header) - 1, "stage")
             if stage in rows:
                 raise ValueError(f"stage {stage} appears more than once")
             rows[stage] = [float(v) for v in fields[1:]]
@@ -171,12 +155,11 @@ def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]
 
 def matrix_from_rows(
     rows: Mapping[int, Sequence[float]], T: int
-) -> tuple[EvalMatrix, BaselineVector | None]:
-    """Assemble an EvalMatrix (stages 1..T required) and the optional
-    stage-0 baseline from stage-indexed rows."""
+) -> tuple[Matrix, tuple[float, ...] | None]:
+    """Assemble R (stages 1..T required) and the optional stage-0 baseline
+    from stage-indexed rows."""
     missing = [s for s in range(1, T + 1) if s not in rows]
     if missing:
         raise MetricsError(f"matrix is missing stage rows: {missing}")
-    matrix = EvalMatrix(values=tuple(tuple(rows[s]) for s in range(1, T + 1)))
-    baseline = BaselineVector(tuple(rows[0])) if 0 in rows else None
-    return matrix, baseline
+    matrix = eval_matrix([rows[s] for s in range(1, T + 1)])
+    return matrix, baseline_vector(rows[0]) if 0 in rows else None

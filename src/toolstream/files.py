@@ -130,6 +130,13 @@ def integer(value: object, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
 
 
+def in_range(value: int, least: int, most: int, what: str) -> int:
+    """value, or a ValueError "<what> <value> is outside <what>s <least>..<most>"."""
+    if least <= value <= most:
+        return value
+    raise ValueError(f"{what} {value} is outside {what}s {least}..{most}")
+
+
 def string(value: object, what: str) -> str:
     """A JSON value that must be a string. Anything else, null or a list
     included, is a ValueError naming what."""

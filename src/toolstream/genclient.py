@@ -25,7 +25,7 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .files import LineError, integer, read_json, read_jsonl, string, write_jsonl_records
 from .transform import Condition, RenderedPrompt
@@ -96,8 +96,7 @@ class EndpointConfig:
 
 
 class CompletionRecord:
-    # Slots, not a NamedTuple: CPython 3.11+ specialises slot reads, which
-    # scoring makes several of per completion.
+    # Slots, not a NamedTuple: CPython 3.11+ specialises slot reads.
     __slots__ = ("example_id", "condition", "stage", "prompt_hash", "text", "source")
 
     def __init__(
@@ -390,28 +389,25 @@ def batch_generate(
     return result
 
 
-def import_completions(
-    paths: Sequence[str | Path], prompts: Sequence[RenderedPrompt] | None = None
-) -> list[CompletionRecord]:
-    """Load recorded completions from JSONL files, in order (source
-    becomes 'imported').
+def read_completions(
+    paths: Sequence[str | Path], prompts: Sequence[RenderedPrompt], add: Callable[..., None]
+) -> None:
+    """Read recorded completion files, in order, passing each record to
+    add(example_id, condition, stage, prompt_hash, text) as its line is read.
 
     A record whose condition is not a Condition tag, or whose stage is not
-    an integer, is a ValueError. When rendered prompts are supplied, a
-    record whose prompt_hash does not match its prompt's raises
-    StaleCompletionError; both name the line. A record that matches keeps
-    its prompt's example-id and hash strings rather than the copies JSON
-    decoding made, so the records of one prompt share them.
+    an integer, is a ValueError; one whose prompt_hash is not its rendered
+    prompt's (among `prompts`) raises StaleCompletionError. Both name the
+    line, as does a ValueError from add. A matching record passes its
+    prompt's example-id and hash strings, not the copies JSON decoding made.
     """
     # (example id, condition) -> that prompt's example id and hash, each
     # hash computed once.
-    rendered = {
-        (p.example_id, p.condition.value): (p.example_id, p.prompt_hash) for p in prompts or ()
-    }
+    rendered = {(p.example_id, p.condition.value): (p.example_id, p.prompt_hash) for p in prompts}
     # A set lookup: calling Condition(...) per record is several times slower.
     tags = {c.value for c in Condition}
 
-    def completion(raw) -> CompletionRecord:
+    def completion(raw) -> None:
         condition = raw["condition"]
         if condition not in tags:
             raise ValueError(f"unknown condition tag {condition!r}")
@@ -427,10 +423,21 @@ def import_completions(
                     f"(condition {condition}): prompt hash mismatch"
                 )
             example_id, prompt_hash = shared
-        # Positional fields, in CompletionRecord's order: keywords cost more.
-        return CompletionRecord(example_id, condition, stage, prompt_hash, text, "imported")
+        add(example_id, condition, stage, prompt_hash, text)
 
-    return [record for path in paths for record in read_jsonl(path, completion, ValueError)]
+    for path in paths:
+        read_jsonl(path, completion, ValueError)  # a None per line: add keeps the rest
+
+
+def import_completions(
+    paths: Sequence[str | Path], prompts: Sequence[RenderedPrompt] = ()
+) -> list[CompletionRecord]:
+    """read_completions' records as CompletionRecords; kept only for perfbench's tracer."""
+    records: list[CompletionRecord] = []
+    read_completions(
+        paths, prompts, lambda *fields: records.append(CompletionRecord(*fields, "imported"))
+    )
+    return records
 
 
 def write_completions_jsonl(path: str | Path, records: Sequence[CompletionRecord]) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Container, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import __version__
 from .clmetrics import MetricsError, matrix_from_rows, summarize, write_matrix_csv
@@ -21,28 +21,28 @@ from .corpus import (
     select_examples,
     write_blocks_json,
 )
-from .files import write_csv, write_json
+from .files import in_range, write_csv, write_json
 from .genclient import (
     CompletionCache,
-    CompletionRecord,
     EndpointConfig,
     TransportError,
     batch_generate,
-    import_completions,
+    read_completions,
 )
 from .scoring import (
     METRICS,
-    ScoreRecord,
+    Scorer,
+    StageCodes,
     aggregate_macro,
     rates,
-    score_completions,
     write_category_csv,
     write_scores_jsonl,
 )
 from .transform import (
     Condition, RenderedPrompt, context_stats, export_rendered_jsonl, render_prompt
 )
-
+from .genclient import import_completions  # noqa: F401 - kept for perfbench's tracer
+from .scoring import score_completions  # noqa: F401 - kept for perfbench's tracer
 
 
 class ReportError(Exception):
@@ -58,17 +58,14 @@ def format_pct(fraction: float) -> str:
     )
 
 
-def block_scores_by_stage(
-    records: Sequence[ScoreRecord],
-) -> dict[int, dict[int, dict[str, float]]]:
-    """Group score records and aggregate: stage -> block_id -> rates."""
-    grouped: dict[tuple[int, int], list[ScoreRecord]] = {}
-    for record in records:
-        grouped.setdefault((record.stage, record.block_id), []).append(record)
-    out: dict[int, dict[int, dict[str, float]]] = {}
-    for (stage, block_id), recs in sorted(grouped.items()):
-        out.setdefault(stage, {})[block_id] = rates(recs)
-    return out
+def block_scores_by_stage(codes: StageCodes) -> dict[int, dict[int, dict[str, float]]]:
+    """Per-block rates of each scored stage: stage -> block_id -> rates, for
+    the blocks with scores at that stage, stages and blocks ascending."""
+    counts = {(stage, b): codes.counts(stage, b) for stage in codes.rows for b in codes.blocks}
+    return {
+        stage: {b: rates(counts[stage, b]) for b in codes.blocks if any(counts[stage, b])}
+        for stage in sorted(codes.rows)
+    }
 
 
 def render_prompts(
@@ -78,44 +75,19 @@ def render_prompts(
     return [render_prompt(examples[ex_id], condition) for ex_id in sorted(examples)]
 
 
-def score_condition(
-    completions: Sequence[CompletionRecord],
-    condition: Condition,
-    examples: Mapping[str, ScoredExample],
-    corpus_ids: Container[str],
-    T: int,
-) -> list[ScoreRecord]:
-    """The score step: score one condition's completions. Records of corpus
-    examples outside the evaluation set (those a sample leaves out) are
-    skipped; an id outside the corpus reaches score_completions, which
-    rejects it. A completion at a stage outside 0..T is an error."""
-    tag = condition.value
-    kept = [
-        c for c in completions
-        if c.condition == tag and (c.example_id in examples or c.example_id not in corpus_ids)
-    ]
-    records = score_completions(kept, examples)
-    if not records:
-        raise ReportError(f"no completions found for condition {tag}")
-    # Records come sorted by stage, so the first and last hold the extremes.
-    for stage in (records[0].stage, records[-1].stage):
-        if not 0 <= stage <= T:
-            raise ReportError(
-                f"condition {tag} has completions at stage {stage}, outside stages 0..{T}"
-            )
-    return records
-
-
 def write_matrix(path: str | Path, scores: Mapping, stream: StreamSpec, metric: str) -> dict:
     """The matrix step: write and return the rows (stage -> per-block
     values) of the stages in scores (block_scores_by_stage) that cover every
     block, in the stream's block order: the diagonal is the just-trained block."""
     order = stream.block_order
-    rows = {
-        stage: [by_block[b][metric] for b in order]
-        for stage, by_block in scores.items()
-        if all(b in by_block for b in order)
-    }
+    rows = {}
+    for stage, by_block in scores.items():
+        lacking = [b for b in order if b not in by_block]
+        if lacking:
+            print(f"note: stage {stage} has no scores for blocks {lacking}; "
+                  "leaving it out of the matrix", file=sys.stderr)
+        else:
+            rows[stage] = [by_block[b][metric] for b in order]
     if not rows:
         raise MetricsError("no stage has scores for every block; cannot build a matrix")
     write_matrix_csv(path, rows, order)
@@ -127,11 +99,12 @@ def emit_heatmap_data(
     per_condition_rows: Mapping[str, Mapping[int, Sequence[float]]],
     block_ids: Sequence[int],
 ) -> None:
-    """Long-format CSV (condition,stage,block,value) for external plotting."""
+    """Long-format CSV (condition,stage,block,value) of the trained stages'
+    rows (stage 0, the baseline, is left out) for external plotting."""
     rows = (
         [condition, stage, block_id, repr(float(value))]
         for condition, by_stage in sorted(per_condition_rows.items())
-        for stage in sorted(by_stage)
+        for stage in sorted(by_stage) if stage >= 1
         for block_id, value in zip(block_ids, by_stage[stage])
     )
     write_csv(path, ["condition", "stage", "block", "value"], rows)
@@ -158,8 +131,7 @@ def run_report(
     if bool(import_paths) == (endpoint is not None):
         raise ReportError("exactly one completion source is required: imports or an endpoint")
     for i, stage in enumerate(stages):
-        if not 0 <= stage <= stream.T:
-            raise ReportError(f"stage {stage} is outside stages 0..{stream.T}")
+        in_range(stage, 0, stream.T, "stage")
         if stage in stages[:i]:
             raise ReportError(f"stage {stage} appears more than once")
     out = Path(out_dir)
@@ -180,14 +152,17 @@ def run_report(
     # stops the run without scores or a manifest.
     stats = context_stats(all_prompts, tokenizer_cmd=tokenizer_cmd)
     if "A" in stats and "B" in stats and stats["A"]["ws_token"] > 0:
-        stats["ws_token_ratio_b_over_a"] = (
-            stats["B"]["ws_token"] / stats["A"]["ws_token"]
-        )
+        stats["ws_token_ratio_b_over_a"] = stats["B"]["ws_token"] / stats["A"]["ws_token"]
     write_json(out / "context_stats.json", stats)
 
-    completions: list[CompletionRecord] = []
+    # Every completion goes straight into its condition's score rows. Every
+    # condition is scored, and its stages checked, before any score file is
+    # written.
+    tags = [condition.value for condition in conditions]
+    corpus_ids = {ex.id for block in blocks for ex in block.examples}
+    scorer = Scorer(examples, corpus_ids, tags, stream.T)
     if import_paths:
-        completions = import_completions(import_paths, prompts=all_prompts)
+        read_completions(import_paths, all_prompts, scorer.add)
     else:
         cache = CompletionCache(cache_dir) if cache_dir else None
         for condition in conditions:
@@ -201,37 +176,31 @@ def run_report(
                         f"{len(batch.failures)} completions failed at stage {stage} "
                         f"(condition {condition.value}): {failed}"
                     )
-                completions.extend(batch.records)
-
-    corpus_ids = {ex.id for block in blocks for ex in block.examples}
-    # Every condition is scored, and its stages checked, before any score
-    # file is written.
-    scored = {
-        condition.value: score_condition(completions, condition, examples, corpus_ids, stream.T)
-        for condition in conditions
-    }
+                for r in batch.records:
+                    scorer.add(r.example_id, r.condition, r.stage, r.prompt_hash, r.text)
+    scored = {tag: scorer.scores(tag) for tag in tags}
     # Condition -> its final-stage macro and micro means and record count.
     final_means: dict[str, dict] = {}
     rows_by_metric: dict[str, dict[str, dict[int, list[float]]]] = {m: {} for m in METRICS}
-    for tag, score_records in scored.items():
-        write_scores_jsonl(out / f"scores_{tag}.jsonl", score_records)
-        scores = block_scores_by_stage(score_records)
+    for tag, codes in scored.items():
+        write_scores_jsonl(out / f"scores_{tag}.jsonl", codes)
+        scores = block_scores_by_stage(codes)
         for metric in METRICS:
             rows_by_metric[metric][tag] = write_matrix(
                 out / f"matrix_{metric}_{tag}.csv", scores, stream, metric
             )
 
-        matrix_rows = rows_by_metric["exact"][tag]
-        if stream.T in matrix_rows:
-            finals = [r for r in score_records if r.stage == stream.T]
+        # Every scored stage covers every block, so each is a matrix row.
+        if stream.T in codes.rows:
+            finals = codes.counts(stream.T)
             write_category_csv(out / f"categories_{tag}.csv", finals)
             final_means[tag] = {
                 "macro": aggregate_macro([scores[stream.T][b] for b in stream.block_order]),
                 "micro": rates(finals),
-                "n_final": len(finals),
+                "n_final": sum(finals),
             }
-        if all(s in matrix_rows for s in range(0, stream.T + 1)):
-            matrix, baseline = matrix_from_rows(matrix_rows, stream.T)
+        if len(codes.rows) == stream.T + 1:
+            matrix, baseline = matrix_from_rows(rows_by_metric["exact"][tag], stream.T)
             write_json(out / f"summary_{tag}.json", summarize(matrix, baseline))
         else:
             print(
@@ -241,13 +210,7 @@ def run_report(
             )
 
     for metric in METRICS:
-        per_condition = {
-            tag: {s: row for s, row in rows.items() if s >= 1}
-            for tag, rows in rows_by_metric[metric].items()
-        }
-        emit_heatmap_data(
-            out / f"heatmap_{metric}.csv", per_condition, stream.block_order
-        )
+        emit_heatmap_data(out / f"heatmap_{metric}.csv", rows_by_metric[metric], stream.block_order)
 
     if final_means:
         final_means = dict(sorted(final_means.items()))
@@ -274,8 +237,7 @@ def run_report(
             "sample_size": stream.sample_size,
         },
         "conditions": [c.value for c in conditions],
-        # Every scored stage covers every block, so it has a matrix row.
-        "stages": sorted({s for rows in rows_by_metric["exact"].values() for s in rows}),
+        "stages": sorted({s for codes in scored.values() for s in codes.rows}),
         "source": (
             {"mode": "import", "paths": [str(p) for p in import_paths]}
             if import_paths

@@ -12,11 +12,11 @@ import json
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call, scoring_view
 from .clmetrics import _mean
-from .files import integer, read_jsonl, string, write_csv
+from .files import in_range, integer, read_jsonl, string, write_csv, write_lines
 
 
 class AggregationError(Exception):
@@ -59,12 +59,17 @@ FLAGS: dict[ErrorCategory, MetricFlags] = {
     ErrorCategory.MALFORMED_NO_CALL: MetricFlags(False, False, False, False),
 }
 
-# Metric name -> the categories whose records it counts.
-_COUNTED: dict[str, tuple[ErrorCategory, ...]] = {
-    "exact": tuple(c for c, f in FLAGS.items() if f.exact_ok),
-    "name": tuple(c for c, f in FLAGS.items() if f.name_ok),
-    "name_any": tuple(c for c, f in FLAGS.items() if f.name_any_ok),
-    "malformed": tuple(c for c, f in FLAGS.items() if not f.parsed),
+# A category's code, as score rows hold it: its place in CATEGORY_ORDER,
+# from 1; 0 marks a slot with no score.
+CODE: dict[ErrorCategory, int] = {c: code for code, c in enumerate(CATEGORY_ORDER, start=1)}
+_CODES = tuple(CODE.values())
+_EXACT, _SOME_PARAMS, _WRONG_PARAMS, _WRONG_API, _MALFORMED = _CODES
+
+# Metric name -> the places, in CATEGORY_ORDER, of the categories it counts.
+_COUNTED: dict[str, tuple[int, ...]] = {
+    metric: tuple(i for i, c in enumerate(CATEGORY_ORDER) if getattr(FLAGS[c], flag) is counted)
+    for metric, flag, counted in (("exact", "exact_ok", True), ("name", "name_ok", True),
+                                  ("name_any", "name_any_ok", True), ("malformed", "parsed", False))
 }
 METRICS: tuple[str, ...] = tuple(_COUNTED)
 
@@ -74,8 +79,8 @@ _Pair = tuple[str, dict[str, str]]
 
 
 class ScoreRecord:
-    # Slots, not a NamedTuple: CPython 3.11+ specialises slot reads, which
-    # sorting, writing and aggregating make several of per record.
+    # A score-file line, as read back. Slots, not a NamedTuple: CPython
+    # 3.11+ specialises slot reads.
     __slots__ = ("example_id", "stage", "block_id", "category")
 
     def __init__(self, example_id: str, stage: int, block_id: int, category: ErrorCategory):
@@ -87,100 +92,126 @@ class ScoreRecord:
 
 def evaluate_completion(completion: str, expected: ApiCall) -> ErrorCategory:
     """Category of one raw completion against its expected call."""
-    return _evaluate(completion, (expected.name, normalize_params(expected)))
+    return CATEGORY_ORDER[_evaluate(completion, (expected.name, normalize_params(expected))) - 1]
 
 
-def _evaluate(completion: str, expected: _Pair) -> ErrorCategory:
+def _evaluate(completion: str, expected: _Pair) -> int:
     predicted = scoring_view(completion)
     if predicted is None:
         # The scanner reads every text the view declines.
         parsed = parse_first_call(completion)
         if not isinstance(parsed, ParsedCall):
-            return ErrorCategory.MALFORMED_NO_CALL
+            return _MALFORMED
         predicted = (parsed.call.name, normalize_params(parsed.call))
     predicted_name, predicted_map = predicted
     expected_name, expected_map = expected
     if predicted_name != expected_name:
-        return ErrorCategory.WRONG_API
+        return _WRONG_API
     if predicted_map == expected_map:
-        return ErrorCategory.EXACT_FULL_CALL
+        return _EXACT
     # A zero-parameter expectation has no pair to reproduce, so a
     # prediction with parameters lands in wrong params.
     if any(predicted_map.get(k) == v for k, v in expected_map.items()):
-        return ErrorCategory.CORRECT_API_SOME_PARAMS
-    return ErrorCategory.CORRECT_API_WRONG_PARAMS
+        return _SOME_PARAMS
+    return _WRONG_PARAMS
 
 
-def score_completions(completions, examples) -> list[ScoreRecord]:
-    """Score a batch of completion records against indexed scored examples.
+class StageCodes:
+    """One condition's scores: rows[stage][slot] is the code (CODE, or 0
+    for none) of the category of example ids[slot] at that stage. Slots
+    hold the (block_id, example_id) pairs given, sorted, so each block's
+    slots are one range, blocks[block_id] = (lo, hi)."""
 
-    `completions` is an iterable with example_id/stage/text attributes
-    (genclient.CompletionRecord); `examples` maps example_id to a
-    ScoredExample whose block_id is assigned. Each (stage, example) may be
-    scored once; a second completion for it is an error, and so is an
-    example left unscored at a stage the completions have. Each expected
-    call is normalized once, however many stages score its example.
-    Records come back sorted by (stage, block_id, example_id).
+    __slots__ = ("ids", "blocks", "rows")
+
+    def __init__(self, pairs: Iterable[tuple[int, str]]):
+        self.ids: list[str] = []
+        self.blocks: dict[int, tuple[int, int]] = {}
+        for slot, (block_id, example_id) in enumerate(sorted(pairs)):
+            self.ids.append(example_id)
+            self.blocks[block_id] = (self.blocks.get(block_id, (slot,))[0], slot + 1)
+        self.rows: dict[int, bytearray] = {}
+
+    def counts(self, stage: int, block_id: int | None = None) -> list[int]:
+        """The five category counts, in CATEGORY_ORDER, of the stage's
+        scores, or of one block's."""
+        row = self.rows[stage]
+        lo, hi = (0, len(row)) if block_id is None else self.blocks[block_id]
+        return [row.count(code, lo, hi) for code in _CODES]
+
+
+class Scorer:
+    """Scores completions one at a time, as they are read, into one
+    StageCodes per condition in `tags`, against the evaluation `examples`
+    (id -> ScoredExample, each with its block_id assigned). A completion of
+    another condition, or of a corpus example (in `corpus_ids`) that the
+    evaluation set leaves out, is skipped. An example outside the corpus,
+    a second completion for a (stage, example) and a stage outside 0..T
+    are errors, raised at that completion.
     """
-    # Each blocked example's slot in (block_id, example_id) order; each
-    # stage's row holds one record per slot, so the rows in stage order
-    # are the records in their final order.
-    by_slot = sorted(
-        (ex for ex in examples.values() if ex.block_id is not None),
-        key=lambda ex: (ex.block_id, ex.id),
-    )
-    slots = {ex.id: slot for slot, ex in enumerate(by_slot)}
-    expected_by_slot: list[_Pair | None] = [None] * len(by_slot)
-    rows: dict[int, list[ScoreRecord | None]] = {}
-    for completion in completions:
-        stage = int(completion.stage)
-        slot = slots.get(completion.example_id)
+
+    __slots__ = ("codes", "_corpus_ids", "_T", "_slot", "_expected")
+
+    def __init__(self, examples: Mapping, corpus_ids: Container[str], tags: Iterable[str], T: int):
+        by_slot = sorted(examples.values(), key=lambda ex: (ex.block_id, ex.id))
+        self.codes = {tag: StageCodes((ex.block_id, ex.id) for ex in by_slot) for tag in tags}
+        self._corpus_ids = corpus_ids
+        self._T = T
+        self._slot = {ex.id: slot for slot, ex in enumerate(by_slot)}
+        # Each expected call, normalized once however many stages score it.
+        self._expected = [(ex.expected.name, normalize_params(ex.expected)) for ex in by_slot]
+
+    def add(self, example_id: str, condition: str, stage: int, prompt_hash: str, text: str) -> None:
+        """Score one completion; genclient.read_completions has checked its hash."""
+        codes = self.codes.get(condition)
+        if codes is None:
+            return
+        slot = self._slot.get(example_id)
         if slot is None:
-            if completion.example_id in examples:
-                raise AggregationError(
-                    f"example {examples[completion.example_id].id!r} has no block assignment"
-                )
-            raise AggregationError(
-                f"completion references unknown example id {completion.example_id!r}"
-            )
-        row = rows.get(stage)
+            if example_id in self._corpus_ids:
+                return
+            raise AggregationError(f"completion references unknown example id {example_id!r}")
+        row = codes.rows.get(stage)
         if row is None:
-            row = rows[stage] = [None] * len(by_slot)
-        elif row[slot] is not None:
+            row = codes.rows[in_range(stage, 0, self._T, "stage")] = bytearray(len(codes.ids))
+        elif row[slot]:
             raise AggregationError(
-                f"more than one completion for example {completion.example_id!r} at stage {stage}"
+                f"more than one completion for example {example_id!r} at stage {stage}"
             )
-        example = by_slot[slot]
-        expected = expected_by_slot[slot]
-        if expected is None:
-            expected = expected_by_slot[slot] = (
-                example.expected.name, normalize_params(example.expected)
+        row[slot] = _evaluate(text, self._expected[slot])
+
+    def scores(self, tag: str) -> StageCodes:
+        """The condition's scores once every completion is added; no completion
+        at all, or an example unscored at one of its stages, is an error."""
+        codes = self.codes[tag]
+        rows = codes.rows
+        if not rows:
+            raise ValueError(f"no completions found for condition {tag}")
+        missing = sum(row.count(0) for row in rows.values())
+        if missing:
+            raise AggregationError(
+                f"condition {tag}: {missing} of {len(codes.ids)} examples x "
+                f"{len(rows)} stages have no completion"
             )
-        row[slot] = ScoreRecord(
-            example.id, stage, example.block_id, _evaluate(completion.text, expected)
-        )
-    # Every example is scored at every stage seen unless a slot is empty or
-    # an example has no block (and so no slot). A gap means the loop ran,
-    # so `completion` is bound and names the condition.
-    missing = sum(row.count(None) for row in rows.values())
-    missing += (len(examples) - len(by_slot)) * len(rows)
-    if missing:
-        raise AggregationError(
-            f"condition {completion.condition}: {missing} of {len(examples)} examples x "
-            f"{len(rows)} stages have no completion"
-        )
-    return [record for stage in sorted(rows) for record in rows[stage]]
+        return codes
 
 
-def rates(records: Sequence[ScoreRecord]) -> dict[str, float]:
-    """Pooled per-metric rates over the records, keyed by METRICS: one
-    block's score, or the micro mean over several blocks."""
-    if not records:
-        raise AggregationError("cannot aggregate an empty record list")
-    counts = category_counts(records)
+def score_completions(completions, examples, T: int) -> dict[str, StageCodes]:
+    """Condition -> StageCodes of completion records; kept only for perfbench's tracer."""
+    scorer = Scorer(examples, (), sorted({c.condition for c in completions}), T)
+    for c in completions:
+        scorer.add(c.example_id, c.condition, c.stage, "", c.text)
+    return {tag: scorer.scores(tag) for tag in scorer.codes}
+
+
+def rates(counts: Sequence[int]) -> dict[str, float]:
+    """Per-metric rates of five category counts (in CATEGORY_ORDER), keyed
+    by METRICS: one block's score, or the micro mean over several blocks."""
+    total = sum(counts)
+    if not total:
+        raise AggregationError("cannot aggregate zero scores")
     return {
-        metric: sum(counts[c] for c in categories) / len(records)
-        for metric, categories in _COUNTED.items()
+        metric: sum(counts[i] for i in places) / total for metric, places in _COUNTED.items()
     }
 
 
@@ -191,30 +222,23 @@ def aggregate_macro(blocks: Sequence[Mapping[str, float]]) -> dict[str, float]:
     return {metric: _mean([b[metric] for b in blocks]) for metric in METRICS}
 
 
-def category_counts(records: Iterable[ScoreRecord]) -> dict[ErrorCategory, int]:
-    counts = {category: 0 for category in CATEGORY_ORDER}
-    for record in records:
-        counts[record.category] += 1
-    return counts
-
-
-# Each line ends with its category's flags and the category, pre-rendered.
+# Code -> the end of its lines: the category's flags and the category.
 _LINE_TAIL = {
-    c: f', "flags": {json.dumps(f._asdict())}, "category": "{c.value}"}}\n'
+    CODE[c]: f', "flags": {json.dumps(f._asdict())}, "category": "{c.value}"}}\n'
     for c, f in FLAGS.items()
 }
 
 
-def write_scores_jsonl(path: str | Path, records: Sequence[ScoreRecord]) -> None:
-    """One JSON object per line, byte-equal to json.dumps of the record's
-    dict in the key order below; the flags are those of the category. The
-    id is escaped by the function json.dumps calls for a str."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                f'{{"example_id": {_escape(r.example_id)}, "stage": {r.stage:d}, '
-                f'"block": {r.block_id:d}{_LINE_TAIL[r.category]}'
-            )
+def write_scores_jsonl(path: str | Path, codes: StageCodes) -> None:
+    """One line per slot, stage by stage, each byte-equal to json.dumps of
+    {"example_id", "stage", "block", "flags", "category"}; every slot must
+    hold a score. Each id is escaped once, by json.dumps's own function."""
+    heads = [f'{{"example_id": {_escape(example_id)}, "stage": ' for example_id in codes.ids]
+    blocks = [f', "block": {b:d}' for b, (lo, hi) in codes.blocks.items() for _ in range(lo, hi)]
+    write_lines(path, ("".join([
+        f"{head}{stage:d}{block}{_LINE_TAIL[code]}"
+        for head, block, code in zip(heads, blocks, codes.rows[stage])
+    ]) for stage in sorted(codes.rows)))
 
 
 def read_scores_jsonl(path: str | Path) -> list[ScoreRecord]:
@@ -234,8 +258,7 @@ def _score_record(raw) -> ScoreRecord:
     )
 
 
-def write_category_csv(path: str | Path, records: Sequence[ScoreRecord]) -> None:
-    """Category-count table, rows in the standard taxonomy order."""
-    counts = category_counts(records)
-    rows = ([CATEGORY_LABELS[c], counts[c]] for c in CATEGORY_ORDER)
+def write_category_csv(path: str | Path, counts: Sequence[int]) -> None:
+    """Category-count table of five counts in CATEGORY_ORDER, rows in that order."""
+    rows = ([CATEGORY_LABELS[c], n] for c, n in zip(CATEGORY_ORDER, counts))
     write_csv(path, ["category", "count"], rows)

@@ -35,6 +35,7 @@ from toolstream.corpus import Episode, load_corpus, partition_blocks
 from toolstream.files import _json_value
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
 from toolstream.genclient import CompletionRecord, write_completions_jsonl
+from toolstream.scoring import CATEGORY_ORDER, ScoreRecord
 from toolstream.transform import Condition, render_prompt
 
 # Fixed malformed-completion corpus: each case's text, the reason it must
@@ -331,6 +332,22 @@ def jsonl_mismatches(seed: int, n: int) -> list[str]:
     return [
         t for t in texts if decode_outcome(_json_value, t) != decode_outcome(json.loads, t)
     ]
+
+
+def score_records(codes) -> list[ScoreRecord]:
+    """The scores of a StageCodes as the records of its score file, in order."""
+    block_of = [b for b, (lo, hi) in codes.blocks.items() for _ in range(lo, hi)]
+    return [
+        ScoreRecord(codes.ids[slot], stage, block_of[slot], CATEGORY_ORDER[code - 1])
+        for stage in sorted(codes.rows)
+        for slot, code in enumerate(codes.rows[stage])
+        if code
+    ]
+
+
+def category_counts(records) -> list[int]:
+    """The five category counts of score records, in CATEGORY_ORDER."""
+    return [sum(r.category is c for r in records) for c in CATEGORY_ORDER]
 
 
 def load_episodes_from_records(records: list[dict], tmp_path) -> list[Episode]:

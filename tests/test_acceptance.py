@@ -15,6 +15,7 @@ from collections import Counter
 from _support import (
     MALFORMED_CASES,
     MockEndpoint,
+    category_counts,
     load_episodes_from_records,
     oracle_aulc,
     oracle_flags,
@@ -25,6 +26,7 @@ from _support import (
     random_call,
     random_matrix,
     random_text,
+    score_records,
 )
 from toolstream.calls import (
     ApiCall,
@@ -36,12 +38,12 @@ from toolstream.calls import (
 )
 from toolstream.cli import EXIT_OK, main
 from toolstream.clmetrics import (
-    BaselineVector,
-    EvalMatrix,
     aulc,
     average_accuracy,
     avg_forgetting,
+    baseline_vector,
     bwt,
+    eval_matrix,
     fwt,
 )
 from toolstream.corpus import Role, extract_examples
@@ -58,7 +60,6 @@ from toolstream.scoring import (
     FLAGS,
     ScoreRecord,
     aggregate_macro,
-    category_counts,
     evaluate_completion,
     rates,
     score_completions,
@@ -80,11 +81,11 @@ def _verdict(num: int, label: str, failures: list[str]) -> None:
 def _scored_blocks(reference_paths, reference_blocks, condition: str):
     _, blocks, index = reference_blocks
     records = import_completions([reference_paths[f"completions_{condition}"]])
-    scored = score_completions(records, index)
+    scored = score_records(score_completions(records, index, 4)[condition])
     by_block: dict[int, list] = {}
     for record in scored:
         by_block.setdefault(record.block_id, []).append(record)
-    return scored, [rates(by_block[b]) for b in sorted(by_block)]
+    return scored, [rates(category_counts(by_block[b])) for b in sorted(by_block)]
 
 
 def test_criterion_1_final_table_replay(reference_paths, reference_blocks):
@@ -115,8 +116,7 @@ def test_criterion_2_category_count_replay(reference_paths, reference_blocks):
     failures: list[str] = []
     for condition, want in expected.items():
         scored, _ = _scored_blocks(reference_paths, reference_blocks, condition)
-        counts = category_counts(scored)
-        got = tuple(counts[c] for c in CATEGORY_ORDER)
+        got = tuple(category_counts(scored))
         if got != want:
             failures.append(f"{condition}: {got} vs {want}")
         if sum(got) != 440:
@@ -233,8 +233,8 @@ def test_criterion_4_metric_oracle_equivalence():
     for i in range(100):
         R = random_matrix(rng, T=4)
         b = [rng.random() for _ in range(4)]
-        matrix = EvalMatrix(values=tuple(tuple(row) for row in R))
-        baseline = BaselineVector(tuple(b))
+        matrix = eval_matrix(R)
+        baseline = baseline_vector(b)
         checks = [
             ("aa", average_accuracy(matrix), oracle_average_accuracy(R)),
             ("bwt", bwt(matrix), oracle_bwt(R)),
@@ -255,7 +255,7 @@ def test_criterion_4_metric_oracle_equivalence():
             (0.5, 0.5, 0.8, 0.0),
             (0.8 - drop, 0.8 - drop, 0.8 - drop, 0.8),
         )
-        matrix = EvalMatrix(values=values)
+        matrix = eval_matrix(values)
         if avg_forgetting(matrix) != -bwt(matrix):
             failures.append(f"drop {drop}: forgetting != -bwt")
         if format_pct(avg_forgetting(matrix)) != format_pct(drop):
@@ -362,8 +362,9 @@ def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
     _, _, index = reference_blocks
     for condition in ("A", "B"):
         completions = import_completions([reference_paths[f"completions_{condition}"]])
-        scored = score_completions(completions, index)
-        cases = [(c.text, index[c.example_id].expected) for c in completions]
+        scored = score_records(score_completions(completions, index, 4)[condition])
+        texts = {c.example_id: c.text for c in completions}
+        cases = [(texts[r.example_id], index[r.example_id].expected) for r in scored]
         check(f"fixture {condition}", scored, cases)
 
     rng = random.Random(777)

@@ -715,6 +715,13 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["block_true"] = str(tmp / "block_true.jsonl")
     write_jsonl_records(tmp / "id_null.jsonl", scores[:1] + [dict(scores[1], example_id=None)])
     paths["id_null"] = str(tmp / "id_null.jsonl")
+    # The fixture's scores are all at stage T=4, block 1 first.
+    for name, moved in (("scores_stage_9", [dict(r, stage=9) for r in scores]),
+                        ("scores_stray_9", scores[:5] + [dict(scores[5], stage=9)] + scores[6:]),
+                        ("scores_partial_2", [dict(r, stage=2) for r in scores[:10]]),
+                        ("scores_reblocked", [dict(scores[0], stage=3, block=2)])):
+        write_jsonl_records(tmp / f"{name}.jsonl", moved)
+        paths[name] = str(tmp / f"{name}.jsonl")
     return paths
 
 
@@ -785,11 +792,20 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
         ("summary --matrix {blocks_7_9_csv}", EXIT_VALIDATION,
          "blocks_7_9.csv: line 1: block 7 is outside blocks 1..2"),
         ("report --corpus {corpus} --import {completions_A} --import {stage_9_B} --out {out}/r",
-         EXIT_VALIDATION, "condition B has completions at stage 9, outside stages 0..4"),
+         EXIT_VALIDATION, "stage_9_B.jsonl: line 1: stage 9 is outside stages 0..4"),
         ("report --corpus {corpus} --conditions A --import {stage_neg_A} --out {out}/r",
-         EXIT_VALIDATION, "condition A has completions at stage -1, outside stages 0..4"),
+         EXIT_VALIDATION, "stage_neg_A.jsonl: line 1: stage -1 is outside stages 0..4"),
         (_SCORE + " --completions {stage_neg_A}", EXIT_VALIDATION,
-         "condition A has completions at stage -1, outside stages 0..4"),
+         "stage_neg_A.jsonl: line 1: stage -1 is outside stages 0..4"),
+        ("matrix --scores {scores_stage_9} --out {out}/m.csv", EXIT_VALIDATION,
+         "scores_stage_9.jsonl: stage 9 is outside stages 0..4"),
+        ("matrix --scores {scores_stray_9} --out {out}/m.csv", EXIT_VALIDATION,
+         "scores_stray_9.jsonl: stage 9 is outside stages 0..4"),
+        ("matrix --scores {scores_A} --scores {scores_partial_2} --out {out}/m.csv", EXIT_OK,
+         "note: stage 2 has no scores for blocks [2, 3, 4]; leaving it out of the matrix"),
+        ("matrix --scores {scores_A} --scores {scores_reblocked} --out {out}/m.csv",
+         EXIT_VALIDATION, "scores_reblocked.jsonl: example 'querybalance_0000:1' is in block 1 "
+         "and in block 2"),
         (_SCORE + " --completions {stage_2_A} --categories {out}/categories.csv",
          EXIT_VALIDATION, "no completions at the final stage 4 for --categories"),
         ("split --corpus {deep} --out {out}/b.json", EXIT_INPUT,
@@ -848,7 +864,9 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
          "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",
          "summary-block-outside-t", "report-stage-above-t", "report-stage-below-0",
-         "score-stage-below-0", "score-categories-without-stage-t", "corpus-nested-too-deeply",
+         "score-stage-below-0", "matrix-stage-above-t", "matrix-stray-stage-above-t",
+         "matrix-stage-missing-blocks", "matrix-example-in-two-blocks",
+         "score-categories-without-stage-t", "corpus-nested-too-deeply",
          "report-nested-too-deeply",
          "report-text-list", "report-text-null", "report-text-number", "report-example-id-number",
          "score-prompt-null", "matrix-example-id-null", "score-blocks-example-id-number",

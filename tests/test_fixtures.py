@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from _support import load_episodes_from_records
+from _support import category_counts, load_episodes_from_records, score_records
 from toolstream.corpus import extract_examples
 from toolstream.fixtures import (
     REFERENCE_APIS,
@@ -11,13 +11,7 @@ from toolstream.fixtures import (
     write_reference_fixture,
 )
 from toolstream.genclient import import_completions
-from toolstream.scoring import (
-    CATEGORY_ORDER,
-    aggregate_macro,
-    category_counts,
-    rates,
-    score_completions,
-)
+from toolstream.scoring import aggregate_macro, rates, score_completions
 from toolstream.transform import Condition, render_prompt
 
 
@@ -56,27 +50,27 @@ def test_per_block_category_counts_match_mix(reference_paths, reference_blocks):
     size_by_block = {b.block_id: len(b.examples) for b in blocks}
     for condition in ("A", "B"):
         records = import_completions([reference_paths[f"completions_{condition}"]])
-        scored = score_completions(records, index)
+        scored = score_records(score_completions(records, index, 4)[condition])
         by_block: dict[int, list] = {}
         for r in scored:
             by_block.setdefault(r.block_id, []).append(r)
         for block_id, block_records in by_block.items():
-            counts = category_counts(block_records)
             expected = REFERENCE_CATEGORY_MIX[condition][size_by_block[block_id]]
-            assert tuple(counts[c] for c in CATEGORY_ORDER) == expected
+            assert tuple(category_counts(block_records)) == expected
 
 
 def test_micro_exact_close_to_macro(reference_paths, reference_blocks):
     _, blocks, index = reference_blocks
     records = import_completions([reference_paths["completions_A"]])
-    scored = score_completions(records, index)
-    counts = category_counts(scored)
-    micro_exact = counts[CATEGORY_ORDER[0]] / len(scored)
+    scored = score_records(score_completions(records, index, 4)["A"])
+    micro_exact = category_counts(scored)[0] / len(scored)
     assert round(micro_exact, 4) == 0.3909
     by_block: dict[int, list] = {}
     for r in scored:
         by_block.setdefault(r.block_id, []).append(r)
-    macro_exact = aggregate_macro([rates(by_block[b]) for b in sorted(by_block)])["exact"]
+    macro_exact = aggregate_macro(
+        [rates(category_counts(by_block[b])) for b in sorted(by_block)]
+    )["exact"]
     assert abs(micro_exact - macro_exact) * 100 < 1.5  # pooled vs unweighted gap
 
 

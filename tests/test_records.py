@@ -10,7 +10,7 @@ import re
 import pytest
 
 from toolstream.calls import ApiCall, ParsedCall, parse_first_call
-from toolstream.clmetrics import BaselineVector, EvalMatrix, MetricsError
+from toolstream.clmetrics import MetricsError, baseline_vector, eval_matrix
 from toolstream.corpus import Episode, Role, ScoredExample, StreamSpec, Turn
 from toolstream.genclient import CompletionRecord, EndpointConfig
 
@@ -44,12 +44,12 @@ def test_completion_record_by_position_and_keyword():
         (lambda: StreamSpec(T=2, block_order=(1, 1)), ValueError,
          "block_order must be a permutation of 1..2"),
         (lambda: StreamSpec(T=2, sample_size=0), ValueError, "sample_size must be >= 1"),
-        (lambda: EvalMatrix(()), MetricsError, "evaluation matrix must be square and nonempty"),
-        (lambda: EvalMatrix(((0.5, 0.5),)), MetricsError,
+        (lambda: eval_matrix(()), MetricsError, "evaluation matrix must be square and nonempty"),
+        (lambda: eval_matrix(((0.5, 0.5),)), MetricsError,
          "evaluation matrix must be square and nonempty"),
-        (lambda: EvalMatrix(((1.5,),)), MetricsError,
+        (lambda: eval_matrix(((1.5,),)), MetricsError,
          "matrix entries must be fractions in [0, 1]"),
-        (lambda: BaselineVector((0.5, -0.1)), MetricsError,
+        (lambda: baseline_vector((0.5, -0.1)), MetricsError,
          "baseline entries must be fractions in [0, 1]"),
         (lambda: EndpointConfig("ftp://host", "m"), ValueError,
          "base_url must be an http:// or https:// URL with a host: 'ftp://host'"),
@@ -87,10 +87,10 @@ def test_checked_records_reject(build, error, message):
 def test_checked_records_normalise():
     assert StreamSpec(T=3).block_order == (1, 2, 3)
     assert StreamSpec(T=2, block_order=[2, 1]).block_order == (2, 1)
-    matrix = EvalMatrix([[1, 0], [0, 1]])
-    assert matrix.values == ((1.0, 0.0), (0.0, 1.0)) and matrix.T == 2
-    assert all(type(v) is float for row in matrix.values for v in row)
-    assert BaselineVector([0, 1]).values == (0.0, 1.0)
+    matrix = eval_matrix([[1, 0], [0, 1]])
+    assert matrix == ((1.0, 0.0), (0.0, 1.0))
+    assert all(type(v) is float for row in matrix for v in row)
+    assert baseline_vector([0, 1]) == (0.0, 1.0)
     cfg = EndpointConfig("http://127.0.0.1:9/v1", "m", stop_sequences=["\n", "]"])
     assert cfg.stop_sequences == ("\n", "]")
     assert (cfg.max_new_tokens, cfg.timeout, cfg.max_parallel, cfg.retries) == (128, 60.0, 4, 2)

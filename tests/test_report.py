@@ -459,4 +459,45 @@ def test_traced_report_calls_every_import_path_target(monkeypatch, tmp_path):
     # declines, plus one normalize per expected call.
     targets = {attr for owner, attr, _, _ in spans.TARGETS if owner in (report, scoring)}
     assert {"parse_first_call", "normalize_params"} <= targets
-    assert targets - {"batch_generate"} <= called, targets - called
+    # Completions go from each file's lines straight into score rows, so the
+    # record-list steps that spans.TARGETS still names are not called.
+    record_steps = {"import_completions", "score_completions"}
+    assert targets - {"batch_generate"} - record_steps <= called, targets - called
+    assert not record_steps & called
+
+
+def test_traced_report_scores_as_planted(monkeypatch, tmp_path):
+    # perfbench's `--trace 1` installs its tracer over the names in
+    # spans.TARGETS, runs `report` and then evaluates each span's counts; a
+    # name missing from `src/`, or a traced call whose arguments the counts
+    # cannot read, fails here instead of in a benchmark run.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    import workloads
+
+    inputs = workloads.write_inputs(workloads.WORKLOADS["replay-stages"], 7, tmp_path / "in")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out = tracer.root(
+            "report.run_report", report.run_report, inputs.corpus, tmp_path / "out",
+            stream=inputs.stream, conditions=[Condition.A_STRIPPED, Condition.B_TRAJECTORY],
+            import_paths=inputs.import_paths,
+        )
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.finish())
+    assert metrics["trace.report_s"] > 0
+    assert workloads.check_scores(out, inputs.planted) == 0
+
+
+def test_report_matches_naive_oracle(tmp_path):
+    # A naive model of every import-mode output but the manifest, on
+    # seeded random inputs: T 2-6, shuffled block orders, samples, stage
+    # subsets, one or both conditions, episodes of 0 to 60 calls, ids and
+    # texts with escapes and non-ASCII.
+    from _oracle import report_oracle_mismatches
+
+    mismatches, shared = report_oracle_mismatches(1, 40, tmp_path)
+    assert mismatches == []
+    assert shared > 0  # some cases render a prompt the same under A and B

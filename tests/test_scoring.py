@@ -2,27 +2,27 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from _support import random_call, random_text
+from _support import random_call, random_text, score_records
 from toolstream.calls import ApiCall, parse_first_call, render_call
 from toolstream import scoring
 from toolstream.report import format_pct
 from toolstream.scoring import (
     CATEGORY_LABELS,
     CATEGORY_ORDER,
+    CODE,
     FLAGS,
     AggregationError,
     ErrorCategory,
     MetricFlags,
     ScoreRecord,
+    StageCodes,
     aggregate_macro,
-    category_counts,
     evaluate_completion,
     rates,
     read_scores_jsonl,
@@ -125,30 +125,32 @@ class TestClassifyError:
         assert category is ErrorCategory.EXACT_FULL_CALL
 
 
-def _records(stage, block_id, flag_rows):
+def _counts(flag_rows):
     # Each flag row names the one category whose FLAGS row it is.
     category_of = {flags: category for category, flags in FLAGS.items()}
-    return [
-        ScoreRecord(
-            example_id=f"e:{i}",
-            stage=stage,
-            block_id=block_id,
-            category=category_of[MetricFlags(*row)],
-        )
-        for i, row in enumerate(flag_rows)
-    ]
+    categories = [category_of[MetricFlags(*row)] for row in flag_rows]
+    return [categories.count(c) for c in CATEGORY_ORDER]
+
+
+def _stage_codes(entries):
+    """StageCodes holding (example_id, stage, block_id, category) entries."""
+    codes = StageCodes({(block_id, example_id) for example_id, _, block_id, _ in entries})
+    for example_id, stage, _, category in entries:
+        row = codes.rows.setdefault(stage, bytearray(len(codes.ids)))
+        row[codes.ids.index(example_id)] = CODE[category]
+    return codes
 
 
 class TestAggregation:
     def test_block_fractions(self):
         rows = [(True, True, True, True)] * 45 + [(False, False, False, False)] * 81
-        score = rates(_records(4, 1, rows))
+        score = rates(_counts(rows))
         assert score["exact"] == 45 / 126
         assert round(score["exact"], 3) == 0.357
         assert format_pct(score["exact"]) == "35.7"
 
     def test_all_exact(self):
-        score = rates(_records(4, 1, [(True, True, True, True)] * 7))
+        score = rates(_counts([(True, True, True, True)] * 7))
         assert score["exact"] == score["name"] == score["name_any"] == 1.0
         assert score["malformed"] == 0.0
 
@@ -166,7 +168,7 @@ class TestAggregation:
         assert format_pct(aggregate_macro(name_blocks)["name"]) == "66.6"
 
     def test_macro_single_block(self):
-        single = rates(_records(4, 1, [(True, True, True, True)] * 3))
+        single = rates(_counts([(True, True, True, True)] * 3))
         macro = aggregate_macro([single])
         assert macro["exact"] == single["exact"]
 
@@ -188,7 +190,7 @@ class TestAggregation:
 
     def test_micro_pooled(self):
         rows = [(True, True, True, True)] * 3 + [(False, False, False, False)]
-        micro = rates(_records(4, 1, rows) + _records(4, 2, rows))
+        micro = rates([a + b for a, b in zip(_counts(rows), _counts(rows))])
         assert micro["exact"] == 0.75
         assert micro["malformed"] == 0.25
 
@@ -222,8 +224,10 @@ class TestCategoryProperties:
                     category=category,
                 )
             )
-        counts = category_counts(records)
-        assert sum(counts.values()) == len(records)
+        codes = _stage_codes([(r.example_id, 1, 1, r.category) for r in records])
+        counts = codes.counts(1)
+        assert sum(counts) == len(records)
+        assert counts == [sum(r.category is c for r in records) for c in CATEGORY_ORDER]
         flags = [FLAGS[r.category] for r in records]
         n_exact = sum(f.exact_ok for f in flags)
         n_any = sum(f.name_any_ok for f in flags)
@@ -239,24 +243,31 @@ class TestCategoryProperties:
 
 class TestExports:
     def test_scores_jsonl_roundtrip(self, tmp_path):
-        records = _records(4, 2, [(True, True, True, True), (True, False, False, False)])
+        entries = [("e:0", 4, 2, ErrorCategory.EXACT_FULL_CALL),
+                   ("e:1", 4, 2, ErrorCategory.WRONG_API)]
         path = tmp_path / "scores.jsonl"
-        write_scores_jsonl(path, records)
+        write_scores_jsonl(path, _stage_codes(entries))
         loaded = read_scores_jsonl(path)
-        assert [(r.example_id, r.stage, r.block_id, r.category) for r in loaded] == [
-            (r.example_id, r.stage, r.block_id, r.category) for r in records
-        ]
+        assert [(r.example_id, r.stage, r.block_id, r.category) for r in loaded] == entries
 
     def test_scores_jsonl_bytes_equal_json_dumps(self, tmp_path):
         ids = ['plain', 'quote"d', "back\\slash", "caf\u00e9", "new\nline", "tab\there"]
-        records = [
-            ScoreRecord(example_id, stage, block_id, category)
-            for (example_id, stage, block_id), category in itertools.product(
-                zip(ids, (0, 1, 4, 12, 3, 7), (0, 9, 10, 2, 1, 123)), ErrorCategory
-            )
+        blocks = (0, 9, 10, 2, 9, 123)
+        # Every category at every stage, each id with its one block; the
+        # file holds them by stage, block and id.
+        entries = [
+            (example_id, stage, block_id, CATEGORY_ORDER[(i + stage) % len(CATEGORY_ORDER)])
+            for stage in (0, 4, 12)
+            for i, (example_id, block_id) in enumerate(zip(ids, blocks))
         ]
         path = tmp_path / "scores.jsonl"
-        write_scores_jsonl(path, records)
+        write_scores_jsonl(path, _stage_codes(entries))
+        records = [
+            ScoreRecord(example_id, stage, block_id, category)
+            for example_id, stage, block_id, category in sorted(
+                entries, key=lambda e: (e[1], e[2], e[0])
+            )
+        ]
         expected = "".join(
             json.dumps(
                 {
@@ -301,9 +312,8 @@ class TestExports:
             read_scores_jsonl(path)
 
     def test_category_csv_row_order(self, tmp_path):
-        records = _records(4, 1, [(True, True, True, True), (False, False, False, False)])
         path = tmp_path / "categories.csv"
-        write_category_csv(path, records)
+        write_category_csv(path, _counts([(True, True, True, True), (False, False, False, False)]))
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "category,count"
         labels = [line.rsplit(",", 1)[0].strip('"') for line in lines[1:]]
@@ -333,11 +343,11 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
     }
     texts = {"e1": "[GetWeather(city='Paris')]", "e2": "no call"}
     completions = [
-        SimpleNamespace(example_id=example_id, stage=stage, text=texts[example_id])
+        SimpleNamespace(example_id=example_id, condition="A", stage=stage, text=texts[example_id])
         for stage in range(3)
         for example_id in ("e1", "e2")
     ]
-    records = score_completions(completions, examples)
+    records = score_records(score_completions(completions, examples, 2)["A"])
     # One view per completion; the scanner sees only the 3 texts the view
     # declines, and each expected call is normalized once.
     assert counts == {"view": 6, "parse": 3, "normalize": 2}
@@ -351,8 +361,9 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
     # An escaped value is a view miss that the scanner parses: one parse, and
     # one normalize besides the expected call's.
     counts.update(view=0, parse=0, normalize=0)
-    escaped = [SimpleNamespace(example_id="e1", stage=0, text=r"[GetWeather(city='Par\'is')]")]
-    records = score_completions(escaped, {"e1": examples["e1"]})
+    escaped = [SimpleNamespace(example_id="e1", condition="A", stage=0,
+                               text=r"[GetWeather(city='Par\'is')]")]
+    records = score_records(score_completions(escaped, {"e1": examples["e1"]}, 2)["A"])
     assert counts == {"view": 1, "parse": 1, "normalize": 1 + 1}
     assert records[0].category is ErrorCategory.CORRECT_API_WRONG_PARAMS
 
@@ -382,31 +393,21 @@ def test_score_completions_order_and_errors():
     # Records come in (stage, block_id, example_id) order whatever the
     # order of the completions.
     for ordered in (completions, completions[::-1], shuffled):
-        records = score_completions(ordered, examples)
+        records = score_records(score_completions(ordered, examples, 4)["A"])
         assert [(r.stage, r.block_id, r.example_id) for r in records] == want
         assert all(r.category is category[r.stage, r.example_id] for r in records)
 
     first = completions[0]
     with pytest.raises(AggregationError) as excinfo:
-        score_completions(completions + [first], examples)
+        score_completions(completions + [first], examples, 4)
     assert str(excinfo.value) == (
         f"more than one completion for example {first.example_id!r} at stage 4"
     )
     with pytest.raises(AggregationError) as excinfo:
         score_completions(completions + [SimpleNamespace(**dict(vars(first), example_id="x:1"))],
-                          examples)
+                          examples, 4)
     assert str(excinfo.value) == "completion references unknown example id 'x:1'"
     with pytest.raises(AggregationError) as excinfo:
-        score_completions(shuffled[1:], examples)
+        score_completions(shuffled[1:], examples, 4)
     assert str(excinfo.value) == "condition A: 1 of 12 examples x 3 stages have no completion"
-    # An example without a block is an error when a completion names it,
-    # and otherwise one missing record per stage.
-    unblocked = {**examples, "u:0": SimpleNamespace(id="u:0", block_id=None, expected=WEATHER)}
-    with pytest.raises(AggregationError) as excinfo:
-        score_completions(completions + [SimpleNamespace(**dict(vars(first), example_id="u:0"))],
-                          unblocked)
-    assert str(excinfo.value) == "example 'u:0' has no block assignment"
-    with pytest.raises(AggregationError) as excinfo:
-        score_completions(completions, unblocked)
-    assert str(excinfo.value) == "condition A: 3 of 13 examples x 3 stages have no completion"
-    assert score_completions([], examples) == []
+    assert score_completions([], examples, 4) == {}
