@@ -32,6 +32,13 @@ interpreter, with the sources under src/ and no installed package:
   the line reader's decoder against json.loads on 20,000 seeded lines,
   counting the lines whose value or error differs, since the reader calls
   the scanner json.loads uses directly;
+- the differential request-form check of tests/test_genclient.py's
+  TestRequestForms::test_templated_forms_equal_json_dumps_on_seeded_texts:
+  batch_generate's templated cache keys and request bodies against
+  json.dumps of each request on 20,000 seeded prompt texts under each of
+  tests/_support.py's REQUEST_CONFIGS, counting the texts on which either
+  differs, since a key that moves with the interpreter's json module
+  would turn a shared cache into misses;
 - the import checks of
   tests/test_cli.py::test_cli_import_leaves_http_libraries_out and
   ::test_cli_import_leaves_dataclasses_out: the modules of
@@ -47,8 +54,8 @@ interpreter, with the sources under src/ and no installed package:
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's, no oracle value or report output differs, no parse or JSON-lines
-decoding differs, the CLI import loads none of those modules and every `--stop`
+report hash equals 3.11's, no oracle value or report output differs, no parse,
+JSON-lines decoding or request form differs, the CLI import loads none of those modules and every `--stop`
 probe gives its expected result.
 """
 
@@ -142,6 +149,12 @@ from _support import jsonl_mismatches
 print(len(jsonl_mismatches({JSONL_SEED}, {JSONL_LINES})))
 """
 
+REQUEST_SEED, REQUEST_TEXTS = 20261021, 20_000
+REQUEST_CODE = f"""
+from _support import request_form_mismatches
+print(len(request_form_mismatches({REQUEST_SEED}, {REQUEST_TEXTS})))
+"""
+
 IMPORT_CODE = """
 from _support import DEFERRED_IMPORTS, NEVER_IMPORTED, cli_launch_imports
 print(*cli_launch_imports(DEFERRED_IMPORTS + NEVER_IMPORTED))
@@ -189,11 +202,12 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, list[str], dict]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, int, list[str], dict]:
     """((fixture, multi-stage and long-trace report digests), oracle values
     checked, oracle mismatches, report-oracle inputs that differ, parser
-    mismatches, JSON-lines mismatches, deferred or never-imported modules
-    that the CLI import loads, --stop probe results) for one interpreter."""
+    mismatches, JSON-lines mismatches, request-form mismatches, deferred or
+    never-imported modules that the CLI import loads, --stop probe results)
+    for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _run(python, ["-m", "toolstream.cli", "fixtures", "--out", "fixture"], work)
@@ -207,10 +221,11 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, list[
         report_mismatches = int(_run(python, ["-c", REPORT_ORACLE_CODE], work))
         parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
         jsonl_mismatches = int(_run(python, ["-c", JSONL_CODE], work))
+        request_mismatches = int(_run(python, ["-c", REQUEST_CODE], work))
         loaded = _run(python, ["-c", IMPORT_CODE], work).split()
         stops = json.loads(_run(python, ["-c", STOP_CODE], work))
     return (digests, checked, mismatches, report_mismatches, parse_mismatches, jsonl_mismatches,
-            loaded, stops)
+            request_mismatches, loaded, stops)
 
 
 def main() -> int:
@@ -234,11 +249,11 @@ def main() -> int:
             ok = False
             continue
         (version, digests, checked, mismatches, report_mismatches, parse_mismatches,
-         jsonl_mismatches, loaded, stops) = result
+         jsonl_mismatches, request_mismatches, loaded, stops) = result
         matched = (
             digests == reference_digests and mismatches == 0 and report_mismatches == 0
-            and parse_mismatches == 0 and jsonl_mismatches == 0 and not loaded
-            and stops == STOP_PROBES
+            and parse_mismatches == 0 and jsonl_mismatches == 0 and request_mismatches == 0
+            and not loaded and stops == STOP_PROBES
         )
         ok = ok and matched
         shown = ", ".join(
@@ -250,6 +265,7 @@ def main() -> int:
               f"report oracle mismatches {report_mismatches}/{REPORT_ORACLE_INPUTS}, "
               f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
               f"jsonl mismatches {jsonl_mismatches}/{JSONL_LINES}, "
+              f"request-key mismatches {request_mismatches}/{REQUEST_TEXTS}, "
               f"deferred or never-imported modules loaded by the CLI import: "
               f"{' '.join(loaded) or 'none'}, "
               f"--stop probes {stops}")

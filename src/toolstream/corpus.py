@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
-from .files import check_utf8, integer, read_json, read_jsonl, string, write_json
+from .files import check_utf8, in_range, integer, read_json, read_jsonl, string, write_json
 
 
 class CorpusError(Exception):
@@ -291,15 +291,19 @@ def write_blocks_json(path: str | Path, blocks: Sequence[DomainBlock]) -> None:
 
 
 def read_blocks_json(path: str | Path) -> tuple[int, dict[str, int]]:
-    """Return (T, example_id -> block_id) from a blocks.json file. T and
-    the block ids must be integers, and each example is listed once."""
+    """Return (T, example_id -> block_id) from a blocks.json file. T must
+    be an integer of at least 2 and each block id an integer in 1..T, and
+    each example is listed once."""
     return read_json(path, _block_assignment, CorpusError)
 
 
 def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
+    T = integer(payload["T"], "T")
+    if T < 2:
+        raise ValueError(f"T must be at least 2, got {T}")
     assignment: dict[str, int] = {}
     for block in payload["blocks"]:
-        block_id = integer(block["block_id"], "block_id")
+        block_id = in_range(integer(block["block_id"], "block_id"), 1, T, "block")
         for example_id in block["example_ids"]:
             example_id = string(example_id, "example_ids entry")
             listed = assignment.setdefault(example_id, block_id)
@@ -307,4 +311,4 @@ def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
                 raise ValueError(
                     f"example {example_id!r} is listed in block {listed} and in block {block_id}"
                 )
-    return integer(payload["T"], "T"), assignment
+    return T, assignment

@@ -13,6 +13,11 @@ json.loads itself uses. Every other line (one that starts with a blank or
 a byte-order mark, holds extra data, or holds no value the scanner reads)
 goes to json.loads, so each value and each error message is json.loads's.
 JSON nested too deeply to decode is a bad value, not a RecursionError.
+
+A JSON file (a cache entry, blocks.json) is read with os.open and
+os.read until end of file, without a buffered file object, whose set-up
+would cost more than the read on every cache lookup: a small file takes
+two reads, the second one empty.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import json.scanner
+import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -97,12 +103,23 @@ def read_csv(path: str | Path, build: Callable[[list[str]], _T], error: type[Exc
         return list(read_lines(fh, path, _csv_fields, build, error))
 
 
+_READ_SIZE = 1 << 16
+
+
 def read_json(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> _T:
-    """build(value) for the file's one value; a bad file raises error("<path>: <reason>")."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """build(value) for the file's one value; a bad file raises error("<path>: <reason>").
+    An OSError names the path."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        return build(_json_value(data.decode("utf-8")))
+        chunks = [os.read(fd, _READ_SIZE)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _READ_SIZE))
+    except OSError as exc:  # os.read's own error (EISDIR on a directory) names no file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    try:
+        return build(_json_value(b"".join(chunks).decode("utf-8")))
     except _BAD_VALUE as exc:
         raise error(f"{path}: {_reason(exc)}") from exc
 

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -126,9 +127,9 @@ def _entry_text(entry: object) -> str:
 
 
 class CompletionCache:
-    """One file per completion under stage_<s>/<condition>/, named by the
-    sha256 of the endpoint URL and the exact request body, holding
-    {"text": completion}.
+    """One file per completion under stage_<s>/<condition>/, named by its
+    request's key (the sha256 of the sorted-key JSON of [base_url, body]),
+    holding {"text": completion}.
 
     Each write goes to its own temp file beside the entry and is renamed
     into place, so concurrent writers, in this process or in others sharing
@@ -136,11 +137,12 @@ class CompletionCache:
     """
 
     def __init__(self, root: str | Path):
-        self.root = os.fspath(root)
+        self._stages = os.path.join(root, "stage_")
 
     def _path(self, stage: int, condition: str, key: str) -> str:
-        # One string join: a lookup is on the path of every warm request.
-        return os.path.join(self.root, f"stage_{stage}", condition, key + ".json")
+        # One f-string, not os.path.join: a lookup is on the path of every
+        # warm request.
+        return f"{self._stages}{stage}{os.sep}{condition}{os.sep}{key}.json"
 
     def get(self, stage: int, condition: str, key: str) -> str | None:
         """The cached completion text, or None on a miss. Its example is
@@ -187,6 +189,28 @@ def _payload(cfg: EndpointConfig, prompt_text: str) -> dict:
     }
 
 
+def _templates(cfg: EndpointConfig) -> tuple[bytes, bytes, bytes, bytes]:
+    """The cache-key and request-body JSON of cfg's requests, each split
+    around the prompt text's JSON string: (key head, key tail, body head,
+    body tail).
+
+    A request's key is the sha256 of json.dumps([base_url, body],
+    sort_keys=True), and its body is json.dumps(body). Both are ASCII, and
+    both write a string as encode_basestring_ascii does, so a prompt's
+    form is head + encode_basestring_ascii(text) + tail, byte for byte.
+    The placeholder prompt grows until its JSON string occurs exactly once
+    in each form, so that one occurrence is the prompt's.
+    """
+    placeholder = "\0"
+    while True:
+        escaped = encode_basestring_ascii(placeholder).encode()
+        key = json.dumps([cfg.base_url, _payload(cfg, placeholder)], sort_keys=True).encode()
+        body = json.dumps(_payload(cfg, placeholder)).encode()
+        if key.count(escaped) == 1 == body.count(escaped):
+            return (*key.split(escaped), *body.split(escaped))
+        placeholder += "\0"
+
+
 @functools.cache
 def _tls_context() -> ssl.SSLContext:
     """One verifying context (system CA store) per process: building it
@@ -211,7 +235,7 @@ def _connect(cfg: EndpointConfig) -> http.client.HTTPConnection:
 
 
 def _request_once(
-    cfg: EndpointConfig, idle: list, path: str, headers: dict, payload: dict
+    cfg: EndpointConfig, idle: list, path: str, headers: dict, body: bytes
 ) -> str:
     """POST one request and read its whole reply, over a connection popped
     from `idle`, or a new one when none is idle.
@@ -232,31 +256,24 @@ def _request_once(
     except IndexError:
         conn = _connect(cfg)
     try:
-        conn.request("POST", path, body=json.dumps(payload).encode("utf-8"), headers=headers)
+        conn.request("POST", path, body=body, headers=headers)
         if hasattr(socket, "TCP_QUICKACK"):
             conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
         response = conn.getresponse()
-        body = response.read()
+        reply = response.read()
     except (OSError, http.client.HTTPException) as exc:
         conn.close()
         raise TransportError(f"request to {cfg.base_url} failed: {exc!r}") from exc
     idle.append(conn)
     if not 200 <= response.status < 300:
-        raise EndpointError(response.status, body.decode("utf-8", "replace")[:200])
+        raise EndpointError(response.status, reply.decode("utf-8", "replace")[:200])
     try:
-        text = json.loads(body)["choices"][0]["message"]["content"]
+        text = json.loads(reply)["choices"][0]["message"]["content"]
         if not isinstance(text, str):
             raise TypeError(f"content is {type(text).__name__}, not a string")
     except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
         raise EndpointError(response.status, f"malformed response body: {exc}")
     return text
-
-
-def _request_key(cfg: EndpointConfig, payload: dict) -> str:
-    """A request's cache key: the sha256 of the endpoint URL and its body."""
-    return hashlib.sha256(
-        json.dumps([cfg.base_url, payload], sort_keys=True).encode("utf-8")
-    ).hexdigest()
 
 
 def _fetch(cfg: EndpointConfig, missing: dict, stage: int, cache: CompletionCache | None) -> dict:
@@ -364,16 +381,21 @@ def batch_generate(
     # text, or None until it is sent; and the body of each missing request.
     requests: list[tuple[str, str]] = []
     outcomes: dict[tuple[str, str], str | Exception | None] = {}
-    missing: dict[tuple[str, str], dict] = {}
+    missing: dict[tuple[str, str], bytes] = {}
+    key_head, key_tail, body_head, body_tail = _templates(cfg)
+    key_start = hashlib.sha256(key_head)
     for prompt in prompts:
-        payload = _payload(cfg, prompt.text)
-        request = (prompt.condition.value, _request_key(cfg, payload))
+        escaped = encode_basestring_ascii(prompt.text).encode()
+        key = key_start.copy()
+        key.update(escaped)
+        key.update(key_tail)
+        request = (prompt.condition.value, key.hexdigest())
         requests.append(request)
         if request not in outcomes:
             text = cache.get(stage, *request) if cache is not None else None
             outcomes[request] = text
             if text is None:
-                missing[request] = payload
+                missing[request] = body_head + escaped + body_tail
     if missing:
         outcomes.update(_fetch(cfg, missing, stage, cache))
 

@@ -241,7 +241,8 @@ def run_report(
         "source": (
             {"mode": "import", "paths": [str(p) for p in import_paths]}
             if import_paths
-            else {"mode": "http", "base_url": endpoint.base_url, "model_id": endpoint.model_id}
+            else {"mode": "http", "base_url": endpoint.base_url, "model_id": endpoint.model_id,
+                  "max_tokens": endpoint.max_new_tokens, "stop": list(endpoint.stop_sequences)}
         ),
     })
     return out

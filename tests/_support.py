@@ -8,6 +8,7 @@ the library implementation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -36,7 +37,7 @@ from toolstream.files import _json_value
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
 from toolstream.genclient import CompletionRecord, write_completions_jsonl
 from toolstream.scoring import CATEGORY_ORDER, ScoreRecord
-from toolstream.transform import Condition, render_prompt
+from toolstream.transform import Condition, RenderedPrompt, render_prompt
 
 # Fixed malformed-completion corpus: each case's text, the reason it must
 # produce, and the offset the failure must point at.
@@ -332,6 +333,69 @@ def jsonl_mismatches(seed: int, n: int) -> list[str]:
     return [
         t for t in texts if decode_outcome(_json_value, t) != decode_outcome(json.loads, t)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Differential request forms: batch_generate's cache keys and request
+# bodies against json.dumps of each request
+
+# Endpoint settings whose strings hold what the key and body templates must
+# survive: quotes, backslashes, non-ASCII, and the templates' placeholder
+# ("\0", then "\0\0", ...) as a whole JSON string or at a string's end.
+REQUEST_CONFIGS = (
+    {"base_url": "http://127.0.0.1:8000", "model_id": "test-model"},
+    {"base_url": 'https://models.example:8443/v1/a%20b?q="x"',
+     "model_id": 'm"\\\0\xe9\u2028\U0001f600', "max_new_tokens": 7,
+     "stop_sequences": ("\0", "\0\0", 'a"\0', "\\", "\n", "\u6f22", "")},
+    {"base_url": "http://h", "model_id": "\0", "max_new_tokens": 1, "stop_sequences": ()},
+)
+# Prompt pieces: what JSON escapes, non-ASCII up to an astral emoji, and
+# the placeholder's text and escaped form. A prompt holds no lone
+# surrogate: it has no UTF-8 form to hash.
+_PROMPT_PIECES = tuple('ab /"\\\n\t\r\x00\x1f\x7f\xe9\u2028\u2029\ufeff\U0001f600\u6f22') + (
+    "\\u0000", '"\\u0000"', '"\0"', "\0\0", "User: ", "\nAPI-Request:",
+)
+
+
+def request_form_mismatches(seed: int, n: int) -> list[tuple[int, str]]:
+    """The (config index, text) pairs, of n seeded prompt texts under each
+    of REQUEST_CONFIGS, whose cache key or request body in batch_generate
+    is not the sha256 of json.dumps([base_url, body], sort_keys=True) or
+    json.dumps(body), body being _payload's request. The bodies are those
+    batch_generate hands to genclient._fetch, which is replaced for the
+    call, so nothing is sent."""
+    from toolstream import genclient
+
+    rng = random.Random(seed)
+    texts = [
+        "".join(rng.choice(_PROMPT_PIECES) for _ in range(rng.randrange(24))) for _ in range(n)
+    ]
+    prompts = [RenderedPrompt(f"e{i}", Condition.A_STRIPPED, t) for i, t in enumerate(texts)]
+    sent: dict = {}
+
+    def fetch(cfg, missing, stage, cache):
+        sent.update(missing)
+        return dict.fromkeys(missing, "")
+
+    mismatches = []
+    real_fetch, genclient._fetch = genclient._fetch, fetch
+    try:
+        for index, settings in enumerate(REQUEST_CONFIGS):
+            cfg = genclient.EndpointConfig(**settings)
+            sent.clear()
+            genclient.batch_generate(prompts, cfg, 1)
+            for text in texts:
+                body = genclient._payload(cfg, text)
+                key = hashlib.sha256(
+                    json.dumps([cfg.base_url, body], sort_keys=True).encode("utf-8")
+                ).hexdigest()
+                if sent.get(("A", key)) != json.dumps(body).encode("utf-8"):
+                    mismatches.append((index, text))
+            if len(sent) != len(set(texts)):
+                mismatches.append((index, "<distinct request count>"))
+    finally:
+        genclient._fetch = real_fetch
+    return mismatches
 
 
 def score_records(codes) -> list[ScoreRecord]:

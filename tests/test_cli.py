@@ -705,6 +705,13 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     blocks["T"] = 4.5
     (tmp / "fraction_t.json").write_text(json.dumps(blocks), encoding="utf-8")
     paths["fraction_t_blocks"] = str(tmp / "fraction_t.json")
+    # Block ids lie in 1..T, and T is at least 2.
+    blocks = json.loads(Path(paths["blocks"]).read_text(encoding="utf-8"))
+    assert [b["block_id"] for b in blocks["blocks"]] == [1, 2, 3, 4] and blocks["T"] == 4
+    for name, T, last_id in (("block_9", 4, 9), ("t_2", 2, 4), ("t_1", 1, 4)):
+        blocks["T"], blocks["blocks"][3]["block_id"] = T, last_id
+        (tmp / f"{name}.json").write_text(json.dumps(blocks), encoding="utf-8")
+        paths[f"{name}_blocks"] = str(tmp / f"{name}.json")
     paths["scores_A"] = str(tmp / "scores_A.jsonl")
     assert main(["score", "--corpus", paths["corpus"], "--blocks-file", paths["blocks"],
                  "--completions", paths["completions_A"], "--out", paths["scores_A"]]) == EXIT_OK
@@ -771,6 +778,14 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
         ("score --corpus {corpus} --blocks-file {fraction_t_blocks} --out {out}/s.jsonl"
          " --completions {completions_A}", EXIT_VALIDATION,
          "fraction_t.json: T must be an integer, got 4.5"),
+        ("score --corpus {corpus} --blocks-file {block_9_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         "block_9.json: block 9 is outside blocks 1..4"),
+        ("score --corpus {corpus} --blocks-file {t_2_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         "t_2.json: block 3 is outside blocks 1..2"),
+        ("score --corpus {corpus} --blocks-file {t_1_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION, "t_1.json: T must be at least 2, got 1"),
         ("summary --matrix {repeated_stage_csv}", EXIT_VALIDATION,
          "repeated_stage.csv: line 5: stage 2 appears more than once"),
         ("summary --matrix {stage_5_csv}", EXIT_VALIDATION,
@@ -859,7 +874,8 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "matrix-not-utf8", "summary-stage-0-and-baseline", "matrix-block-0",
          "matrix-block-boolean", "report-stage-fraction", "report-stage-boolean",
          "report-stage-string",
-         "score-example-in-two-blocks", "score-blocks-t-fraction",
+         "score-example-in-two-blocks", "score-blocks-t-fraction", "score-block-id-above-t",
+         "score-blocks-t-2", "score-blocks-t-1",
          "summary-repeated-stage", "summary-stage-outside-t", "summary-baseline-not-stage-0",
          "summary-baseline-extra-row", "summary-baseline-other-blocks", "render-lone-surrogate",
          "report-lone-surrogate", "score-prompts-lone-surrogate", "summary-repeated-block",

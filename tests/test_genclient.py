@@ -14,7 +14,8 @@ from collections import Counter
 
 import pytest
 
-from _support import MockEndpoint, RawEndpoint
+from _support import REQUEST_CONFIGS, MockEndpoint, RawEndpoint, request_form_mismatches
+from toolstream import genclient
 from toolstream.genclient import (
     CompletionCache,
     CompletionRecord,
@@ -159,6 +160,63 @@ class TestGenerateCompletion:
             monkeypatch.setenv("TOOLSTREAM_API_KEY", "sekrit")
             generate_completion(_prompt(8), cfg, stage=1)
             assert mock.last_headers.get("Authorization") == "Bearer sekrit"
+
+
+# One request whose cache key and body are pinned as earlier versions
+# computed them: sha256(json.dumps([base_url, body], sort_keys=True)) and
+# json.dumps(body). A change to either would turn every existing cache
+# entry into a miss.
+GOLDEN_CONFIG = {
+    "base_url": "https://models.example.org:8443/v1/openai",
+    "model_id": 'org/mo"del\\v2',
+    "max_new_tokens": 64,
+    "stop_sequences": ("\n\n", "</call>"),
+}
+GOLDEN_TEXT = 'User: say "hi" \\ then\nAPI-Request: caf\xe9 \u2028 \U0001f600'
+GOLDEN_KEY = "7fd6afd681b71304b0521c4ccfd961e27d3ae40cfab9b56a7b4cddc7c18cee77"
+GOLDEN_BODY = (
+    b'{"model": "org/mo\\"del\\\\v2", "messages": [{"role": "user", "content": '
+    b'"User: say \\"hi\\" \\\\ then\\nAPI-Request: caf\\u00e9 \\u2028 \\ud83d\\ude00"}], '
+    b'"temperature": 0, "max_tokens": 64, "stop": ["\\n\\n", "</call>"]}'
+)
+
+
+class TestRequestForms:
+    @pytest.fixture
+    def sent(self, monkeypatch) -> dict:
+        """The (condition, key) -> body of each request batch_generate
+        would send; each is answered "[Sent()]" without a connection."""
+        sent: dict = {}
+
+        def fetch(cfg, missing, stage, cache):
+            sent.update(missing)
+            return dict.fromkeys(missing, "[Sent()]")
+
+        monkeypatch.setattr(genclient, "_fetch", fetch)
+        return sent
+
+    def test_golden_key_and_body(self, tmp_path, sent):
+        cfg = EndpointConfig(**GOLDEN_CONFIG)
+        prompt = RenderedPrompt("e:0", Condition.A_STRIPPED, GOLDEN_TEXT)
+        batch_generate([prompt], cfg, 1)
+        assert sent == {("A", GOLDEN_KEY): GOLDEN_BODY}
+        # An entry written under that key is served without a request.
+        entry = tmp_path / "stage_1" / "A" / f"{GOLDEN_KEY}.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text('{"text": "[Cached()]"}\n', encoding="utf-8")
+        sent.clear()
+        result = batch_generate([prompt], cfg, 1, CompletionCache(tmp_path))
+        assert not sent
+        assert [r.text for r in result.records] == ["[Cached()]"]
+
+    def test_templated_forms_equal_json_dumps_on_seeded_texts(self):
+        assert request_form_mismatches(20261021, 20_000) == []
+        # The last two configs hold the first placeholder's JSON string, so
+        # the placeholder has to grow.
+        for settings in REQUEST_CONFIGS[1:]:
+            cfg = EndpointConfig(**settings)
+            key = json.dumps([cfg.base_url, genclient._payload(cfg, "\0")], sort_keys=True)
+            assert key.count('"\\u0000"') > 1
 
 
 class TestEndpointConfig:

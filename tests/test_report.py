@@ -261,6 +261,8 @@ class TestRunReport:
             endpoint = EndpointConfig(
                 base_url=mock.base_url,
                 model_id="mock",
+                max_new_tokens=32,
+                stop_sequences=("\n", "</s>"),
                 max_parallel=2,
                 retries=1,
                 retry_backoff=0.01,
@@ -281,7 +283,11 @@ class TestRunReport:
         matrix_lines = (out / "matrix_exact_B.csv").read_text().strip().splitlines()
         assert [line.split(",")[0] for line in matrix_lines] == ["stage", "0", "1", "2"]
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["source"]["mode"] == "http"
+        # The decoding settings are part of every request's cache key.
+        assert manifest["source"] == {
+            "mode": "http", "base_url": mock.base_url, "model_id": "mock",
+            "max_tokens": 32, "stop": ["\n", "</s>"],
+        }
         assert manifest["stages"] == [0, 1, 2]
 
     def test_cache_hit_scores_the_requesting_example(self, tmp_path):
