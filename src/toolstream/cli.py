@@ -9,10 +9,12 @@ them. Every option is a command-line flag.
 
 Exit codes:
   0  success
-  2  command-line usage error (including a missing required flag)
-  3  missing or unreadable input (any file-system error, a bad corpus
-     line, a non-UTF-8 line on `parse`'s stdin, failing --tokenizer-cmd)
-  4  validation error (partition, schema, matrix, aggregation)
+  2  usage error: a missing required flag, or a bad --conditions, --stop
+     or --tokenizer-cmd value
+  3  missing or unreadable input: any file-system error, a bad corpus
+     line, a non-UTF-8 line on `parse`'s stdin, a failing --tokenizer-cmd
+  4  any other bad value: a setting, the partition, blocks.json, a bad
+     prompts, completions, score or matrix line, a missing completion
   5  endpoint or transport failure
   6  stale completion (prompt-hash mismatch)
   1  unexpected internal error
@@ -26,17 +28,9 @@ import shlex
 import sys
 
 from .calls import ParsedCall, normalize_params, parse_first_call
-from .clmetrics import (
-    MetricsError,
-    baseline_vector,
-    matrix_from_rows,
-    read_matrix_csv,
-    summarize,
-)
+from .clmetrics import baseline_vector, matrix_from_rows, read_matrix_csv, summarize
 from .corpus import (
-    CorpusError,
     IngestionError,
-    PartitionError,
     ScoredExample,
     StreamSpec,
     assign_blocks,
@@ -58,19 +52,17 @@ from .genclient import (
     read_completions,
     write_completions_jsonl,
 )
-from .report import ReportError, block_scores_by_stage, render_prompts, run_report
-from .report import write_matrix
+from .report import block_scores_by_stage, render_prompts, run_report, write_matrix
 from .scoring import (
     CODE,
     METRICS,
-    AggregationError,
     Scorer,
     StageCodes,
     read_scores_jsonl,
     write_category_csv,
     write_scores_jsonl,
 )
-from .transform import Condition, StatsError, export_rendered_jsonl, read_rendered_jsonl
+from .transform import Condition, export_rendered_jsonl, read_rendered_jsonl
 from . import __version__
 
 EXIT_OK = 0
@@ -114,6 +106,16 @@ def _stop(value: str) -> str:
             return value.encode("latin-1", "backslashreplace").decode("unicode_escape")
         except (UnicodeDecodeError, DeprecationWarning) as exc:
             raise argparse.ArgumentTypeError(f"bad escape in {value!r}: {exc}")
+
+
+def _command(value: str) -> list[str]:
+    try:
+        words = shlex.split(value)
+    except ValueError as exc:  # an unbalanced quote or a trailing escape
+        raise argparse.ArgumentTypeError(f"cannot split {value!r}: {exc}")
+    if not words:
+        raise argparse.ArgumentTypeError(f"no command in {value!r}")
+    return words
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=_int_list, help="stages to generate (endpoint mode)")
     _add_endpoint_flags(p, required=False)
     p.add_argument("--sample", type=int, help="per-block eval sample size")
-    p.add_argument("--tokenizer-cmd", help="external tokenizer command (shell-split)")
+    p.add_argument("--tokenizer-cmd", type=_command,
+                   help="external tokenizer command (shell-split)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_report)
 
@@ -281,22 +284,22 @@ def cmd_score(args: argparse.Namespace) -> int:
     prompts = [p for condition in Condition for p in render_prompts(examples, condition)]
     tags = [args.condition.value] if args.condition else [c.value for c in Condition]
     scorer = Scorer(examples, corpus, tags, T)
+    read_completions(args.completions, prompts, scorer.add)
+    if args.condition is None:
+        tags = [tag for tag in tags if scorer.codes[tag].rows]
+        if len(tags) != 1:
+            found = ", ".join(tags) or "none"
+            raise ValueError(f"completions hold conditions {found}; choose one with --condition")
     try:
-        read_completions(args.completions, prompts, scorer.add)
-        if args.condition is None:
-            tags = [tag for tag in tags if scorer.codes[tag].rows]
-            if len(tags) != 1:
-                found = ", ".join(tags) or "none"
-                raise ReportError(
-                    f"completions hold conditions {found}; choose one with --condition"
-                )
         codes = scorer.scores(tags[0])
-    except AggregationError as exc:
-        hint = "" if args.prompts else " (to score a sampled run, pass its prompts file as --prompts)"
-        raise AggregationError(f"{exc}{hint}") from exc
+    except ValueError as exc:
+        # What scoring a sampled run without its prompts file gives.
+        if args.prompts or not scorer.codes[tags[0]].rows:
+            raise
+        raise ValueError(f"{exc} (to score a sampled run, pass its prompts file as --prompts)")
     # The category table counts the final stage's scores, as `report`'s does.
     if args.categories and T not in codes.rows:
-        raise ReportError(f"no completions at the final stage {T} for --categories")
+        raise ValueError(f"no completions at the final stage {T} for --categories")
     write_scores_jsonl(args.out, codes)
     if args.categories:
         write_category_csv(args.categories, codes.counts(T))
@@ -307,12 +310,12 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     scores = [(path, r) for path in args.scores for r in read_scores_jsonl(path)]
     if not scores:
-        raise AggregationError("no score records found")
+        raise ValueError("no score records found")
     block_of: dict[str, int] = {}  # example id -> its block, the same in every file
     for path, r in scores:
         if block_of.setdefault(r.example_id, r.block_id) != r.block_id:
-            raise AggregationError(f"{path}: example {r.example_id!r} is in block "
-                                   f"{block_of[r.example_id]} and in block {r.block_id}")
+            raise ValueError(f"{path}: example {r.example_id!r} is in block "
+                             f"{block_of[r.example_id]} and in block {r.block_id}")
     T = max(block_of.values())
     codes = StageCodes((block_id, example_id) for example_id, block_id in block_of.items())
     slots = {example_id: slot for slot, example_id in enumerate(codes.ids)}
@@ -321,12 +324,12 @@ def cmd_matrix(args: argparse.Namespace) -> int:
             in_range(r.block_id, 1, T, "block")
             stage = in_range(r.stage, 0, T, "stage")
         except ValueError as exc:
-            raise AggregationError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
         if stage not in codes.rows:
             codes.rows[stage] = bytearray(len(slots))
         row = codes.rows[stage]
         if row[slots[r.example_id]]:
-            raise AggregationError(
+            raise ValueError(
                 f"{path}: more than one score for example {r.example_id!r} at stage {r.stage}"
             )
         row[slots[r.example_id]] = CODE[r.category]
@@ -340,17 +343,15 @@ def cmd_summary(args: argparse.Namespace) -> int:
     blocks, rows = read_matrix_csv(args.matrix)
     matrix, baseline = matrix_from_rows(rows, len(blocks))
     if baseline is not None and args.baseline:
-        raise MetricsError(f"{args.matrix}: matrix has a stage 0 row; drop --baseline")
+        raise ValueError(f"{args.matrix}: matrix has a stage 0 row; drop --baseline")
     if baseline is None:
         if not args.baseline:
-            raise MetricsError(
-                "matrix has no stage 0 row; provide --baseline for forward transfer"
-            )
+            raise ValueError("matrix has no stage 0 row; provide --baseline for forward transfer")
         baseline_blocks, baseline_rows = read_matrix_csv(args.baseline)
         if list(baseline_rows) != [0]:
-            raise MetricsError(f"{args.baseline}: baseline CSV must hold exactly one row (stage 0)")
+            raise ValueError(f"{args.baseline}: baseline CSV must hold exactly one row (stage 0)")
         if baseline_blocks != blocks:
-            raise MetricsError(
+            raise ValueError(
                 f"{args.baseline}: blocks {baseline_blocks} differ from the matrix's {blocks}"
             )
         baseline = baseline_vector(baseline_rows[0])
@@ -382,7 +383,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
         if given:
             raise ValueError(f"{', '.join(given)} only apply in endpoint mode (--base-url)")
-    tokenizer_cmd = shlex.split(args.tokenizer_cmd) if args.tokenizer_cmd else None
     out = run_report(
         corpus_path=args.corpus,
         out_dir=args.out,
@@ -392,7 +392,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         endpoint=endpoint,
         stages=stages,
         cache_dir=args.cache_dir,
-        tokenizer_cmd=tokenizer_cmd,
+        tokenizer_cmd=args.tokenizer_cmd,
     )
     print(f"report written to {out}")
     return EXIT_OK
@@ -436,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, IngestionError, StatsError) as exc:
+    except (OSError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TransportError, EndpointError) as exc:
@@ -445,18 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     except StaleCompletionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALE
-    except (
-        PartitionError,
-        CorpusError,
-        MetricsError,
-        AggregationError,
-        ReportError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

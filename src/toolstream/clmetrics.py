@@ -15,24 +15,20 @@ from typing import Mapping, Sequence
 from .files import in_range, read_csv, write_csv
 
 
-class MetricsError(Exception):
-    pass
-
-
 Matrix = tuple[tuple[float, ...], ...]
 
 
 def _fractions(values: Sequence[float], what: str) -> tuple[float, ...]:
     vals = tuple(float(v) for v in values)
     if any(not (0.0 <= v <= 1.0) for v in vals):
-        raise MetricsError(f"{what} entries must be fractions in [0, 1]")
+        raise ValueError(f"{what} entries must be fractions in [0, 1]")
     return vals
 
 
 def eval_matrix(values: Sequence[Sequence[float]]) -> Matrix:
     """R from rows of stages 1..T: square, nonempty, fractions."""
     if not values or any(len(row) != len(values) for row in values):
-        raise MetricsError("evaluation matrix must be square and nonempty")
+        raise ValueError("evaluation matrix must be square and nonempty")
     return tuple(_fractions(row, "matrix") for row in values)
 
 
@@ -52,7 +48,7 @@ def _mean(values: Sequence[float]) -> float:
 
 def _require_multistage(R: Matrix) -> None:
     if len(R) < 2:
-        raise MetricsError("transfer statistics are undefined for fewer than 2 stages")
+        raise ValueError("transfer statistics are undefined for fewer than 2 stages")
 
 
 def average_accuracy(R: Matrix) -> float:
@@ -70,7 +66,7 @@ def fwt(R: Matrix, b: Sequence[float]) -> float:
     """Mean prior-stage-minus-baseline accuracy on not-yet-trained blocks."""
     _require_multistage(R)
     if len(b) != len(R):
-        raise MetricsError(f"baseline length {len(b)} does not match T={len(R)}")
+        raise ValueError(f"baseline length {len(b)} does not match T={len(R)}")
     return _mean([R[j - 1][j] - b[j] for j in range(1, len(R))])
 
 
@@ -115,7 +111,7 @@ def write_matrix_csv(
     for stage in sorted(rows):
         row = list(rows[stage])
         if len(row) != T:
-            raise MetricsError(f"stage {stage} row has {len(row)} values, expected {T}")
+            raise ValueError(f"stage {stage} row has {len(row)} values, expected {T}")
         table.append([stage] + [repr(float(v)) for v in row])
     write_csv(path, ["stage"] + [f"block_{b}" for b in block_ids], table)
 
@@ -147,9 +143,9 @@ def read_matrix_csv(path: str | Path) -> tuple[list[int], dict[int, list[float]]
                 raise ValueError(f"stage {stage} appears more than once")
             rows[stage] = [float(v) for v in fields[1:]]
 
-    read_csv(path, row, MetricsError)
+    read_csv(path, row)
     if not header:
-        raise MetricsError(f"{path}: empty matrix file")
+        raise ValueError(f"{path}: empty matrix file")
     return blocks, rows
 
 
@@ -160,6 +156,6 @@ def matrix_from_rows(
     from stage-indexed rows."""
     missing = [s for s in range(1, T + 1) if s not in rows]
     if missing:
-        raise MetricsError(f"matrix is missing stage rows: {missing}")
+        raise ValueError(f"matrix is missing stage rows: {missing}")
     matrix = eval_matrix([rows[s] for s in range(1, T + 1)])
     return matrix, baseline_vector(rows[0]) if 0 in rows else None

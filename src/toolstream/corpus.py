@@ -18,19 +18,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
-from .files import check_utf8, in_range, integer, read_json, read_jsonl, string, write_json
+from .files import array, check_utf8, in_range, integer, read_json, read_jsonl, string, write_json
 
 
-class CorpusError(Exception):
-    pass
-
-
-class IngestionError(CorpusError):
-    pass
-
-
-class PartitionError(CorpusError):
-    pass
+class IngestionError(Exception):
+    """A corpus line that cannot be read, or a failing tokenizer command."""
 
 
 class Role(Enum):
@@ -208,11 +200,11 @@ def partition_blocks(episodes: Sequence[Episode], T: int, seed: int) -> list[Dom
     import random
 
     if T < 2:
-        raise PartitionError("T must be >= 2")
+        raise ValueError("T must be >= 2")
     examples = [ex for episode in episodes for ex in extract_examples(episode)]
     groups = Counter(ex.expected.name for ex in examples)
     if len(groups) < T:
-        raise PartitionError(
+        raise ValueError(
             f"need at least {T} distinct API names to build {T} blocks, "
             f"found {len(groups)}"
         )
@@ -294,7 +286,7 @@ def read_blocks_json(path: str | Path) -> tuple[int, dict[str, int]]:
     """Return (T, example_id -> block_id) from a blocks.json file. T must
     be an integer of at least 2 and each block id an integer in 1..T, and
     each example is listed once."""
-    return read_json(path, _block_assignment, CorpusError)
+    return read_json(path, _block_assignment)
 
 
 def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
@@ -302,9 +294,9 @@ def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
     if T < 2:
         raise ValueError(f"T must be at least 2, got {T}")
     assignment: dict[str, int] = {}
-    for block in payload["blocks"]:
+    for block in array(payload["blocks"], "blocks"):
         block_id = in_range(integer(block["block_id"], "block_id"), 1, T, "block")
-        for example_id in block["example_ids"]:
+        for example_id in array(block["example_ids"], "example_ids"):
             example_id = string(example_id, "example_ids entry")
             listed = assignment.setdefault(example_id, block_id)
             if listed != block_id:

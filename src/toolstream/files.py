@@ -3,9 +3,10 @@ and that writes its JSON, JSON-lines and CSV files.
 
 Input is UTF-8. A line-oriented input (JSON-lines, CSV, standard input)
 is read as bytes and decoded line by line; a line ends with "\\n" or
-"\\r\\n", and readers skip blank lines. A bad line raises the caller's
-own error class as "<path>: line N: <reason>", so each caller keeps its
-exit code; a LineError that a build function raises keeps its class.
+"\\r\\n", and readers skip blank lines. A bad line raises ValueError (or
+IngestionError, for the corpus and `parse`'s standard input) as
+"<path>: line N: <reason>", so each input keeps its exit code; a
+LineError that a build function raises keeps its class.
 
 A JSON line (or file) that starts with a JSON value and holds only JSON
 whitespace (" \\t\\r\\n") after it is decoded by one call of the scanner
@@ -97,17 +98,17 @@ def _csv_fields(text: str) -> list[str]:
     return next(csv.reader([text]))
 
 
-def read_csv(path: str | Path, build: Callable[[list[str]], _T], error: type[Exception]) -> list[_T]:
+def read_csv(path: str | Path, build: Callable[[list[str]], _T]) -> list[_T]:
     """build(fields) for each non-blank line, header included, in file order."""
     with open(path, "rb") as fh:
-        return list(read_lines(fh, path, _csv_fields, build, error))
+        return list(read_lines(fh, path, _csv_fields, build, ValueError))
 
 
 _READ_SIZE = 1 << 16
 
 
-def read_json(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> _T:
-    """build(value) for the file's one value; a bad file raises error("<path>: <reason>").
+def read_json(path: str | Path, build: Callable[[object], _T]) -> _T:
+    """build(value) for the file's one value; a bad file raises ValueError("<path>: <reason>").
     An OSError names the path."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -121,7 +122,7 @@ def read_json(path: str | Path, build: Callable[[object], _T], error: type[Excep
     try:
         return build(_json_value(b"".join(chunks).decode("utf-8")))
     except _BAD_VALUE as exc:
-        raise error(f"{path}: {_reason(exc)}") from exc
+        raise ValueError(f"{path}: {_reason(exc)}") from exc
 
 
 def check_utf8(text: str, what: str) -> None:
@@ -152,6 +153,13 @@ def in_range(value: int, least: int, most: int, what: str) -> int:
     if least <= value <= most:
         return value
     raise ValueError(f"{what} {value} is outside {what}s {least}..{most}")
+
+
+def array(value: object, what: str) -> list:
+    """A JSON value that must be an array."""
+    if type(value) is list:
+        return value
+    raise ValueError(f"{what} must be an array, got {json.dumps(value)}")
 
 
 def string(value: object, what: str) -> str:

@@ -39,10 +39,9 @@ class TransportError(Exception):
 
 
 class EndpointError(Exception):
-    def __init__(self, status: int, body_snippet: str):
-        super().__init__(f"endpoint returned status {status}: {body_snippet}")
+    def __init__(self, status: int, detail: str):
+        super().__init__(f"endpoint returned status {status}: {detail}")
         self.status = status
-        self.body_snippet = body_snippet
 
 
 class StaleCompletionError(LineError):
@@ -150,7 +149,7 @@ class CompletionCache:
         absent entry is a miss. An unreadable one, or one whose text is not
         a string, is a miss that is logged; the next put replaces it."""
         try:
-            return read_json(self._path(stage, condition, key), _entry_text, ValueError)
+            return read_json(self._path(stage, condition, key), _entry_text)
         except (FileNotFoundError, NotADirectoryError):
             return None
         except (OSError, ValueError) as exc:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .clmetrics import MetricsError, matrix_from_rows, summarize, write_matrix_csv
+from .clmetrics import matrix_from_rows, summarize, write_matrix_csv
 from .corpus import (
     ScoredExample,
     StreamSpec,
@@ -43,10 +43,6 @@ from .transform import (
 )
 from .genclient import import_completions  # noqa: F401 - kept for perfbench's tracer
 from .scoring import score_completions  # noqa: F401 - kept for perfbench's tracer
-
-
-class ReportError(Exception):
-    pass
 
 
 def format_pct(fraction: float) -> str:
@@ -89,7 +85,7 @@ def write_matrix(path: str | Path, scores: Mapping, stream: StreamSpec, metric: 
         else:
             rows[stage] = [by_block[b][metric] for b in order]
     if not rows:
-        raise MetricsError("no stage has scores for every block; cannot build a matrix")
+        raise ValueError("no stage has scores for every block; cannot build a matrix")
     write_matrix_csv(path, rows, order)
     return rows
 
@@ -129,11 +125,11 @@ def run_report(
     before anything is scored. Returns the output directory.
     """
     if bool(import_paths) == (endpoint is not None):
-        raise ReportError("exactly one completion source is required: imports or an endpoint")
+        raise ValueError("exactly one completion source is required: imports or an endpoint")
     for i, stage in enumerate(stages):
         in_range(stage, 0, stream.T, "stage")
         if stage in stages[:i]:
-            raise ReportError(f"stage {stage} appears more than once")
+            raise ValueError(f"stage {stage} appears more than once")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

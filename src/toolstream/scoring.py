@@ -19,10 +19,6 @@ from .clmetrics import _mean
 from .files import in_range, integer, read_jsonl, string, write_csv, write_lines
 
 
-class AggregationError(Exception):
-    pass
-
-
 class MetricFlags(NamedTuple):
     parsed: bool
     name_ok: bool
@@ -170,12 +166,12 @@ class Scorer:
         if slot is None:
             if example_id in self._corpus_ids:
                 return
-            raise AggregationError(f"completion references unknown example id {example_id!r}")
+            raise ValueError(f"completion references unknown example id {example_id!r}")
         row = codes.rows.get(stage)
         if row is None:
             row = codes.rows[in_range(stage, 0, self._T, "stage")] = bytearray(len(codes.ids))
         elif row[slot]:
-            raise AggregationError(
+            raise ValueError(
                 f"more than one completion for example {example_id!r} at stage {stage}"
             )
         row[slot] = _evaluate(text, self._expected[slot])
@@ -189,7 +185,7 @@ class Scorer:
             raise ValueError(f"no completions found for condition {tag}")
         missing = sum(row.count(0) for row in rows.values())
         if missing:
-            raise AggregationError(
+            raise ValueError(
                 f"condition {tag}: {missing} of {len(codes.ids)} examples x "
                 f"{len(rows)} stages have no completion"
             )
@@ -209,7 +205,7 @@ def rates(counts: Sequence[int]) -> dict[str, float]:
     by METRICS: one block's score, or the micro mean over several blocks."""
     total = sum(counts)
     if not total:
-        raise AggregationError("cannot aggregate zero scores")
+        raise ValueError("cannot aggregate zero scores")
     return {
         metric: sum(counts[i] for i in places) / total for metric, places in _COUNTED.items()
     }
@@ -218,7 +214,7 @@ def rates(counts: Sequence[int]) -> dict[str, float]:
 def aggregate_macro(blocks: Sequence[Mapping[str, float]]) -> dict[str, float]:
     """Unweighted per-metric mean over per-block rates (printed-table convention)."""
     if not blocks:
-        raise AggregationError("cannot average zero block scores")
+        raise ValueError("cannot average zero block scores")
     return {metric: _mean([b[metric] for b in blocks]) for metric in METRICS}
 
 
@@ -243,7 +239,7 @@ def write_scores_jsonl(path: str | Path, codes: StageCodes) -> None:
 
 def read_scores_jsonl(path: str | Path) -> list[ScoreRecord]:
     """Read score records back, rejecting flags that contradict the category."""
-    return read_jsonl(path, _score_record, AggregationError)
+    return read_jsonl(path, _score_record, ValueError)
 
 
 def _score_record(raw) -> ScoreRecord:

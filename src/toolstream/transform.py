@@ -26,12 +26,8 @@ from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Episode, Role, ScoredExample
+from .corpus import Episode, IngestionError, Role, ScoredExample
 from .files import check_utf8, read_jsonl, string, write_lines
-
-
-class StatsError(Exception):
-    pass
 
 
 class Condition(Enum):
@@ -170,14 +166,11 @@ def _run_tokenizer(command: Sequence[str], text: str) -> int:
 
     try:
         proc = subprocess.run(
-            list(command),
-            input=text.encode("utf-8"),
-            capture_output=True,
-            check=True,
+            list(command), input=text.encode("utf-8"), capture_output=True, check=True
         )
         return int(proc.stdout.decode("utf-8").strip())
     except (OSError, subprocess.CalledProcessError, ValueError) as exc:
-        raise StatsError(
+        raise IngestionError(
             f"external tokenizer command failed: {list(command)!r}: {exc}"
         ) from exc
 

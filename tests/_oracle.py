@@ -1,5 +1,6 @@
-"""A naive model of `report`'s import-mode outputs, and seeded random
-inputs to compare it with `run_report` on.
+"""A naive model of `report`'s import-mode outputs, seeded random inputs
+to compare it with `run_report` on, and a check of `run_report`'s errors
+on those inputs with one completion line changed.
 
 The model is written the slow, obvious way on purpose, from the README's
 descriptions rather than from the package's code. It reads each file with
@@ -77,10 +78,9 @@ def _metric_hits(category: str) -> dict[str, bool]:
     return {"exact": exact_ok, "name": name_ok, "name_any": name_any_ok, "malformed": not parsed}
 
 
-def oracle_report(corpus, out, T, seed, block_order, sample, conditions, imports) -> None:
-    """Write what `report --import ...` writes, manifest.json aside."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+def _blocks_and_evaluated(corpus, T, seed, sample) -> tuple[dict, dict]:
+    """(block id -> its examples, evaluated example id -> example); each
+    example is a dict of its id, episode, cut, expected call and block."""
     episodes = _read_jsonl(corpus)
 
     # Examples: one per api_request turn, in corpus order.
@@ -108,11 +108,6 @@ def oracle_report(corpus, out, T, seed, block_order, sample, conditions, imports
     for ex in examples:
         ex["block"] = block_of[ex["call"].name]
     members = {b: [ex for ex in examples if ex["block"] == b] for b in range(1, T + 1)}
-    _write_json(out / "blocks.json", {"T": T, "blocks": [
-        {"block_id": b, "api_names": sorted({ex["call"].name for ex in members[b]}),
-         "example_ids": [ex["id"] for ex in members[b]]}
-        for b in range(1, T + 1)
-    ]})
 
     evaluated = []
     for b in range(1, T + 1):
@@ -123,7 +118,19 @@ def oracle_report(corpus, out, T, seed, block_order, sample, conditions, imports
             rng = random.Random(int.from_bytes(key[:8], "big"))
             picked = rng.sample(range(len(members[b])), min(sample, len(members[b])))
             evaluated += [members[b][i] for i in sorted(picked)]
-    by_id = {ex["id"]: ex for ex in evaluated}
+    return members, {ex["id"]: ex for ex in evaluated}
+
+
+def oracle_report(corpus, out, T, seed, block_order, sample, conditions, imports) -> None:
+    """Write what `report --import ...` writes, manifest.json aside."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    members, by_id = _blocks_and_evaluated(corpus, T, seed, sample)
+    _write_json(out / "blocks.json", {"T": T, "blocks": [
+        {"block_id": b, "api_names": sorted({ex["call"].name for ex in members[b]}),
+         "example_ids": [ex["id"] for ex in members[b]]}
+        for b in range(1, T + 1)
+    ]})
 
     stats = {}
     hashes = {}
@@ -364,3 +371,61 @@ def report_oracle_mismatches(seed: int, n: int, directory) -> tuple[list[str], i
                     prompts.setdefault(record["example_id"], []).append(record["prompt"])
         shared += any(len(p) == 2 and p[0] == p[1] for p in prompts.values())
     return mismatches, shared
+
+
+def report_error_mismatches(seed: int, n: int, directory) -> list[str]:
+    """On n seeded random inputs, make one change at a time to one scored
+    line of a completion file: repeat it at the end, drop it, change its
+    prompt_hash, or rename its example id to one outside the corpus.
+    `run_report` must raise ValueError for each change but the hash, and
+    StaleCompletionError for the hash, before any scores_*.jsonl exists;
+    for the repeated line, the hash and the unknown id the message must
+    name the changed line. Returns '<case>/<change>: <what differs>' for
+    each change that did not go so."""
+    from toolstream.corpus import StreamSpec
+    from toolstream.genclient import StaleCompletionError
+    from toolstream.report import run_report
+    from toolstream.transform import Condition
+
+    misses = []
+    for case in range(n):
+        base = Path(directory) / f"case_{case}"
+        inputs = write_random_inputs(base / "in", seed * 1000 + case)
+        _, by_id = _blocks_and_evaluated(inputs["corpus"], inputs["T"], inputs["seed"],
+                                         inputs["sample"])
+        tag = inputs["conditions"][-1]
+        path = inputs["imports"]["AB".index(tag)]
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        # The first line the run scores: its condition is run and its
+        # example evaluated.
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["example_id"] in by_id)
+        record = json.loads(lines[i])
+        changed = {
+            "repeat": (lines + [lines[i]], len(lines) + 1, ValueError, "more than one completion"),
+            "drop": (lines[:i] + lines[i + 1:], None, ValueError, "have no completion"),
+            "hash": (lines[:i] + [json.dumps(dict(record, prompt_hash="0" * 64)) + "\n"]
+                     + lines[i + 1:], i + 1, StaleCompletionError, "prompt hash mismatch"),
+            "unknown_id": (lines[:i] + [json.dumps(dict(record, example_id="nosuch:0")) + "\n"]
+                           + lines[i + 1:], i + 1, ValueError, "unknown example id 'nosuch:0'"),
+        }
+        original = path.read_bytes()
+        for change, (new_lines, line_no, error, reason) in changed.items():
+            path.write_text("".join(new_lines), encoding="utf-8")
+            out = base / f"report_{change}"
+            stream = StreamSpec(T=inputs["T"], block_order=inputs["block_order"],
+                                seed=inputs["seed"], sample_size=inputs["sample"])
+            try:
+                run_report(inputs["corpus"], out, stream,
+                           [Condition(t) for t in inputs["conditions"]],
+                           import_paths=inputs["imports"])
+                misses.append(f"case_{case}/{change}: no error")
+            except Exception as exc:  # noqa: BLE001 - the class is what is checked
+                where = f"{path}: line {line_no}: " if line_no else ""
+                if type(exc) is not error:
+                    misses.append(f"case_{case}/{change}: {type(exc).__name__}: {exc}")
+                elif not str(exc).startswith(where) or reason not in str(exc):
+                    misses.append(f"case_{case}/{change}: message {exc}")
+            if list(out.glob("scores_*.jsonl")):
+                misses.append(f"case_{case}/{change}: a score file was written")
+        path.write_bytes(original)
+    return misses

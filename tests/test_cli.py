@@ -642,6 +642,8 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["unknown_A"] = str(tmp / "unknown_A.jsonl")
     write_jsonl_records(tmp / "tagged_C.jsonl", records_a + [dict(records_a[0], condition="C")])
     paths["tagged_C"] = str(tmp / "tagged_C.jsonl")
+    write_jsonl_records(tmp / "repeated_A.jsonl", records_a + [records_a[0]])
+    paths["repeated_A"] = str(tmp / "repeated_A.jsonl")
     (tmp / "deep_A.jsonl").write_bytes(
         reference_paths["completions_A"].read_bytes() + b"[" * 200_000 + b"]" * 200_000 + b"\n"
     )
@@ -702,6 +704,13 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     (tmp / "number_id.json").write_text(json.dumps(blocks), encoding="utf-8")
     paths["number_id_blocks"] = str(tmp / "number_id.json")
     blocks["blocks"][1]["example_ids"].pop()
+    # Arrays: not a string whose characters, or an object whose keys, read as items.
+    string_ids = json.loads(json.dumps(blocks))
+    string_ids["blocks"][0]["example_ids"] = "abc"
+    object_blocks = dict(blocks, blocks={str(b["block_id"]): b for b in blocks["blocks"]})
+    for name, wrong in (("string_ids", string_ids), ("object_blocks", object_blocks)):
+        (tmp / f"{name}.json").write_text(json.dumps(wrong), encoding="utf-8")
+        paths[f"{name}_blocks"] = str(tmp / f"{name}.json")
     blocks["T"] = 4.5
     (tmp / "fraction_t.json").write_text(json.dumps(blocks), encoding="utf-8")
     paths["fraction_t_blocks"] = str(tmp / "fraction_t.json")
@@ -865,6 +874,33 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "--retries only apply in endpoint mode (--base-url)"),
         (_REPORT + " --max-parallel 0 --retries -3 --timeout -1 --max-tokens 0", EXIT_VALIDATION,
          "--max-tokens, --timeout, --max-parallel, --retries only apply in endpoint mode"),
+        ("render --corpus {corpus} --condition B --blocks-file {string_ids_blocks}"
+         " --out {out}/p.jsonl", EXIT_VALIDATION,
+         'string_ids.json: example_ids must be an array, got "abc"'),
+        ("score --corpus {corpus} --blocks-file {string_ids_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         'string_ids.json: example_ids must be an array, got "abc"'),
+        ("score --corpus {corpus} --blocks-file {object_blocks_blocks} --out {out}/s.jsonl"
+         " --completions {completions_A}", EXIT_VALIDATION,
+         'object_blocks.json: blocks must be an array, got {"1": '),
+        (_REPORT.split() + ["--tokenizer-cmd", " "], EXIT_USAGE,
+         "argument --tokenizer-cmd: no command in ' '"),
+        (_REPORT.split() + ["--tokenizer-cmd", ""], EXIT_USAGE,
+         "argument --tokenizer-cmd: no command in ''"),
+        (_REPORT.split() + ["--tokenizer-cmd", "wc -w 'x"], EXIT_USAGE,
+         "argument --tokenizer-cmd: cannot split \"wc -w 'x\": No closing quotation"),
+        ("report --corpus {corpus} --conditions A --import {repeated_A} --out {out}/r",
+         EXIT_VALIDATION, "repeated_A.jsonl: line 441: more than one completion for example "
+         "'querybalance_0000:1' at stage 4\n"),
+        (_SCORE + " --completions {repeated_A}", EXIT_VALIDATION,
+         "repeated_A.jsonl: line 441: more than one completion for example "
+         "'querybalance_0000:1' at stage 4\n"),
+        (_SCORE + " --completions {truncated_B}", EXIT_VALIDATION,
+         "condition B: 40 of 440 examples x 1 stages have no completion (to score a sampled "
+         "run, pass its prompts file as --prompts)\n"),
+        (_SCORE + " --completions {unknown_A}", EXIT_VALIDATION,
+         "unknown_A.jsonl: line 441: completion references unknown example id "
+         "'nosuch_episode:1'\n"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
@@ -892,11 +928,21 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "generate-max-tokens-0", "report-import-with-endpoint-flags", "report-import-with-stop",
          "report-import-with-max-tokens", "report-import-with-timeout",
          "report-import-with-max-parallel", "report-import-with-retries",
-         "report-import-with-every-setting"],
+         "report-import-with-every-setting", "render-blocks-string-ids",
+         "score-blocks-string-ids", "score-blocks-object", "report-tokenizer-blank",
+         "report-tokenizer-empty", "report-tokenizer-unbalanced-quote",
+         "report-repeated-completion", "score-repeated-completion",
+         "score-missing-completions-hint", "score-unknown-id-no-hint"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
+    # A row is a command line split at blanks, or a list of words when a
+    # word holds a blank or is empty.
+    if isinstance(argv, str):
+        argv = argv.format(**exit_code_inputs, out=tmp_path).split()
+    else:
+        argv = [word.format(**exit_code_inputs, out=tmp_path) for word in argv]
     try:
-        exit_code = main(argv.format(**exit_code_inputs, out=tmp_path).split())
+        exit_code = main(argv)
     except SystemExit as exc:  # a usage error, raised by argparse
         exit_code = exc.code
     assert exit_code == code

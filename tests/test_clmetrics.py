@@ -17,7 +17,6 @@ from _support import (
 from toolstream.clmetrics import (
     baseline_vector,
     eval_matrix,
-    MetricsError,
     aulc,
     average_accuracy,
     avg_forgetting,
@@ -68,7 +67,7 @@ class TestBwt:
         assert bwt(m) == 0.0
 
     def test_single_stage_rejected(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="undefined for fewer than 2 stages"):
             bwt(_matrix([[0.5]]))
 
 
@@ -89,7 +88,7 @@ class TestFwt:
         assert fwt(m, baseline_vector((0.9, 0.3))) == 0.0
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match=r"baseline length 1 does not match T=2"):
             fwt(_matrix([[0.5, 0.3], [0.1, 0.8]]), baseline_vector((0.1,)))
 
 
@@ -155,7 +154,7 @@ class TestAulc:
 
 class TestSummarize:
     def test_single_stage_rejected(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="undefined for fewer than 2 stages"):
             summarize(_matrix([[0.5]]), baseline_vector((0.0,)))
 
     def test_zero_matrix(self):
@@ -203,11 +202,11 @@ def test_oracle_equivalence_random_matrices():
 
 class TestMatrixValidation:
     def test_rejects_non_square(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match="must be square and nonempty"):
             _matrix([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match=r"matrix entries must be fractions in \[0, 1\]"):
             _matrix([[0.1, 1.2], [0.3, 0.4]])
 
 
@@ -228,7 +227,7 @@ class TestMatrixCsv:
         matrix, baseline = matrix_from_rows(rows, 2)
         assert baseline is None
         assert matrix == ((0.1, 0.2), (0.3, 0.4))
-        with pytest.raises(MetricsError):
+        with pytest.raises(ValueError, match=r"matrix is missing stage rows: \[2\]"):
             matrix_from_rows({1: [0.1, 0.2]}, 2)
 
     def test_stage_zero_becomes_baseline(self):

@@ -11,7 +11,6 @@ import pytest
 
 from toolstream.corpus import (
     IngestionError,
-    PartitionError,
     Role,
     StreamSpec,
     extract_examples,
@@ -185,12 +184,12 @@ class TestPartitionBlocks:
     def test_too_few_apis(self, tmp_path):
         records = [_episode(f"e{i}", 1, api=f"Api{i}") for i in range(4)]
         episodes = load_corpus(_write_jsonl(tmp_path / "c.jsonl", records))
-        with pytest.raises(PartitionError):
+        with pytest.raises(ValueError, match="need at least 5 distinct API names .* found 4"):
             partition_blocks(episodes, 5, seed=42)
 
     def test_t_below_two(self, tmp_path):
         episodes = load_corpus(_write_jsonl(tmp_path / "c.jsonl", [_episode("e", 1)]))
-        with pytest.raises(PartitionError):
+        with pytest.raises(ValueError, match="T must be >= 2"):
             partition_blocks(episodes, 1, seed=42)
 
     def test_disjointness_and_coverage(self, tmp_path):

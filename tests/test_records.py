@@ -10,7 +10,7 @@ import re
 import pytest
 
 from toolstream.calls import ApiCall, ParsedCall, parse_first_call
-from toolstream.clmetrics import MetricsError, baseline_vector, eval_matrix
+from toolstream.clmetrics import baseline_vector, eval_matrix
 from toolstream.corpus import Episode, Role, ScoredExample, StreamSpec, Turn
 from toolstream.genclient import CompletionRecord, EndpointConfig
 
@@ -44,12 +44,12 @@ def test_completion_record_by_position_and_keyword():
         (lambda: StreamSpec(T=2, block_order=(1, 1)), ValueError,
          "block_order must be a permutation of 1..2"),
         (lambda: StreamSpec(T=2, sample_size=0), ValueError, "sample_size must be >= 1"),
-        (lambda: eval_matrix(()), MetricsError, "evaluation matrix must be square and nonempty"),
-        (lambda: eval_matrix(((0.5, 0.5),)), MetricsError,
+        (lambda: eval_matrix(()), ValueError, "evaluation matrix must be square and nonempty"),
+        (lambda: eval_matrix(((0.5, 0.5),)), ValueError,
          "evaluation matrix must be square and nonempty"),
-        (lambda: eval_matrix(((1.5,),)), MetricsError,
+        (lambda: eval_matrix(((1.5,),)), ValueError,
          "matrix entries must be fractions in [0, 1]"),
-        (lambda: baseline_vector((0.5, -0.1)), MetricsError,
+        (lambda: baseline_vector((0.5, -0.1)), ValueError,
          "baseline entries must be fractions in [0, 1]"),
         (lambda: EndpointConfig("ftp://host", "m"), ValueError,
          "base_url must be an http:// or https:// URL with a host: 'ftp://host'"),

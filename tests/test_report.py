@@ -17,12 +17,11 @@ from toolstream.corpus import StreamSpec
 from toolstream.fixtures import trace_heavy_corpus_records, write_jsonl_records
 from toolstream.genclient import EndpointConfig
 from toolstream.report import (
-    ReportError,
     emit_heatmap_data,
     format_pct,
     run_report,
 )
-from toolstream.scoring import METRICS, AggregationError
+from toolstream.scoring import METRICS
 from toolstream.transform import Condition, RenderedPrompt
 
 # sha256 over (name, bytes) of each `report` output except manifest.json,
@@ -95,7 +94,7 @@ class TestHeatmapData:
 
 class TestRunReport:
     def test_requires_exactly_one_source(self, reference_paths, tmp_path):
-        with pytest.raises(ReportError):
+        with pytest.raises(ValueError, match="exactly one completion source is required"):
             run_report(
                 corpus_path=reference_paths["corpus"],
                 out_dir=tmp_path / "out",
@@ -199,7 +198,7 @@ class TestRunReport:
         assert _report_digest(out, LONG_TRACE_RENDER_FILES) == LONG_TRACE_RENDER_SHA256
 
     def test_import_given_twice_is_rejected(self, reference_paths, tmp_path):
-        with pytest.raises(AggregationError, match="more than one completion"):
+        with pytest.raises(ValueError, match="line 1: more than one completion"):
             run_report(
                 corpus_path=reference_paths["corpus"],
                 out_dir=tmp_path / "out",
@@ -507,3 +506,12 @@ def test_report_matches_naive_oracle(tmp_path):
     mismatches, shared = report_oracle_mismatches(1, 40, tmp_path)
     assert mismatches == []
     assert shared > 0  # some cases render a prompt the same under A and B
+
+
+def test_report_errors_match_naive_oracle(tmp_path):
+    # One change at a time to a scored completion line of the oracle's
+    # seeded inputs: each raises its error class before any score file is
+    # written, and a fault on a line names that line.
+    from _oracle import report_error_mismatches
+
+    assert report_error_mismatches(2, 12, tmp_path) == []

@@ -17,7 +17,6 @@ from toolstream.scoring import (
     CATEGORY_ORDER,
     CODE,
     FLAGS,
-    AggregationError,
     ErrorCategory,
     MetricFlags,
     ScoreRecord,
@@ -155,7 +154,7 @@ class TestAggregation:
         assert score["malformed"] == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(AggregationError):
+        with pytest.raises(ValueError, match="cannot aggregate zero scores"):
             rates([])
 
     def test_macro_mean_reference_rows(self):
@@ -185,7 +184,7 @@ class TestAggregation:
         }
 
     def test_macro_empty_rejected(self):
-        with pytest.raises(AggregationError):
+        with pytest.raises(ValueError, match="cannot average zero block scores"):
             aggregate_macro([])
 
     def test_micro_pooled(self):
@@ -308,7 +307,7 @@ class TestExports:
             "example_id": "e:1", "stage": 4, "block": 1, "flags": flags, "category": "wrong_api",
         }
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(AggregationError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1: flags .* contradict wrong_api"):
             read_scores_jsonl(path)
 
     def test_category_csv_row_order(self, tmp_path):
@@ -398,16 +397,16 @@ def test_score_completions_order_and_errors():
         assert all(r.category is category[r.stage, r.example_id] for r in records)
 
     first = completions[0]
-    with pytest.raises(AggregationError) as excinfo:
+    with pytest.raises(ValueError, match="more than one completion") as excinfo:
         score_completions(completions + [first], examples, 4)
     assert str(excinfo.value) == (
         f"more than one completion for example {first.example_id!r} at stage 4"
     )
-    with pytest.raises(AggregationError) as excinfo:
+    with pytest.raises(ValueError, match="unknown example id") as excinfo:
         score_completions(completions + [SimpleNamespace(**dict(vars(first), example_id="x:1"))],
                           examples, 4)
     assert str(excinfo.value) == "completion references unknown example id 'x:1'"
-    with pytest.raises(AggregationError) as excinfo:
+    with pytest.raises(ValueError, match="have no completion") as excinfo:
         score_completions(shuffled[1:], examples, 4)
     assert str(excinfo.value) == "condition A: 1 of 12 examples x 3 stages have no completion"
     assert score_completions([], examples, 4) == {}

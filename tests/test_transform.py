@@ -14,7 +14,9 @@ from collections import Counter
 import pytest
 
 from toolstream.calls import ApiCall
-from toolstream.corpus import Episode, Role, ScoredExample, Turn, extract_examples, load_corpus
+from toolstream.corpus import (
+    Episode, IngestionError, Role, ScoredExample, Turn, extract_examples, load_corpus
+)
 from _support import MULTISTAGE_T, load_episodes_from_records, write_multistage_inputs
 from toolstream.fixtures import trace_heavy_corpus_records
 from toolstream.transform import (
@@ -22,7 +24,6 @@ from toolstream.transform import (
     PREFIXES,
     Condition,
     RenderedPrompt,
-    StatsError,
     context_stats,
     export_rendered_jsonl,
     read_rendered_jsonl,
@@ -186,7 +187,7 @@ class TestContextStats:
     def test_external_tokenizer_failure_names_command(self):
         prompts = [RenderedPrompt("a", Condition.A_STRIPPED, "x", ws_token=1)]
         cmd = [sys.executable, "-c", "import sys; sys.exit(3)"]
-        with pytest.raises(StatsError) as excinfo:
+        with pytest.raises(IngestionError) as excinfo:
             context_stats(prompts, tokenizer_cmd=cmd)
         assert "sys.exit(3)" in str(excinfo.value)
 
