@@ -3,7 +3,7 @@
     python3 scripts/check_pythons.py
 
 For each interpreter found under ~/.pyenv/versions (3.10.*, 3.11.*,
-3.12.*, 3.13.*), this runs two checks in a child process of that
+3.12.*, 3.13.*), this runs these checks in a child process of that
 interpreter, with the sources under src/ and no installed package:
 
 - the reference-fixture `report` (fixtures, then report with both
@@ -21,6 +21,12 @@ interpreter, with the sources under src/ and no installed package:
   against `run_report` on the 40 seeded random inputs of
   tests/test_report.py::test_report_matches_naive_oracle, counting the
   inputs on which some output file differs;
+- the error check of tests/_oracle.py against `run_report` on the 12
+  seeded random inputs of
+  tests/test_report.py::test_report_errors_match_naive_oracle, each with
+  one completion line repeated, dropped, given a stale hash or an
+  unknown example id, counting the inputs on which some change does not
+  raise its error class, naming its line, before any score file;
 - the differential parser check of
   tests/test_calls.py::test_parse_equals_scanner_on_seeded_strings:
   parse_first_call and the scoring view (calls.scoring_view) against the
@@ -54,7 +60,7 @@ interpreter, with the sources under src/ and no installed package:
 
 An interpreter that is not installed is printed as MISSING and counts as
 a failure. The exit status is 0 only when all four are present, every
-report hash equals 3.11's, no oracle value or report output differs, no parse,
+report hash equals 3.11's, no oracle value, report output or report error differs, no parse,
 JSON-lines decoding or request form differs, the CLI import loads none of those modules and every `--stop`
 probe gives its expected result.
 """
@@ -137,6 +143,15 @@ with tempfile.TemporaryDirectory() as tmp:
 print(len({{m.split("/")[0] for m in mismatches}}))
 """
 
+REPORT_ERROR_SEED, REPORT_ERROR_INPUTS = 2, 12
+REPORT_ERROR_CODE = f"""
+import tempfile
+from _oracle import report_error_mismatches
+with tempfile.TemporaryDirectory() as tmp:
+    misses = report_error_mismatches({REPORT_ERROR_SEED}, {REPORT_ERROR_INPUTS}, tmp)
+print(len({{m.split("/")[0] for m in misses}}))
+"""
+
 PARSER_SEED, PARSER_TEXTS = 20261019, 100_000
 PARSER_CODE = f"""
 from _support import differential_mismatches
@@ -202,10 +217,11 @@ def tree_digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, int, list[str], dict]:
+def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, int, int, list[str],
+                                 dict]:
     """((fixture, multi-stage and long-trace report digests), oracle values
-    checked, oracle mismatches, report-oracle inputs that differ, parser
-    mismatches, JSON-lines mismatches, request-form mismatches, deferred or
+    checked, oracle mismatches, report-oracle inputs that differ,
+    report-error inputs that differ, parser mismatches, JSON-lines mismatches, request-form mismatches, deferred or
     never-imported modules that the CLI import loads, --stop probe results)
     for one interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -219,13 +235,14 @@ def check(python: Path) -> tuple[tuple[str, ...], int, int, int, int, int, int, 
         digests = tuple(tree_digest(work / out) for out in outputs)
         checked, mismatches = map(int, _run(python, ["-c", ORACLE_CODE], work).split())
         report_mismatches = int(_run(python, ["-c", REPORT_ORACLE_CODE], work))
+        error_mismatches = int(_run(python, ["-c", REPORT_ERROR_CODE], work))
         parse_mismatches = int(_run(python, ["-c", PARSER_CODE], work))
         jsonl_mismatches = int(_run(python, ["-c", JSONL_CODE], work))
         request_mismatches = int(_run(python, ["-c", REQUEST_CODE], work))
         loaded = _run(python, ["-c", IMPORT_CODE], work).split()
         stops = json.loads(_run(python, ["-c", STOP_CODE], work))
-    return (digests, checked, mismatches, report_mismatches, parse_mismatches, jsonl_mismatches,
-            request_mismatches, loaded, stops)
+    return (digests, checked, mismatches, report_mismatches, error_mismatches, parse_mismatches,
+            jsonl_mismatches, request_mismatches, loaded, stops)
 
 
 def main() -> int:
@@ -248,11 +265,11 @@ def main() -> int:
             print(f"{minor}: MISSING")
             ok = False
             continue
-        (version, digests, checked, mismatches, report_mismatches, parse_mismatches,
-         jsonl_mismatches, request_mismatches, loaded, stops) = result
+        (version, digests, checked, mismatches, report_mismatches, error_mismatches,
+         parse_mismatches, jsonl_mismatches, request_mismatches, loaded, stops) = result
         matched = (
             digests == reference_digests and mismatches == 0 and report_mismatches == 0
-            and parse_mismatches == 0 and jsonl_mismatches == 0 and request_mismatches == 0
+            and error_mismatches == 0 and parse_mismatches == 0 and jsonl_mismatches == 0 and request_mismatches == 0
             and not loaded and stops == STOP_PROBES
         )
         ok = ok and matched
@@ -263,6 +280,7 @@ def main() -> int:
         print(f"{version}: {'match' if matched else 'MISMATCH'} {shown}, "
               f"oracle mismatches {mismatches}/{checked}, "
               f"report oracle mismatches {report_mismatches}/{REPORT_ORACLE_INPUTS}, "
+              f"report error mismatches {error_mismatches}/{REPORT_ERROR_INPUTS}, "
               f"parser mismatches {parse_mismatches}/{PARSER_TEXTS}, "
               f"jsonl mismatches {jsonl_mismatches}/{JSONL_LINES}, "
               f"request-key mismatches {request_mismatches}/{REQUEST_TEXTS}, "

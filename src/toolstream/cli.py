@@ -41,7 +41,7 @@ from .corpus import (
     select_examples,
     write_blocks_json,
 )
-from .files import in_range, read_lines, write_json
+from .files import read_lines, write_json
 from .genclient import (
     CompletionCache,
     EndpointConfig,
@@ -53,15 +53,7 @@ from .genclient import (
     write_completions_jsonl,
 )
 from .report import block_scores_by_stage, render_prompts, run_report, write_matrix
-from .scoring import (
-    CODE,
-    METRICS,
-    Scorer,
-    StageCodes,
-    read_scores_jsonl,
-    write_category_csv,
-    write_scores_jsonl,
-)
+from .scoring import METRICS, Scorer, read_scores_jsonl, write_category_csv, write_scores_jsonl
 from .transform import Condition, export_rendered_jsonl, read_rendered_jsonl
 from . import __version__
 
@@ -308,32 +300,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    scores = [(path, r) for path in args.scores for r in read_scores_jsonl(path)]
-    if not scores:
-        raise ValueError("no score records found")
-    block_of: dict[str, int] = {}  # example id -> its block, the same in every file
-    for path, r in scores:
-        if block_of.setdefault(r.example_id, r.block_id) != r.block_id:
-            raise ValueError(f"{path}: example {r.example_id!r} is in block "
-                             f"{block_of[r.example_id]} and in block {r.block_id}")
-    T = max(block_of.values())
-    codes = StageCodes((block_id, example_id) for example_id, block_id in block_of.items())
-    slots = {example_id: slot for slot, example_id in enumerate(codes.ids)}
-    for path, r in scores:
-        try:
-            in_range(r.block_id, 1, T, "block")
-            stage = in_range(r.stage, 0, T, "stage")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        if stage not in codes.rows:
-            codes.rows[stage] = bytearray(len(slots))
-        row = codes.rows[stage]
-        if row[slots[r.example_id]]:
-            raise ValueError(
-                f"{path}: more than one score for example {r.example_id!r} at stage {r.stage}"
-            )
-        row[slots[r.example_id]] = CODE[r.category]
-    stream = StreamSpec(T=T, block_order=tuple(args.block_order or ()))
+    codes = read_scores_jsonl(args.scores)
+    stream = StreamSpec(T=max(codes.blocks), block_order=tuple(args.block_order or ()))
     rows = write_matrix(args.out, block_scores_by_stage(codes), stream, args.metric)
     print(f"wrote {args.out} (metric {args.metric}, stages {sorted(rows)})")
     return EXIT_OK

@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, parse_first_call, render_call
-from .files import array, check_utf8, in_range, integer, read_json, read_jsonl, string, write_json
+from .files import (array, check_utf8, in_range, integer, json_object, read_json, read_jsonl,
+                    string, write_json)
 
 
 class IngestionError(Exception):
@@ -114,7 +115,7 @@ def load_corpus(path: str | Path) -> list[Episode]:
     """Load all episodes from a JSONL corpus file, preserving order."""
     seen_ids: set[str] = set()
 
-    def episode(record: object) -> Episode:
+    def episode(record: dict) -> Episode:
         ep = _episode_from_record(record)
         if ep.id in seen_ids:
             raise ValueError(f"duplicate episode id {ep.id!r}")
@@ -124,9 +125,7 @@ def load_corpus(path: str | Path) -> list[Episode]:
     return read_jsonl(path, episode, IngestionError)
 
 
-def _episode_from_record(record: object) -> Episode:
-    if not isinstance(record, dict):
-        raise ValueError("episode must be a JSON object")
+def _episode_from_record(record: dict) -> Episode:
     ep_id = record.get("id")
     turns_raw = record.get("turns")
     if not isinstance(ep_id, str) or not ep_id:
@@ -289,12 +288,13 @@ def read_blocks_json(path: str | Path) -> tuple[int, dict[str, int]]:
     return read_json(path, _block_assignment)
 
 
-def _block_assignment(payload: object) -> tuple[int, dict[str, int]]:
+def _block_assignment(payload: dict) -> tuple[int, dict[str, int]]:
     T = integer(payload["T"], "T")
     if T < 2:
         raise ValueError(f"T must be at least 2, got {T}")
     assignment: dict[str, int] = {}
-    for block in array(payload["blocks"], "blocks"):
+    for i, block in enumerate(array(payload["blocks"], "blocks")):
+        json_object(block, f"blocks entry {i}: ")
         block_id = in_range(integer(block["block_id"], "block_id"), 1, T, "block")
         for example_id in array(block["example_ids"], "example_ids"):
             example_id = string(example_id, "example_ids entry")

@@ -13,7 +13,8 @@ whitespace (" \\t\\r\\n") after it is decoded by one call of the scanner
 json.loads itself uses. Every other line (one that starts with a blank or
 a byte-order mark, holds extra data, or holds no value the scanner reads)
 goes to json.loads, so each value and each error message is json.loads's.
-JSON nested too deeply to decode is a bad value, not a RecursionError.
+JSON nested too deeply to decode is a bad value, not a RecursionError, and
+so is any value but an object: "expected a JSON object, got an array".
 
 A JSON file (a cache entry, blocks.json) is read with os.open and
 os.read until end of file, without a buffered file object, whose set-up
@@ -88,10 +89,23 @@ def _json_value(text: str) -> object:
         raise ValueError("invalid JSON (nested too deeply)") from None
 
 
-def read_jsonl(path: str | Path, build: Callable[[object], _T], error: type[Exception]) -> list[_T]:
-    """build(value) for the value on each non-blank line, in file order."""
+# The JSON type of each Python type that json decodes a value to.
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def json_object(value: object, where: str = "") -> dict:
+    """A JSON value that must be an object. The message names its JSON type,
+    not the value, so a long value gives a short message."""
+    if type(value) is dict:
+        return value
+    raise ValueError(f"{where}expected a JSON object, got {_JSON_TYPES[type(value)]}")
+
+
+def read_jsonl(path: str | Path, build: Callable[[dict], _T], error: type[Exception]) -> list[_T]:
+    """build(value) for the object on each non-blank line, in file order."""
     with open(path, "rb") as fh:
-        return list(read_lines(fh, path, _json_value, build, error))
+        return list(read_lines(fh, path, lambda text: json_object(_json_value(text)), build, error))
 
 
 def _csv_fields(text: str) -> list[str]:
@@ -107,8 +121,8 @@ def read_csv(path: str | Path, build: Callable[[list[str]], _T]) -> list[_T]:
 _READ_SIZE = 1 << 16
 
 
-def read_json(path: str | Path, build: Callable[[object], _T]) -> _T:
-    """build(value) for the file's one value; a bad file raises ValueError("<path>: <reason>").
+def read_json(path: str | Path, build: Callable[[dict], _T]) -> _T:
+    """build(value) for the file's one object; a bad file raises ValueError("<path>: <reason>").
     An OSError names the path."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -120,7 +134,7 @@ def read_json(path: str | Path, build: Callable[[object], _T]) -> _T:
     finally:
         os.close(fd)
     try:
-        return build(_json_value(b"".join(chunks).decode("utf-8")))
+        return build(json_object(_json_value(b"".join(chunks).decode("utf-8"))))
     except _BAD_VALUE as exc:
         raise ValueError(f"{path}: {_reason(exc)}") from exc
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .clmetrics import matrix_from_rows, summarize, write_matrix_csv
+from .clmetrics import _mean, matrix_from_rows, summarize, write_matrix_csv
 from .corpus import (
     ScoredExample,
     StreamSpec,
@@ -29,15 +29,7 @@ from .genclient import (
     batch_generate,
     read_completions,
 )
-from .scoring import (
-    METRICS,
-    Scorer,
-    StageCodes,
-    aggregate_macro,
-    rates,
-    write_category_csv,
-    write_scores_jsonl,
-)
+from .scoring import METRICS, Scorer, StageCodes, rates, write_category_csv, write_scores_jsonl
 from .transform import (
     Condition, RenderedPrompt, context_stats, export_rendered_jsonl, render_prompt
 )
@@ -191,7 +183,7 @@ def run_report(
             finals = codes.counts(stream.T)
             write_category_csv(out / f"categories_{tag}.csv", finals)
             final_means[tag] = {
-                "macro": aggregate_macro([scores[stream.T][b] for b in stream.block_order]),
+                "macro": {m: _mean(rows_by_metric[m][tag][stream.T]) for m in METRICS},
                 "micro": rates(finals),
                 "n_final": sum(finals),
             }

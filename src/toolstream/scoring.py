@@ -1,5 +1,5 @@
 """Completion scoring: the five-way error taxonomy, the metric flags and
-rates that follow from it, and their block and macro means.
+rates that follow from it, and the score files that hold it.
 
 The error category is the only stored score. Its flags come from a table
 whose five rows are the patterns the chain (exact implies name+any-param
@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .calls import ApiCall, ParsedCall, normalize_params, parse_first_call, scoring_view
-from .clmetrics import _mean
 from .files import in_range, integer, read_jsonl, string, write_csv, write_lines
 
 
@@ -72,18 +71,6 @@ METRICS: tuple[str, ...] = tuple(_COUNTED)
 
 # A call as scored: (name, normalized params).
 _Pair = tuple[str, dict[str, str]]
-
-
-class ScoreRecord:
-    # A score-file line, as read back. Slots, not a NamedTuple: CPython
-    # 3.11+ specialises slot reads.
-    __slots__ = ("example_id", "stage", "block_id", "category")
-
-    def __init__(self, example_id: str, stage: int, block_id: int, category: ErrorCategory):
-        self.example_id = example_id
-        self.stage = stage
-        self.block_id = block_id
-        self.category = category
 
 
 def evaluate_completion(completion: str, expected: ApiCall) -> ErrorCategory:
@@ -211,13 +198,6 @@ def rates(counts: Sequence[int]) -> dict[str, float]:
     }
 
 
-def aggregate_macro(blocks: Sequence[Mapping[str, float]]) -> dict[str, float]:
-    """Unweighted per-metric mean over per-block rates (printed-table convention)."""
-    if not blocks:
-        raise ValueError("cannot average zero block scores")
-    return {metric: _mean([b[metric] for b in blocks]) for metric in METRICS}
-
-
 # Code -> the end of its lines: the category's flags and the category.
 _LINE_TAIL = {
     CODE[c]: f', "flags": {json.dumps(f._asdict())}, "category": "{c.value}"}}\n'
@@ -237,21 +217,46 @@ def write_scores_jsonl(path: str | Path, codes: StageCodes) -> None:
     ]) for stage in sorted(codes.rows)))
 
 
-def read_scores_jsonl(path: str | Path) -> list[ScoreRecord]:
-    """Read score records back, rejecting flags that contradict the category."""
-    return read_jsonl(path, _score_record, ValueError)
+def read_scores_jsonl(paths: Iterable[str | Path]) -> StageCodes:
+    """One condition's scores, as write_scores_jsonl took them, from its
+    score files; its stages may be split across them. T is the largest
+    block id read. Flags that contradict the category name the line; an
+    example in two blocks, a block outside 1..T, a stage outside 0..T and
+    a second score for one (stage, example) name the file."""
+    lines = [(path, line) for path in paths for line in read_jsonl(path, _score_line, ValueError)]
+    if not lines:
+        raise ValueError("no score records found")
+    block_of: dict[str, int] = {}  # example id -> its block, the same in every file
+    for path, (example_id, _, block_id, _) in lines:
+        if block_of.setdefault(example_id, block_id) != block_id:
+            raise ValueError(f"{path}: example {example_id!r} is in block "
+                             f"{block_of[example_id]} and in block {block_id}")
+    T = max(block_of.values())
+    codes = StageCodes((block_id, example_id) for example_id, block_id in block_of.items())
+    slots = {example_id: slot for slot, example_id in enumerate(codes.ids)}
+    for path, (example_id, stage, block_id, code) in lines:
+        try:
+            in_range(block_id, 1, T, "block")
+            if stage not in codes.rows:
+                codes.rows[in_range(stage, 0, T, "stage")] = bytearray(len(codes.ids))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        row, slot = codes.rows[stage], slots[example_id]
+        if row[slot]:
+            raise ValueError(
+                f"{path}: more than one score for example {example_id!r} at stage {stage}"
+            )
+        row[slot] = code
+    return codes
 
 
-def _score_record(raw) -> ScoreRecord:
+def _score_line(raw) -> tuple[str, int, int, int]:
+    """(example id, stage, block, category code) of one score line."""
     category = ErrorCategory(raw["category"])
     if raw["flags"] != FLAGS[category]._asdict():
         raise ValueError(f"flags {raw['flags']} contradict {category.value}")
-    return ScoreRecord(
-        example_id=string(raw["example_id"], "example_id"),
-        stage=integer(raw["stage"], "stage"),
-        block_id=integer(raw["block"], "block"),
-        category=category,
-    )
+    return (string(raw["example_id"], "example_id"), integer(raw["stage"], "stage"),
+            integer(raw["block"], "block"), CODE[category])
 
 
 def write_category_csv(path: str | Path, counts: Sequence[int]) -> None:

@@ -334,25 +334,30 @@ def write_random_inputs(directory, seed: int) -> dict:
     }
 
 
+def _run_report(inputs: dict, out) -> Path:
+    """`run_report` in import mode on write_random_inputs' settings."""
+    from toolstream.corpus import StreamSpec
+    from toolstream.report import run_report
+    from toolstream.transform import Condition
+
+    stream = StreamSpec(T=inputs["T"], block_order=inputs["block_order"],
+                        seed=inputs["seed"], sample_size=inputs["sample"])
+    return run_report(inputs["corpus"], out, stream,
+                      [Condition(tag) for tag in inputs["conditions"]],
+                      import_paths=inputs["imports"])
+
+
 def report_oracle_mismatches(seed: int, n: int, directory) -> tuple[list[str], int]:
     """Run `run_report` and the model on n seeded random inputs; return
     '<case>/<file>' for each output (manifest.json aside) whose bytes
     differ or that only one side wrote, and the number of cases in which
     some prompt renders the same under A and B."""
-    from toolstream.corpus import StreamSpec
-    from toolstream.report import run_report
-    from toolstream.transform import Condition
-
     mismatches = []
     shared = 0
     for case in range(n):
         base = Path(directory) / f"case_{case}"
         inputs = write_random_inputs(base / "in", seed * 1000 + case)
-        stream = StreamSpec(T=inputs["T"], block_order=inputs["block_order"],
-                            seed=inputs["seed"], sample_size=inputs["sample"])
-        got = run_report(inputs["corpus"], base / "report", stream,
-                         [Condition(tag) for tag in inputs["conditions"]],
-                         import_paths=inputs["imports"])
+        got = _run_report(inputs, base / "report")
         want = base / "oracle"
         oracle_report(inputs["corpus"], want, inputs["T"], inputs["seed"],
                       inputs["block_order"], inputs["sample"], inputs["conditions"],
@@ -373,6 +378,35 @@ def report_oracle_mismatches(seed: int, n: int, directory) -> tuple[list[str], i
     return mismatches, shared
 
 
+def matrix_mismatches(seed: int, n: int, directory) -> tuple[list[str], int]:
+    """Run `run_report` on n seeded random inputs, then the `matrix`
+    command on each score file it wrote, for every metric, with the
+    manifest's block order; return '<case>/<file>' for each matrix whose
+    bytes differ from the report's (or that `matrix` failed to write), and
+    the number of matrices compared."""
+    from toolstream.cli import main
+
+    mismatches = []
+    checked = 0
+    for case in range(n):
+        base = Path(directory) / f"case_{case}"
+        inputs = write_random_inputs(base / "in", seed * 1000 + case)
+        report = _run_report(inputs, base / "report")
+        manifest = json.loads((report / "manifest.json").read_text(encoding="utf-8"))
+        order = ",".join(str(b) for b in manifest["stream"]["block_order"])
+        (base / "matrix").mkdir()
+        for tag in manifest["conditions"]:
+            for metric in METRICS:
+                name = f"matrix_{metric}_{tag}.csv"
+                code = main(["matrix", "--scores", str(report / f"scores_{tag}.jsonl"),
+                             "--metric", metric, "--block-order", order,
+                             "--out", str(base / "matrix" / name)])
+                checked += 1
+                if code or (base / "matrix" / name).read_bytes() != (report / name).read_bytes():
+                    mismatches.append(f"case_{case}/{name}")
+    return mismatches, checked
+
+
 def report_error_mismatches(seed: int, n: int, directory) -> list[str]:
     """On n seeded random inputs, make one change at a time to one scored
     line of a completion file: repeat it at the end, drop it, change its
@@ -382,10 +416,7 @@ def report_error_mismatches(seed: int, n: int, directory) -> list[str]:
     for the repeated line, the hash and the unknown id the message must
     name the changed line. Returns '<case>/<change>: <what differs>' for
     each change that did not go so."""
-    from toolstream.corpus import StreamSpec
     from toolstream.genclient import StaleCompletionError
-    from toolstream.report import run_report
-    from toolstream.transform import Condition
 
     misses = []
     for case in range(n):
@@ -412,12 +443,8 @@ def report_error_mismatches(seed: int, n: int, directory) -> list[str]:
         for change, (new_lines, line_no, error, reason) in changed.items():
             path.write_text("".join(new_lines), encoding="utf-8")
             out = base / f"report_{change}"
-            stream = StreamSpec(T=inputs["T"], block_order=inputs["block_order"],
-                                seed=inputs["seed"], sample_size=inputs["sample"])
             try:
-                run_report(inputs["corpus"], out, stream,
-                           [Condition(t) for t in inputs["conditions"]],
-                           import_paths=inputs["imports"])
+                _run_report(inputs, out)
                 misses.append(f"case_{case}/{change}: no error")
             except Exception as exc:  # noqa: BLE001 - the class is what is checked
                 where = f"{path}: line {line_no}: " if line_no else ""

@@ -15,7 +15,6 @@ from collections import Counter
 from _support import (
     MALFORMED_CASES,
     MockEndpoint,
-    category_counts,
     load_episodes_from_records,
     oracle_aulc,
     oracle_flags,
@@ -26,7 +25,7 @@ from _support import (
     random_call,
     random_matrix,
     random_text,
-    score_records,
+    score_tuples,
 )
 from toolstream.calls import (
     ApiCall,
@@ -38,6 +37,7 @@ from toolstream.calls import (
 )
 from toolstream.cli import EXIT_OK, main
 from toolstream.clmetrics import (
+    _mean,
     aulc,
     average_accuracy,
     avg_forgetting,
@@ -58,8 +58,6 @@ from toolstream.report import format_pct
 from toolstream.scoring import (
     CATEGORY_ORDER,
     FLAGS,
-    ScoreRecord,
-    aggregate_macro,
     evaluate_completion,
     rates,
     score_completions,
@@ -79,13 +77,11 @@ def _verdict(num: int, label: str, failures: list[str]) -> None:
 
 
 def _scored_blocks(reference_paths, reference_blocks, condition: str):
+    """The condition's final-stage scores, and each block's rates in block order."""
     _, blocks, index = reference_blocks
     records = import_completions([reference_paths[f"completions_{condition}"]])
-    scored = score_records(score_completions(records, index, 4)[condition])
-    by_block: dict[int, list] = {}
-    for record in scored:
-        by_block.setdefault(record.block_id, []).append(record)
-    return scored, [rates(category_counts(by_block[b])) for b in sorted(by_block)]
+    codes = score_completions(records, index, 4)[condition]
+    return codes, [rates(codes.counts(4, b)) for b in sorted(codes.blocks)]
 
 
 def test_criterion_1_final_table_replay(reference_paths, reference_blocks):
@@ -97,9 +93,8 @@ def test_criterion_1_final_table_replay(reference_paths, reference_blocks):
     failures: list[str] = []
     for condition, expected in targets.items():
         _, block_scores = _scored_blocks(reference_paths, reference_blocks, condition)
-        macro = aggregate_macro(block_scores)
         for metric, target in expected.items():
-            got = macro[metric] * 100
+            got = _mean([block[metric] for block in block_scores]) * 100
             if abs(got - target) > 0.05:
                 failures.append(f"{condition}/{metric}: {got:.3f} vs {target}")
     elapsed = time.perf_counter() - started
@@ -115,8 +110,8 @@ def test_criterion_2_category_count_replay(reference_paths, reference_blocks):
     }
     failures: list[str] = []
     for condition, want in expected.items():
-        scored, _ = _scored_blocks(reference_paths, reference_blocks, condition)
-        got = tuple(category_counts(scored))
+        codes, _ = _scored_blocks(reference_paths, reference_blocks, condition)
+        got = tuple(codes.counts(4))
         if got != want:
             failures.append(f"{condition}: {got} vs {want}")
         if sum(got) != 440:
@@ -347,44 +342,38 @@ def test_criterion_7_flag_chain_invariant(reference_paths, reference_blocks):
         if any(stronger and not weaker for weaker, stronger in zip(flags, flags[1:])):
             failures.append(f"FLAGS row of {category.value} breaks the chain: {flags}")
 
-    def check(tag, records, cases):
-        flags = [FLAGS[r.category] for r in records]
+    def check(tag, scores, cases):
+        # scores: (example_id, stage, block_id, category) tuples.
+        flags = [FLAGS[category] for _, _, _, category in scores]
         n_exact = sum(f.exact_ok for f in flags)
         n_any = sum(f.name_any_ok for f in flags)
         n_name = sum(f.name_ok for f in flags)
         n_parsed = sum(f.parsed for f in flags)
         if not n_exact <= n_any <= n_name <= n_parsed:
             failures.append(f"{tag}: chain {n_exact}/{n_any}/{n_name}/{n_parsed}")
-        for r, f, (completion, expected) in zip(records, flags, cases):
+        for (example_id, *_), f, (completion, expected) in zip(scores, flags, cases):
             if f != oracle_flags(completion, expected):
-                failures.append(f"{tag}: {r.example_id} flags {f} vs oracle")
+                failures.append(f"{tag}: {example_id} flags {f} vs oracle")
 
     _, _, index = reference_blocks
     for condition in ("A", "B"):
         completions = import_completions([reference_paths[f"completions_{condition}"]])
-        scored = score_records(score_completions(completions, index, 4)[condition])
+        scored = score_tuples(score_completions(completions, index, 4)[condition])
         texts = {c.example_id: c.text for c in completions}
-        cases = [(texts[r.example_id], index[r.example_id].expected) for r in scored]
+        cases = [(texts[example_id], index[example_id].expected) for example_id, *_ in scored]
         check(f"fixture {condition}", scored, cases)
 
     rng = random.Random(777)
-    fuzz_records = []
+    fuzz_scores = []
     fuzz_cases = []
     expected_pool = [random_call(rng) for _ in range(20)]
     for i in range(2000):
         expected = expected_pool[i % len(expected_pool)]
         completion = random_text(rng) if i % 2 else render_call(random_call(rng))
         category = evaluate_completion(completion, expected)
-        fuzz_records.append(
-            ScoreRecord(
-                example_id=f"fuzz:{i}",
-                stage=1,
-                block_id=1,
-                category=category,
-            )
-        )
+        fuzz_scores.append((f"fuzz:{i}", 1, 1, category))
         fuzz_cases.append((completion, expected))
-    check("fuzz", fuzz_records, fuzz_cases)
+    check("fuzz", fuzz_scores, fuzz_cases)
     _verdict(7, "metric flag chain", failures)
 
 

@@ -711,6 +711,21 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     for name, wrong in (("string_ids", string_ids), ("object_blocks", object_blocks)):
         (tmp / f"{name}.json").write_text(json.dumps(wrong), encoding="utf-8")
         paths[f"{name}_blocks"] = str(tmp / f"{name}.json")
+    # Every JSON value read is an object: a blocks entry, a whole blocks
+    # file, and each line of the corpus, completions, prompts and scores.
+    entry_7 = json.loads(json.dumps(blocks))
+    entry_7["blocks"][1] = 7
+    for name, wrong in (("entry_7", entry_7), ("array", blocks["blocks"])):
+        (tmp / f"{name}.json").write_text(json.dumps(wrong), encoding="utf-8")
+        paths[f"{name}_blocks"] = str(tmp / f"{name}.json")
+    for name, source, line in (("array_corpus", "corpus", [1]),
+                               ("array_line_A", "completions_A", [1, 2]),
+                               ("number_line_A", "completions_A", 7)):
+        lines = reference_paths[source].read_text(encoding="utf-8").splitlines(True)
+        (tmp / f"{name}.jsonl").write_text(
+            "".join(lines[:2] + [json.dumps(line) + "\n"] + lines[2:]), encoding="utf-8"
+        )
+        paths[name] = str(tmp / f"{name}.jsonl")
     blocks["T"] = 4.5
     (tmp / "fraction_t.json").write_text(json.dumps(blocks), encoding="utf-8")
     paths["fraction_t_blocks"] = str(tmp / "fraction_t.json")
@@ -731,6 +746,11 @@ def exit_code_inputs(reference_paths, tmp_path_factory):
     paths["block_true"] = str(tmp / "block_true.jsonl")
     write_jsonl_records(tmp / "id_null.jsonl", scores[:1] + [dict(scores[1], example_id=None)])
     paths["id_null"] = str(tmp / "id_null.jsonl")
+    (tmp / "array_scores.jsonl").write_text(json.dumps(scores[0]) + "\n[3]\n", encoding="utf-8")
+    paths["array_scores"] = str(tmp / "array_scores.jsonl")
+    prompts = Path(paths["sampled_prompts"]).read_text(encoding="utf-8").splitlines(True)
+    (tmp / "array_prompts.jsonl").write_text(prompts[0] + "[1]\n", encoding="utf-8")
+    paths["array_prompts"] = str(tmp / "array_prompts.jsonl")
     # The fixture's scores are all at stage T=4, block 1 first.
     for name, moved in (("scores_stage_9", [dict(r, stage=9) for r in scores]),
                         ("scores_stray_9", scores[:5] + [dict(scores[5], stage=9)] + scores[6:]),
@@ -901,6 +921,22 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
         (_SCORE + " --completions {unknown_A}", EXIT_VALIDATION,
          "unknown_A.jsonl: line 441: completion references unknown example id "
          "'nosuch_episode:1'\n"),
+        ("render --corpus {corpus} --condition B --blocks-file {entry_7_blocks}"
+         " --out {out}/p.jsonl", EXIT_VALIDATION,
+         "entry_7.json: blocks entry 1: expected a JSON object, got a number\n"),
+        ("render --corpus {corpus} --condition B --blocks-file {array_blocks}"
+         " --out {out}/p.jsonl", EXIT_VALIDATION,
+         "array.json: expected a JSON object, got an array\n"),
+        ("split --corpus {array_corpus} --out {out}/b.json", EXIT_INPUT,
+         "array_corpus.jsonl: line 3: expected a JSON object, got an array\n"),
+        (_SCORE + " --completions {array_line_A}", EXIT_VALIDATION,
+         "array_line_A.jsonl: line 3: expected a JSON object, got an array\n"),
+        ("report --corpus {corpus} --conditions A --import {number_line_A} --out {out}/r",
+         EXIT_VALIDATION, "number_line_A.jsonl: line 3: expected a JSON object, got a number\n"),
+        ("matrix --scores {array_scores} --out {out}/m.csv", EXIT_VALIDATION,
+         "array_scores.jsonl: line 2: expected a JSON object, got an array\n"),
+        (_GENERATE.replace("{sampled_prompts}", "{array_prompts}"), EXIT_VALIDATION,
+         "array_prompts.jsonl: line 2: expected a JSON object, got an array\n"),
     ],
     ids=["corpus-not-utf8", "duplicate-episode", "corpus-dir", "import-dir",
          "score-truncated", "score-sampled-without-prompts", "score-sampled-with-prompts",
@@ -932,7 +968,10 @@ _GENERATE = ("generate --prompts {sampled_prompts} --stage 4 --out {out}/c.jsonl
          "score-blocks-string-ids", "score-blocks-object", "report-tokenizer-blank",
          "report-tokenizer-empty", "report-tokenizer-unbalanced-quote",
          "report-repeated-completion", "score-repeated-completion",
-         "score-missing-completions-hint", "score-unknown-id-no-hint"],
+         "score-missing-completions-hint", "score-unknown-id-no-hint",
+         "render-blocks-entry-number", "render-blocks-array", "corpus-line-array",
+         "score-completion-array", "report-completion-number", "matrix-score-array",
+         "generate-prompt-array"],
 )
 def test_exit_code_table(exit_code_inputs, tmp_path, capsys, argv, code, message):
     # A row is a command line split at blanks, or a list of words when a

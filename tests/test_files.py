@@ -21,8 +21,10 @@ from toolstream.scoring import FLAGS, ErrorCategory, read_scores_jsonl
 from toolstream.transform import read_rendered_jsonl
 
 
-def _score_line(example_id: str, category: ErrorCategory) -> dict:
-    return {"example_id": example_id, "stage": 4, "block": 1,
+# A score at stage 2: the reader takes T to be the largest block id, so
+# the lines use blocks 1 and 2.
+def _score_line(example_id: str, block: int, category: ErrorCategory) -> dict:
+    return {"example_id": example_id, "stage": 2, "block": block,
             "flags": FLAGS[category]._asdict(), "category": category.value}
 
 
@@ -44,8 +46,8 @@ INPUTS = {
         lambda path: import_completions([path]), ValueError, True,
     ),
     "scores": (
-        [json.dumps(_score_line(f"e:{i}", c)) for i, c in enumerate(ErrorCategory)],
-        read_scores_jsonl, ValueError, True,
+        [json.dumps(_score_line(f"e:{i}", 1 + i % 2, c)) for i, c in enumerate(ErrorCategory)],
+        lambda path: read_scores_jsonl([path]), ValueError, True,
     ),
     "blocks": (
         json.dumps({"T": 2, "blocks": [
@@ -93,11 +95,20 @@ def test_reader_format_rules(name, case, tmp_path):
 
 
 def test_jsonl_write_then_read_roundtrip(tmp_path):
-    values = [{"text": "é\r \n", "n": 1}, [1, None, True], "plain", 2.5, {}]
+    values = [{"text": "é\r \n", "n": 1}, {"list": [1, None, True]}, {"s": "plain"},
+              {"f": 2.5}, {}]
     path = tmp_path / "values.jsonl"
     write_jsonl_records(path, values)
     assert path.read_bytes().count(b"\n") == len(values)
     assert read_jsonl(path, lambda value: value, ValueError) == values
+    # Every JSON line the harness reads holds an object; the error names
+    # the value's type, not the value.
+    for value, kind in (([1, None, True], "an array"), ("plain", "a string"), (2.5, "a number"),
+                        (7, "a number"), (False, "a boolean"), (None, "null")):
+        write_jsonl_records(path, values + [value])
+        with pytest.raises(ValueError) as excinfo:
+            read_jsonl(path, lambda value: value, ValueError)
+        assert str(excinfo.value) == f"{path}: line 6: expected a JSON object, got {kind}"
 
 
 # Lines the line reader must decode exactly as json.loads does, value or

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from _support import category_counts, load_episodes_from_records, score_records
+from _support import load_episodes_from_records
+from toolstream.clmetrics import _mean
 from toolstream.corpus import extract_examples
 from toolstream.fixtures import (
     REFERENCE_APIS,
@@ -11,7 +12,7 @@ from toolstream.fixtures import (
     write_reference_fixture,
 )
 from toolstream.genclient import import_completions
-from toolstream.scoring import aggregate_macro, rates, score_completions
+from toolstream.scoring import rates, score_completions
 from toolstream.transform import Condition, render_prompt
 
 
@@ -50,27 +51,21 @@ def test_per_block_category_counts_match_mix(reference_paths, reference_blocks):
     size_by_block = {b.block_id: len(b.examples) for b in blocks}
     for condition in ("A", "B"):
         records = import_completions([reference_paths[f"completions_{condition}"]])
-        scored = score_records(score_completions(records, index, 4)[condition])
-        by_block: dict[int, list] = {}
-        for r in scored:
-            by_block.setdefault(r.block_id, []).append(r)
-        for block_id, block_records in by_block.items():
+        codes = score_completions(records, index, 4)[condition]
+        assert sorted(codes.blocks) == sorted(size_by_block)
+        for block_id in codes.blocks:
             expected = REFERENCE_CATEGORY_MIX[condition][size_by_block[block_id]]
-            assert tuple(category_counts(block_records)) == expected
+            assert tuple(codes.counts(4, block_id)) == expected
 
 
 def test_micro_exact_close_to_macro(reference_paths, reference_blocks):
     _, blocks, index = reference_blocks
     records = import_completions([reference_paths["completions_A"]])
-    scored = score_records(score_completions(records, index, 4)["A"])
-    micro_exact = category_counts(scored)[0] / len(scored)
+    codes = score_completions(records, index, 4)["A"]
+    finals = codes.counts(4)
+    micro_exact = finals[0] / sum(finals)
     assert round(micro_exact, 4) == 0.3909
-    by_block: dict[int, list] = {}
-    for r in scored:
-        by_block.setdefault(r.block_id, []).append(r)
-    macro_exact = aggregate_macro(
-        [rates(category_counts(by_block[b])) for b in sorted(by_block)]
-    )["exact"]
+    macro_exact = _mean([rates(codes.counts(4, b))["exact"] for b in sorted(codes.blocks)])
     assert abs(micro_exact - macro_exact) * 100 < 1.5  # pooled vs unweighted gap
 
 

@@ -436,7 +436,11 @@ class TestCompletionCache:
             cfg = _config(mock.base_url)
             batch_generate([_prompt(1)], cfg, 1, cache)
             (entry,) = (tmp_path / "cache").rglob("*.json")
-            for requests, corrupt in enumerate(["{trunc", '{"text": 5}'], start=2):
+            # An entry of the wrong shape (an array) is a logged miss too.
+            for requests, (corrupt, reason) in enumerate([
+                ("{trunc", "invalid JSON"), ('{"text": 5}', "text is int, not a string"),
+                ('["[Ping()]"]', "expected a JSON object, got an array"),
+            ], start=2):
                 entry.write_text(corrupt, encoding="utf-8")
                 caplog.clear()
                 with caplog.at_level(logging.WARNING, logger="toolstream.genclient"):
@@ -444,7 +448,7 @@ class TestCompletionCache:
                 assert mock.requests == requests
                 assert not result.failures
                 assert result.records[0].text == "[Ping()]"
-                assert entry.name in caplog.text
+                assert entry.name in caplog.text and reason in caplog.text
                 assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "[Ping()]"
 
 

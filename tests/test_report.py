@@ -508,6 +508,19 @@ def test_report_matches_naive_oracle(tmp_path):
     assert shared > 0  # some cases render a prompt the same under A and B
 
 
+def test_matrix_command_matches_report(tmp_path, capsys):
+    # `matrix` reads a report's score file back and, given the manifest's
+    # block order, writes the report's matrix bytes for every metric, on
+    # the oracle's seeded random inputs (T 2-6, samples, stage subsets,
+    # one or both conditions).
+    from _oracle import matrix_mismatches
+
+    mismatches, checked = matrix_mismatches(1, 20, tmp_path)
+    assert mismatches == []
+    assert checked >= 80
+    assert "error" not in capsys.readouterr().err
+
+
 def test_report_errors_match_naive_oracle(tmp_path):
     # One change at a time to a scored completion line of the oracle's
     # seeded inputs: each raises its error class before any score file is

@@ -8,10 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from _support import random_call, random_text, score_records
+from _support import random_call, random_text, score_tuples
 from toolstream.calls import ApiCall, parse_first_call, render_call
 from toolstream import scoring
-from toolstream.report import format_pct
+from toolstream.clmetrics import _mean
+from toolstream.corpus import StreamSpec, extract_examples, load_corpus
+from toolstream.files import write_jsonl_records
+from toolstream.report import format_pct, run_report
 from toolstream.scoring import (
     CATEGORY_LABELS,
     CATEGORY_ORDER,
@@ -19,9 +22,7 @@ from toolstream.scoring import (
     FLAGS,
     ErrorCategory,
     MetricFlags,
-    ScoreRecord,
     StageCodes,
-    aggregate_macro,
     evaluate_completion,
     rates,
     read_scores_jsonl,
@@ -29,6 +30,7 @@ from toolstream.scoring import (
     write_category_csv,
     write_scores_jsonl,
 )
+from toolstream.transform import Condition, render_prompt
 
 WEATHER = ApiCall("GetWeather", (("city", "Paris"),))
 
@@ -131,6 +133,33 @@ def _counts(flag_rows):
     return [categories.count(c) for c in CATEGORY_ORDER]
 
 
+def _report_means(tmp_path, blocks, stage=None):
+    """final_means.json's entry for condition A of a report whose corpus
+    has one API per entry of `blocks`, and one example per letter of the
+    entry, scored at `stage` (T by default) as the letter says: "e" exact,
+    "w" wrong API, "m" malformed. None when the report writes no means."""
+    T = len(blocks)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl_records(corpus, [
+        {"id": f"ep{b}_{k}", "turns": [{"role": "user", "text": "go"},
+                                       {"role": "api_request", "text": f"[Api{b}(x='1')]"}]}
+        for b, kinds in enumerate(blocks) for k in range(len(kinds))
+    ])
+    texts = {"w": "[Other()]", "m": "no call"}
+    completions = tmp_path / "completions_A.jsonl"
+    write_jsonl_records(completions, [
+        {"example_id": ex.id, "condition": "A", "stage": T if stage is None else stage,
+         "prompt_hash": render_prompt(ex, Condition.A_STRIPPED).prompt_hash,
+         "text": texts.get(kind) or render_call(ex.expected)}
+        for ep, kind in zip(load_corpus(corpus), "".join(blocks))
+        for ex in extract_examples(ep)
+    ])
+    out = run_report(corpus, tmp_path / "out", StreamSpec(T=T, seed=0), [Condition.A_STRIPPED],
+                     import_paths=[completions])
+    path = out / "final_means.json"
+    return json.loads(path.read_text(encoding="utf-8"))["A"] if path.exists() else None
+
+
 def _stage_codes(entries):
     """StageCodes holding (example_id, stage, block_id, category) entries."""
     codes = StageCodes({(block_id, example_id) for example_id, _, block_id, _ in entries})
@@ -157,35 +186,50 @@ class TestAggregation:
         with pytest.raises(ValueError, match="cannot aggregate zero scores"):
             rates([])
 
-    def test_macro_mean_reference_rows(self):
-        def block(vals):
-            return {"exact": vals[0], "name": vals[1], "name_any": vals[2], "malformed": 0.0}
+    def test_macro_mean_reference_rows(self, reference_paths, tmp_path):
+        # final_means.json's macro mean is the unweighted mean of the final
+        # stage's block rates, the matrix row at T, in the stream's order.
+        out = run_report(reference_paths["corpus"], tmp_path / "out", StreamSpec(T=4, seed=42),
+                         [Condition.A_STRIPPED, Condition.B_TRAJECTORY],
+                         import_paths=[reference_paths["completions_A"],
+                                       reference_paths["completions_B"]])
+        means = json.loads((out / "final_means.json").read_text(encoding="utf-8"))
+        table = {tuple(row[:2]): row[2:] for row in
+                 (line.split(",") for line in (out / "final_table.csv").read_text().split())}
+        for tag, metric, blocks, mean in (("B", "exact", (57.9, 61.5, 44.7, 63.6), "56.9"),
+                                          ("A", "name", (64.3, 62.5, 60.2, 79.4), "66.6")):
+            assert sorted(map(float, table[tag, metric][:-1])) == sorted(blocks)
+            assert format_pct(means[tag]["macro"][metric]) == table[tag, metric][-1] == mean
+            final_row = (out / f"matrix_{metric}_{tag}.csv").read_text().split()[-1].split(",")
+            assert final_row[0] == "4"
+            assert means[tag]["macro"][metric] == _mean([float(v) for v in final_row[1:]])
 
-        exact_blocks = [block((v / 100, 0, 0)) for v in (57.9, 61.5, 44.7, 63.6)]
-        assert format_pct(aggregate_macro(exact_blocks)["exact"]) == "56.9"
-        name_blocks = [block((0, v / 100, 0)) for v in (64.3, 62.5, 60.2, 79.4)]
-        assert format_pct(aggregate_macro(name_blocks)["name"]) == "66.6"
-
-    def test_macro_single_block(self):
-        single = rates(_counts([(True, True, True, True)] * 3))
-        macro = aggregate_macro([single])
-        assert macro["exact"] == single["exact"]
-
-    def test_macro_adds_left_to_right_on_every_interpreter(self):
-        # Ten 0.1s summed left to right give 0.9999999999999999; the
-        # compensated sum() of Python 3.12 and later gives 1.0.
-        blocks = [
-            {"exact": 0.1, "name": 0.1, "name_any": 0.1, "malformed": 0.1}
-            for _ in range(10)
-        ]
-        mean = 0.09999999999999999
-        assert aggregate_macro(blocks) == {
-            "exact": mean, "name": mean, "name_any": mean, "malformed": mean,
+    def test_macro_single_block(self, tmp_path):
+        # Blocks with one rate have that rate as their macro mean, which is
+        # then also the micro mean.
+        means = _report_means(tmp_path, ["emww", "wemw"])
+        assert means["macro"] == means["micro"] == {
+            "exact": 0.25, "name": 0.25, "name_any": 0.25, "malformed": 0.25,
         }
 
-    def test_macro_empty_rejected(self):
-        with pytest.raises(ValueError, match="cannot average zero block scores"):
-            aggregate_macro([])
+    def test_macro_adds_left_to_right_on_every_interpreter(self, tmp_path):
+        # Ten blocks at 0.1 each, summed left to right, give
+        # 0.9999999999999999; the compensated sum() of Python 3.12 and
+        # later gives 1.0. The micro mean over the 100 examples is 0.1.
+        means = _report_means(tmp_path, ["em" + "w" * 8] * 10)
+        mean = 0.09999999999999999
+        assert means["macro"] == {
+            "exact": mean, "name": mean, "name_any": mean, "malformed": mean,
+        }
+        assert means["micro"]["exact"] == 0.1
+
+    def test_macro_empty_rejected(self, tmp_path):
+        # A run with no final-stage scores averages no blocks: it writes no
+        # macro mean at all.
+        out = tmp_path / "out"
+        assert _report_means(tmp_path, ["ew", "me"], stage=1) is None
+        assert not (out / "final_table.csv").exists()
+        assert (out / "scores_A.jsonl").exists()
 
     def test_micro_pooled(self):
         rows = [(True, True, True, True)] * 3 + [(False, False, False, False)]
@@ -198,7 +242,7 @@ class TestCategoryProperties:
     def test_partition_and_chain_under_fuzz(self):
         rng = random.Random(123)
         expected_pool = [random_call(rng) for _ in range(10)]
-        records = []
+        scores = []
         for i in range(600):
             expected = expected_pool[i % len(expected_pool)]
             roll = rng.random()
@@ -214,46 +258,60 @@ class TestCategoryProperties:
                     tuple((k, v + "_x") for k, v in expected.params),
                 )
                 completion = render_call(mutated)
-            category = evaluate_completion(completion, expected)
-            records.append(
-                ScoreRecord(
-                    example_id=f"f:{i}",
-                    stage=1,
-                    block_id=1,
-                    category=category,
-                )
-            )
-        codes = _stage_codes([(r.example_id, 1, 1, r.category) for r in records])
-        counts = codes.counts(1)
-        assert sum(counts) == len(records)
-        assert counts == [sum(r.category is c for r in records) for c in CATEGORY_ORDER]
-        flags = [FLAGS[r.category] for r in records]
+            scores.append((f"f:{i}", 1, 1, evaluate_completion(completion, expected)))
+        categories = [category for *_, category in scores]
+        counts = _stage_codes(scores).counts(1)
+        assert sum(counts) == len(scores)
+        assert counts == [categories.count(c) for c in CATEGORY_ORDER]
+        flags = [FLAGS[category] for category in categories]
         n_exact = sum(f.exact_ok for f in flags)
         n_any = sum(f.name_any_ok for f in flags)
         n_name = sum(f.name_ok for f in flags)
         n_parsed = sum(f.parsed for f in flags)
         assert n_exact <= n_any <= n_name <= n_parsed
         # category/flag consistency
-        for r, f in zip(records, flags):
-            assert (r.category is ErrorCategory.EXACT_FULL_CALL) == f.exact_ok
-            assert (r.category is ErrorCategory.MALFORMED_NO_CALL) == (not f.parsed)
-            assert (r.category is ErrorCategory.WRONG_API) == (f.parsed and not f.name_ok)
+        for category, f in zip(categories, flags):
+            assert (category is ErrorCategory.EXACT_FULL_CALL) == f.exact_ok
+            assert (category is ErrorCategory.MALFORMED_NO_CALL) == (not f.parsed)
+            assert (category is ErrorCategory.WRONG_API) == (f.parsed and not f.name_ok)
 
 
 class TestExports:
     def test_scores_jsonl_roundtrip(self, tmp_path):
-        entries = [("e:0", 4, 2, ErrorCategory.EXACT_FULL_CALL),
-                   ("e:1", 4, 2, ErrorCategory.WRONG_API)]
-        path = tmp_path / "scores.jsonl"
-        write_scores_jsonl(path, _stage_codes(entries))
-        loaded = read_scores_jsonl(path)
-        assert [(r.example_id, r.stage, r.block_id, r.category) for r in loaded] == entries
+        # Seeded random scores read back as written: T 2-6, ids with
+        # quotes, backslashes, non-ASCII and U+2028, stage subsets, and one
+        # condition's stages split across two files.
+        rng = random.Random(30)
+        pieces = ("e", 'q"', "b\\", "é", "例", "\u2028", ":", " ", "\U0001f600")
+        split = 0
+        for case in range(60):
+            T = rng.randint(2, 6)
+            ids = sorted({"".join(rng.choice(pieces) for _ in range(rng.randint(1, 4))) + str(i)
+                          for i in range(rng.randint(1, 30))})
+            # The reader takes T to be the largest block id, so one example is in block T.
+            pairs = [(T if i == 0 else rng.randint(1, T), example_id)
+                     for i, example_id in enumerate(ids)]
+            codes = StageCodes(pairs)
+            stages = sorted(rng.sample(range(T + 1), rng.randint(1, T + 1)))
+            codes.rows = {stage: bytearray(rng.choice(list(CODE.values())) for _ in ids)
+                          for stage in stages}
+            cut = rng.randrange(1, len(stages)) if len(stages) > 1 and rng.random() < 0.5 else 0
+            split += cut > 0
+            paths = []
+            for part in (stages[:cut], stages[cut:]) if cut else (stages,):
+                piece = StageCodes(pairs)
+                piece.rows = {stage: codes.rows[stage] for stage in part}
+                paths.append(tmp_path / f"scores_{case}_{len(paths)}.jsonl")
+                write_scores_jsonl(paths[-1], piece)
+            back = read_scores_jsonl(paths)
+            assert (back.ids, back.blocks, back.rows) == (codes.ids, codes.blocks, codes.rows)
+        assert split > 10
 
     def test_scores_jsonl_bytes_equal_json_dumps(self, tmp_path):
         ids = ['plain', 'quote"d', "back\\slash", "caf\u00e9", "new\nline", "tab\there"]
         blocks = (0, 9, 10, 2, 9, 123)
         # Every category at every stage, each id with its one block; the
-        # file holds them by stage, block and id.
+        # file holds them by stage, block and id. The writer takes any block.
         entries = [
             (example_id, stage, block_id, CATEGORY_ORDER[(i + stage) % len(CATEGORY_ORDER)])
             for stage in (0, 4, 12)
@@ -261,35 +319,35 @@ class TestExports:
         ]
         path = tmp_path / "scores.jsonl"
         write_scores_jsonl(path, _stage_codes(entries))
-        records = [
-            ScoreRecord(example_id, stage, block_id, category)
-            for example_id, stage, block_id, category in sorted(
-                entries, key=lambda e: (e[1], e[2], e[0])
-            )
-        ]
         expected = "".join(
             json.dumps(
                 {
-                    "example_id": r.example_id,
-                    "stage": r.stage,
-                    "block": r.block_id,
+                    "example_id": example_id,
+                    "stage": stage,
+                    "block": block_id,
                     "flags": {
-                        "parsed": FLAGS[r.category].parsed,
-                        "name_ok": FLAGS[r.category].name_ok,
-                        "name_any_ok": FLAGS[r.category].name_any_ok,
-                        "exact_ok": FLAGS[r.category].exact_ok,
+                        "parsed": FLAGS[category].parsed,
+                        "name_ok": FLAGS[category].name_ok,
+                        "name_any_ok": FLAGS[category].name_any_ok,
+                        "exact_ok": FLAGS[category].exact_ok,
                     },
-                    "category": r.category.value,
+                    "category": category.value,
                 }
             )
             + "\n"
-            for r in records
+            for example_id, stage, block_id, category in sorted(
+                entries, key=lambda e: (e[1], e[2], e[0])
+            )
         )
         assert path.read_bytes() == expected.encode("utf-8")
-        fields = [(r.example_id, r.stage, r.block_id, r.category) for r in records]
-        assert [
-            (r.example_id, r.stage, r.block_id, r.category) for r in read_scores_jsonl(path)
-        ] == fields
+        # The reader checks blocks against 1..T and stages against 0..T, T
+        # the largest block id: the same ids in such blocks read back.
+        valid = [(example_id, stage // 3, (1, 3, 3, 2, 1, 4)[ids.index(example_id)], category)
+                 for example_id, stage, _, category in entries]
+        write_scores_jsonl(path, _stage_codes(valid))
+        assert score_tuples(read_scores_jsonl([path])) == sorted(
+            valid, key=lambda e: (e[1], e[2], e[0])
+        )
 
     @pytest.mark.parametrize(
         "flags",
@@ -308,7 +366,7 @@ class TestExports:
         }
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1: flags .* contradict wrong_api"):
-            read_scores_jsonl(path)
+            read_scores_jsonl([path])
 
     def test_category_csv_row_order(self, tmp_path):
         path = tmp_path / "categories.csv"
@@ -346,25 +404,25 @@ def test_score_completions_normalizes_each_expected_call_once(monkeypatch):
         for stage in range(3)
         for example_id in ("e1", "e2")
     ]
-    records = score_records(score_completions(completions, examples, 2)["A"])
+    scores = score_tuples(score_completions(completions, examples, 2)["A"])
     # One view per completion; the scanner sees only the 3 texts the view
     # declines, and each expected call is normalized once.
     assert counts == {"view": 6, "parse": 3, "normalize": 2}
-    assert [r.category for r in records] == [
+    assert [category for *_, category in scores] == [
         ErrorCategory.EXACT_FULL_CALL, ErrorCategory.MALFORMED_NO_CALL
     ] * 3
-    for r, c in zip(records, completions):
+    for (*_, category), c in zip(scores, completions):
         expected = examples[c.example_id].expected
-        assert r.category is evaluate_completion(c.text, expected)
+        assert category is evaluate_completion(c.text, expected)
 
     # An escaped value is a view miss that the scanner parses: one parse, and
     # one normalize besides the expected call's.
     counts.update(view=0, parse=0, normalize=0)
     escaped = [SimpleNamespace(example_id="e1", condition="A", stage=0,
                                text=r"[GetWeather(city='Par\'is')]")]
-    records = score_records(score_completions(escaped, {"e1": examples["e1"]}, 2)["A"])
+    scores = score_tuples(score_completions(escaped, {"e1": examples["e1"]}, 2)["A"])
     assert counts == {"view": 1, "parse": 1, "normalize": 1 + 1}
-    assert records[0].category is ErrorCategory.CORRECT_API_WRONG_PARAMS
+    assert scores[0][3] is ErrorCategory.CORRECT_API_WRONG_PARAMS
 
 
 def test_score_completions_order_and_errors():
@@ -392,9 +450,9 @@ def test_score_completions_order_and_errors():
     # Records come in (stage, block_id, example_id) order whatever the
     # order of the completions.
     for ordered in (completions, completions[::-1], shuffled):
-        records = score_records(score_completions(ordered, examples, 4)["A"])
-        assert [(r.stage, r.block_id, r.example_id) for r in records] == want
-        assert all(r.category is category[r.stage, r.example_id] for r in records)
+        scores = score_tuples(score_completions(ordered, examples, 4)["A"])
+        assert [(stage, block_id, example_id) for example_id, stage, block_id, _ in scores] == want
+        assert all(c is category[stage, example_id] for example_id, stage, _, c in scores)
 
     first = completions[0]
     with pytest.raises(ValueError, match="more than one completion") as excinfo:
